@@ -46,11 +46,9 @@ from .placement import (
     OverlapBounds,
     PlacementConfig,
     init_centers,
-    loss_gradient,
     optimize_centers,
     overlap_loss,
     penalty,
-    single_cluster_loss,
 )
 from .postprocess import DistortNetwork, distort, wrap_around_sphere
 from .sampling import Dataset, sample_cluster_points, sample_dataset
@@ -84,7 +82,6 @@ __all__ = [
     "kmeans",
     "lda_axis",
     "lda_overlap",
-    "loss_gradient",
     "maxmin_sample",
     "monte_carlo_overlap",
     "normalization_constant",
@@ -103,7 +100,6 @@ __all__ = [
     "sample_orientation",
     "separation_quantile",
     "silhouette",
-    "single_cluster_loss",
     "validate_archetype",
     "wrap_around_sphere",
 ]

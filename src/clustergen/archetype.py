@@ -17,22 +17,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .distributions import SUPPORTED_FAMILIES
 from .errors import ArchetypeValidationError
-
-SUPPORTED_DISTRIBUTIONS = (
-    "normal",
-    "lognormal",
-    "exponential",
-    "standard_t",
-    "gamma",
-    "chisquare",
-    "weibull",
-    "gumbel",
-    "f",
-    "pareto",
-    "beta",
-    "uniform",
-)
 
 _IDENTIFIER_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
@@ -171,7 +157,7 @@ def validate_archetype(a: Archetype) -> list[str]:
         v.append("distributions must be a nonempty list of family names")
     else:
         for name in a.distributions:
-            if name not in SUPPORTED_DISTRIBUTIONS:
+            if name not in SUPPORTED_FAMILIES:
                 v.append(f"unsupported distribution {name!r}")
     if a.distribution_proportions is not None:
         props = a.distribution_proportions

@@ -90,6 +90,18 @@ def _generate_one(archetype_dict, index, seed, out_dir, do_distort, do_wrap):
     return path
 
 
+class _InProcessExecutor(concurrent.futures.Executor):
+    """Runs each job at submission, in this process; `--jobs 1` uses it."""
+
+    def submit(self, fn, /, *args, **kwargs):
+        future = concurrent.futures.Future()
+        try:
+            future.set_result(fn(*args, **kwargs))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
+
+
 def _load_archetype_args(args) -> list[Archetype]:
     if args.inline:
         return [Archetype.from_json(args.inline)]
@@ -111,55 +123,36 @@ def cmd_generate(args) -> int:
             jobs.append((a, index, seed))
 
     worst = EXIT_OK
-    if args.jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            futures = [
-                pool.submit(
-                    _generate_one, a.to_dict(), index, seed,
-                    args.out_dir, args.distort, args.wrap,
-                )
-                for a, index, seed in jobs
-            ]
-            outcomes = []
-            for future in futures:
-                try:
-                    outcomes.append(("ok", future.result()))
-                except Exception as exc:
-                    outcomes.append(("error", exc))
-    else:
-        outcomes = []
-        for a, index, seed in jobs:
+    pool = (
+        concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs)
+        if args.jobs > 1
+        else _InProcessExecutor()
+    )
+    with pool:
+        futures = [
+            pool.submit(
+                _generate_one, a.to_dict(), index, seed, args.out_dir, args.distort, args.wrap
+            )
+            for a, index, seed in jobs
+        ]
+        for (a, index, seed), future in zip(jobs, futures):
+            entry = {
+                "archetype": a.name,
+                "index": index,
+                "seed": seed,
+                "distort": bool(args.distort),
+                "wrap": bool(args.wrap),
+            }
             try:
-                path = _generate_one(
-                    a.to_dict(), index, seed, args.out_dir, args.distort, args.wrap
-                )
-                outcomes.append(("ok", path))
-            except Exception as exc:
-                outcomes.append(("error", exc))
-
-    for (a, index, seed), (status, payload) in zip(jobs, outcomes):
-        entry = {
-            "archetype": a.name,
-            "index": index,
-            "seed": seed,
-            "distort": bool(args.distort),
-            "wrap": bool(args.wrap),
-        }
-        if status == "ok":
-            entry["path"] = os.path.basename(payload)
-            entry["status"] = "ok"
-        else:
-            if isinstance(payload, NonConvergenceError):
-                entry["status"] = "convergence-failure"
-                worst = max(worst, EXIT_CONVERGENCE)
-            elif isinstance(payload, (ArchetypeValidationError, ValueError)):
-                entry["status"] = "validation-failure"
-                worst = max(worst, EXIT_VALIDATION)
-            else:
-                raise payload
-            entry["error"] = str(payload)
-            print(f"error: {a.name}[{index}]: {payload}", file=sys.stderr)
-        manifest.entries.append(entry)
+                entry["path"] = os.path.basename(future.result())
+                entry["status"] = "ok"
+            except (NonConvergenceError, ArchetypeValidationError, ValueError) as exc:
+                converge = isinstance(exc, NonConvergenceError)
+                entry["status"] = "convergence-failure" if converge else "validation-failure"
+                entry["error"] = str(exc)
+                worst = max(worst, EXIT_CONVERGENCE if converge else EXIT_VALIDATION)
+                print(f"error: {a.name}[{index}]: {exc}", file=sys.stderr)
+            manifest.entries.append(entry)
 
     _write_atomic(
         os.path.join(args.out_dir, "manifest.json"),

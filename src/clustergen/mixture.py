@@ -10,7 +10,7 @@ places the centers so the pairwise overlap constraints hold exactly.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -141,35 +141,32 @@ def sample_mixture_model(
     families = arch.assign_distributions(a, rng)
     group_sizes = arch.sample_group_sizes(a, rng)
 
+    center = np.zeros(dim) if origin is None else np.asarray(origin, dtype=float)
+    model = MixtureModel(
+        clusters=[
+            Cluster(
+                center=center,
+                axes=orientations[j],
+                axis_lengths=lengths[j],
+                radial_distribution=RadialDistribution.create(families[j]),
+            )
+            for j in range(k)
+        ],
+        group_sizes=group_sizes,
+        archetype_name=a.name,
+    )
     if k == 1:
-        center = np.zeros(dim) if origin is None else np.asarray(origin, dtype=float)
-        centers = center[None, :]
-    else:
-        bounds = placement.OverlapBounds.from_overlaps(a.max_overlap, a.min_overlap)
-        covs = np.stack(
-            [(u * l**2) @ u.T for u, l in zip(orientations, lengths)]
-        )
-        last_error: NonConvergenceError | None = None
-        for _ in range(config.max_restarts + 1):
-            centers = placement.init_centers(k, dim, radii, config, rng)
-            try:
-                centers, _ = placement._optimize_arrays(
-                    centers, covs, lengths, bounds, config, rng
-                )
-                last_error = None
-                break
-            except NonConvergenceError as exc:
-                last_error = exc
-        if last_error is not None:
-            raise last_error
+        return model
 
-    clusters = [
-        Cluster(
-            center=centers[j],
-            axes=orientations[j],
-            axis_lengths=lengths[j],
-            radial_distribution=RadialDistribution.create(families[j]),
+    bounds = placement.OverlapBounds.from_overlaps(a.max_overlap, a.min_overlap)
+    for _ in range(config.max_restarts + 1):
+        centers = placement.init_centers(k, dim, radii, config, rng)
+        start = replace(
+            model, clusters=[replace(c, center=centers[j]) for j, c in enumerate(model.clusters)]
         )
-        for j in range(k)
-    ]
-    return MixtureModel(clusters=clusters, group_sizes=group_sizes, archetype_name=a.name)
+        try:
+            model, _ = placement.optimize_centers(start, bounds, config, rng)
+            return model
+        except NonConvergenceError as exc:
+            last_error = exc
+    raise last_error

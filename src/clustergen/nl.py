@@ -11,14 +11,13 @@ from __future__ import annotations
 import enum
 import json
 import os
-import re
 import time
 import urllib.error
 import urllib.request
 from dataclasses import dataclass, field
 
 from . import prompts
-from .archetype import _JSON_KEYS, Archetype
+from .archetype import _IDENTIFIER_RE, _JSON_KEYS, Archetype
 from .errors import (
     ArchetypeValidationError,
     NLAuthError,
@@ -30,7 +29,6 @@ from .errors import (
 
 API_KEY_ENV = "CLUSTERGEN_API_KEY"
 _FALLBACK_KEY_ENV = "OPENAI_API_KEY"
-_IDENTIFIER_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
 
 class TemplateKind(enum.Enum):

@@ -41,23 +41,61 @@ def separation_quantile(mu1, mu2, S1, S2, axis) -> float:
     return float(axis @ (mu2 - mu1)) / (np.sqrt(s1) + np.sqrt(s2))
 
 
+def _require_separable(delta, avg) -> None:
+    """Raise ValueError if any pair has coincident centers or a singular average."""
+    if not np.all(np.any(delta, axis=-1)):
+        raise ValueError("cluster centers coincide; no separating axis exists")
+    if np.any(np.linalg.cond(avg) > _MAX_CONDITION):
+        raise ValueError("averaged covariance is numerically singular")
+
+
 def lda_axis(mu1, mu2, S1, S2) -> np.ndarray:
     """Solve ((S1+S2)/2) a = mu2 - mu1 without forming an inverse."""
     mu1, mu2 = _as_vector(mu1), _as_vector(mu2)
     delta = mu2 - mu1
-    if not np.any(delta):
-        raise ValueError("cluster centers coincide; no separating axis exists")
     avg = 0.5 * (np.asarray(S1, dtype=float) + np.asarray(S2, dtype=float))
-    if np.linalg.cond(avg) > _MAX_CONDITION:
-        raise ValueError("averaged covariance is numerically singular")
+    _require_separable(delta, avg)
     return np.linalg.solve(avg, delta)
+
+
+def lda_separations(mu, S, others_mu, others_S):
+    """LDA separations of one cluster (mu, S) against m others in one batched solve.
+
+    Returns (q, axes): q[m] >= 0 is the separation quantile along the LDA
+    axis toward others_mu[m], and axes[m] is that axis oriented from mu
+    toward others_mu[m] and pre-divided by the quantile denominator, so
+    q[m] = axes[m] @ (others_mu[m] - mu), grad_{others_mu[m]} q[m] = axes[m]
+    and grad_{mu} q[m] = -axes[m] with the axis held fixed.  Inputs are not
+    checked; reporting callers go through `_checked_separations`.
+    """
+    delta = others_mu - mu
+    avg = 0.5 * (S[None, :, :] + others_S)
+    axes = np.linalg.solve(avg, delta[..., None])[..., 0]
+    s_i = np.sqrt(np.einsum("mp,pq,mq->m", axes, S, axes))
+    s_j = np.sqrt(np.einsum("mp,mpq,mq->m", axes, others_S, axes))
+    margin = np.einsum("mp,mp->m", axes, delta)
+    denom = s_i + s_j
+    orient = np.where(margin < 0, -1.0, 1.0)
+    return np.abs(margin) / denom, axes * (orient / denom)[:, None]
+
+
+def _checked_separations(mu, S, others_mu, others_S):
+    """`lda_separations` raising `lda_axis`'s errors on inseparable pairs."""
+    mu, S = _as_vector(mu), np.asarray(S, dtype=float)
+    others_mu = np.asarray(others_mu, dtype=float).reshape(-1, mu.shape[0])
+    others_S = np.asarray(others_S, dtype=float).reshape(-1, *S.shape)
+    _require_separable(others_mu - mu, 0.5 * (S[None, :, :] + others_S))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        q, axes = lda_separations(mu, S, others_mu, others_S)
+    if not np.all(np.isfinite(q)):
+        raise ValueError("covariance matrices must be symmetric positive definite")
+    return q, axes
 
 
 def lda_overlap(mu1, mu2, S1, S2) -> float:
     """Overlap along the LDA axis: 2*(1 - Phi(q))."""
-    axis = lda_axis(mu1, mu2, S1, S2)
-    q = separation_quantile(mu1, mu2, S1, S2, axis)
-    return float(2.0 * normal_sf(q))
+    q, _ = _checked_separations(mu1, S1, mu2, S2)
+    return float(2.0 * normal_sf(q[0]))
 
 
 def c2c_overlap(mu1, mu2, S1, S2) -> float:
@@ -132,7 +170,8 @@ def monte_carlo_overlap(c1, c2, n: int, rng: np.random.Generator) -> MonteCarloO
     from .mixture import covariance_of
     from .sampling import sample_cluster_points
 
-    axis = lda_axis(c1.center, c2.center, covariance_of(c1), covariance_of(c2))
+    _, axes = _checked_separations(c1.center, covariance_of(c1), c2.center, covariance_of(c2))
+    axis = axes[0]
     s1 = sample_cluster_points(c1, n, rng) @ axis
     s2 = sample_cluster_points(c2, n, rng) @ axis
     if s1.mean() > s2.mean():
@@ -161,23 +200,21 @@ class OverlapReport:
 
 def pairwise_overlaps(model, include_exact: bool = False) -> list[OverlapReport]:
     """All pairwise overlap reports for a mixture model."""
-    from .mixture import covariance_of
-
     centers = model.centers
-    covs = [covariance_of(c) for c in model.clusters]
+    covs = model.covariances()
+    k = len(model.clusters)
     reports = []
-    for i in range(len(model.clusters)):
-        for j in range(i + 1, len(model.clusters)):
-            axis = lda_axis(centers[i], centers[j], covs[i], covs[j])
-            q = abs(separation_quantile(centers[i], centers[j], covs[i], covs[j], axis))
-            alpha = float(2.0 * normal_sf(q))
+    for i in range(k - 1):
+        q, _ = _checked_separations(centers[i], covs[i], centers[i + 1 :], covs[i + 1 :])
+        for j, q_ij in zip(range(i + 1, k), q):
+            alpha = float(2.0 * normal_sf(q_ij))
             a_c2c = c2c_overlap(centers[i], centers[j], covs[i], covs[j])
             a_exact = (
                 exact_overlap_oracle(centers[i], centers[j], covs[i], covs[j])
                 if include_exact
                 else None
             )
-            reports.append(OverlapReport(i, j, q, alpha, a_c2c, a_exact))
+            reports.append(OverlapReport(i, j, float(q_ij), alpha, a_c2c, a_exact))
     return reports
 
 

@@ -21,6 +21,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .errors import NonConvergenceError
+from .overlap import lda_separations
 from .stats import normal_isf
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -39,7 +40,6 @@ class PlacementConfig:
     max_epochs: int = 1000
     loss_tolerance: float = 0.0
     max_restarts: int = 3
-    rng_seed: int | None = None
 
     def __post_init__(self):
         if not 0.0 <= self.penalty_mix <= 1.0:
@@ -109,89 +109,39 @@ def _penalty_slope(x, penalty_mix):
     return penalty_mix + 2.0 * (1.0 - penalty_mix) * x
 
 
-def _separations_from(centers: np.ndarray, covs: np.ndarray, i: int):
-    """Separations q_ij and scaled oriented axes for cluster i vs all j != i.
+def cluster_loss(centers, covs, i, bounds: OverlapBounds, penalty_mix: float):
+    """Loss on cluster i and its frozen-axis gradient w.r.t. every center.
 
-    Returns (others, q, axes) where axes[m] is the LDA axis toward
-    others[m], oriented i -> j and pre-divided by the quantile denominator,
-    so grad_{mu_j} q_ij = axes[m] and grad_{mu_i} q_ij = -axes[m].
+    The loss is the isolation penalty on i's nearest separation plus a
+    crowding penalty for every separation below q_min.  Returns
+    (loss, grad) with grad shaped like `centers` (k x dim).
     """
-    k = centers.shape[0]
-    others = np.array([j for j in range(k) if j != i])
-    delta = centers[others] - centers[i]
-    avg = 0.5 * (covs[i][None, :, :] + covs[others])
-    axes = np.linalg.solve(avg, delta[..., None])[..., 0]
-    s_i = np.sqrt(np.einsum("mp,pq,mq->m", axes, covs[i], axes))
-    s_j = np.sqrt(np.einsum("mp,mpq,mq->m", axes, covs[others], axes))
-    margin = np.einsum("mp,mp->m", axes, delta)
-    denom = s_i + s_j
-    q = np.abs(margin) / denom
-    orient = np.where(margin < 0, -1.0, 1.0)
-    return others, q, axes * (orient / denom)[:, None]
-
-
-def _cluster_loss_from_q(q: np.ndarray, bounds: OverlapBounds, penalty_mix: float) -> float:
-    loss = 0.0
-    isolation = q.min() - bounds.q_max
-    if isolation > 0:
-        loss += penalty(isolation, penalty_mix)
-    crowding = np.maximum(bounds.q_min - q, 0.0)
-    for x in crowding[crowding > 0]:
-        loss += penalty(float(x), penalty_mix)
-    return loss
-
-
-def single_cluster_loss(
-    i: int, model: "MixtureModel", bounds: OverlapBounds, penalty_mix: float = 0.5
-) -> float:
-    """Loss on cluster i: isolation penalty plus crowding penalties."""
-    centers = model.centers
-    covs = model.covariances()
-    _, q, _ = _separations_from(centers, covs, i)
-    return _cluster_loss_from_q(q, bounds, penalty_mix)
+    others = np.array([j for j in range(centers.shape[0]) if j != i])
+    q, axes = lda_separations(centers[i], covs[i], centers[others], covs[others])
+    grad = np.zeros_like(centers)
+    nearest = int(np.argmin(q))
+    isolation = q[nearest] - bounds.q_max
+    if isolation > 0:  # then every q_ij > q_max > q_min: no crowding term
+        slope = _penalty_slope(isolation, penalty_mix)
+        grad[i] -= slope * axes[nearest]
+        grad[others[nearest]] += slope * axes[nearest]
+        return penalty(isolation, penalty_mix), grad
+    crowded = np.nonzero(q < bounds.q_min)[0]
+    if crowded.size == 0:
+        return 0.0, grad
+    shortfall = bounds.q_min - q[crowded]
+    pushes = _penalty_slope(shortfall, penalty_mix)[:, None] * axes[crowded]
+    grad[i] += pushes.sum(axis=0)  # rows added in order, not by a BLAS dot
+    grad[others[crowded]] -= pushes
+    return sum(penalty(float(x), penalty_mix) for x in shortfall), grad
 
 
 def overlap_loss(
     model: "MixtureModel", bounds: OverlapBounds, penalty_mix: float = 0.5
 ) -> float:
     """Average single-cluster loss; zero iff all constraints hold."""
-    centers = model.centers
-    covs = model.covariances()
-    return _loss_arrays(centers, covs, bounds, penalty_mix)
-
-
-def _loss_arrays(centers, covs, bounds, penalty_mix) -> float:
-    k = centers.shape[0]
-    total = 0.0
-    for i in range(k):
-        _, q, _ = _separations_from(centers, covs, i)
-        total += _cluster_loss_from_q(q, bounds, penalty_mix)
-    return total / k
-
-
-def _gradient_arrays(centers, covs, i, bounds, penalty_mix) -> np.ndarray:
-    """Frozen-axis gradient of the i-th cluster loss w.r.t. every center."""
-    others, q, axes = _separations_from(centers, covs, i)
-    grad = np.zeros_like(centers)
-    nearest = int(np.argmin(q))
-    isolation = q[nearest] - bounds.q_max
-    if isolation > 0:
-        slope = _penalty_slope(isolation, penalty_mix)
-        grad[i] -= slope * axes[nearest]
-        grad[others[nearest]] += slope * axes[nearest]
-    shortfall = bounds.q_min - q
-    for m in np.nonzero(shortfall > 0)[0]:
-        slope = _penalty_slope(shortfall[m], penalty_mix)
-        grad[i] += slope * axes[m]
-        grad[others[m]] -= slope * axes[m]
-    return grad
-
-
-def loss_gradient(
-    i: int, model: "MixtureModel", bounds: OverlapBounds, penalty_mix: float = 0.5
-) -> np.ndarray:
-    """Gradient of single_cluster_loss(i) w.r.t. all k centers (k x dim)."""
-    return _gradient_arrays(model.centers, model.covariances(), i, bounds, penalty_mix)
+    centers, covs, k = model.centers, model.covariances(), model.n_clusters
+    return sum(cluster_loss(centers, covs, i, bounds, penalty_mix)[0] for i in range(k)) / k
 
 
 def loss_trace_csv(trace) -> str:
@@ -211,44 +161,32 @@ def _resolve_learning_rate(config: PlacementConfig, lengths: np.ndarray) -> floa
 def optimize_centers(
     model: "MixtureModel",
     bounds: OverlapBounds,
-    config: PlacementConfig | None = None,
-    rng: np.random.Generator | None = None,
+    config: PlacementConfig,
+    rng: np.random.Generator,
 ):
     """Run SGD epochs until the overlap loss reaches tolerance.
 
-    Returns (converged model, per-epoch loss trace).  Axes and axis
-    lengths are untouched; only centers move.  Raises NonConvergenceError
-    with the final loss and trace when max_epochs is exhausted.
+    Each epoch visits the clusters in an order drawn from `rng` and steps
+    each one's centers down its `cluster_loss` gradient.  Returns
+    (converged model, per-epoch loss trace).  Axes and axis lengths are
+    untouched; only centers move.  Raises NonConvergenceError with the
+    final loss and trace when max_epochs is exhausted.
     """
-    config = config or PlacementConfig()
-    if rng is None:
-        rng = np.random.default_rng(config.rng_seed)
-    centers = model.centers.copy()
+    centers = model.centers
     covs = model.covariances()
-    lengths = np.stack([c.axis_lengths for c in model.clusters])
-    centers, trace = _optimize_arrays(centers, covs, lengths, bounds, config, rng)
-    converged = replace(
-        model,
-        clusters=[replace(c, center=centers[i]) for i, c in enumerate(model.clusters)],
-    )
-    return converged, trace
-
-
-def _optimize_arrays(centers, covs, lengths, bounds, config, rng):
     k = centers.shape[0]
-    eta = _resolve_learning_rate(config, lengths)
+    eta = _resolve_learning_rate(config, np.stack([c.axis_lengths for c in model.clusters]))
     stop_at = max(config.loss_tolerance, _LOSS_SLACK)
     trace: list[float] = []
-    for _ in range(config.max_epochs):
-        loss = _loss_arrays(centers, covs, bounds, config.penalty_mix)
+    for epoch in range(config.max_epochs + 1):
+        losses = [cluster_loss(centers, covs, i, bounds, config.penalty_mix)[0] for i in range(k)]
+        loss = sum(losses) / k
         trace.append(loss)
         if loss <= stop_at:
-            return centers, trace
+            clusters = [replace(c, center=centers[j]) for j, c in enumerate(model.clusters)]
+            return replace(model, clusters=clusters), trace
+        if epoch == config.max_epochs:
+            raise NonConvergenceError(loss, trace)
         for i in rng.permutation(k):
-            grad = _gradient_arrays(centers, covs, int(i), bounds, config.penalty_mix)
+            _, grad = cluster_loss(centers, covs, int(i), bounds, config.penalty_mix)
             centers = centers - eta * grad
-    loss = _loss_arrays(centers, covs, bounds, config.penalty_mix)
-    trace.append(loss)
-    if loss <= stop_at:
-        return centers, trace
-    raise NonConvergenceError(loss, trace)

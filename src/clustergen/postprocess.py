@@ -13,8 +13,6 @@ _LAYER_NORM_EPS = 1e-5
 class _Block:
     weight: np.ndarray
     bias: np.ndarray
-    gain: np.ndarray
-    offset: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -55,8 +53,6 @@ class DistortNetwork:
             _Block(
                 weight=linear(hidden_width, (hidden_width, hidden_width)),
                 bias=linear(hidden_width, hidden_width),
-                gain=np.ones(hidden_width),
-                offset=np.zeros(hidden_width),
             )
             for _ in range(n_blocks)
         )
@@ -69,7 +65,7 @@ class DistortNetwork:
             h = h @ block.weight + block.bias
             mean = h.mean(axis=1, keepdims=True)
             var = h.var(axis=1, keepdims=True)
-            h = (h - mean) / np.sqrt(var + _LAYER_NORM_EPS) * block.gain + block.offset
+            h = (h - mean) / np.sqrt(var + _LAYER_NORM_EPS)
             h = np.tanh(h)
         return h @ self.projection_weight + self.projection_bias
 

@@ -33,11 +33,3 @@ def normal_quantile(p):
 def normal_isf(p):
     """Inverse of `normal_sf`: the x with P(Z > x) = p."""
     return -special.ndtri(p)
-
-
-def erf(x):
-    return special.erf(x)
-
-
-def erfc(x):
-    return special.erfc(x)

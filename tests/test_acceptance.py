@@ -15,7 +15,7 @@ from clustergen.archetype import Archetype
 from clustergen.distributions import SUPPORTED_FAMILIES, RadialDistribution
 from clustergen.errors import NLParseError, NLValidationError, NonConvergenceError
 from clustergen.metrics import ami, ari, kmeans
-from clustergen.mixture import sample_mixture_model, sample_orientation
+from clustergen.mixture import Cluster, MixtureModel, sample_mixture_model, sample_orientation
 from clustergen.nl import ClientConfig, describe_to_archetype, parse_archetype_json
 from clustergen.overlap import (
     c2c_overlap,
@@ -27,8 +27,8 @@ from clustergen.overlap import (
 from clustergen.placement import (
     OverlapBounds,
     PlacementConfig,
-    _optimize_arrays,
     init_centers,
+    optimize_centers,
 )
 from clustergen.postprocess import DistortNetwork, distort, wrap_around_sphere
 from clustergen.sampling import sample_dataset
@@ -72,15 +72,22 @@ def placement_runs(benchmark_archetypes):
             lengths = np.stack(
                 [arch_mod.sample_axis_lengths(aspects[j], radii[j], dim, rng) for j in range(k)]
             )
-            covs = np.stack(
-                [
-                    (u * l**2) @ u.T
-                    for u, l in ((sample_orientation(dim, rng), lengths[j]) for j in range(k))
-                ]
-            )
+            orientations = [sample_orientation(dim, rng) for _ in range(k)]
             centers = init_centers(k, dim, radii, config, rng)
+            start = MixtureModel(
+                clusters=[
+                    Cluster(
+                        centers[j], orientations[j], lengths[j], RadialDistribution.create("normal")
+                    )
+                    for j in range(k)
+                ],
+                group_sizes=np.full(k, a.n_samples // k),
+                archetype_name=a.name,
+            )
+            covs = start.covariances()
             try:
-                centers, trace = _optimize_arrays(centers, covs, lengths, bounds, config, rng)
+                model, trace = optimize_centers(start, bounds, config, rng)
+                centers = model.centers
                 converged = True
             except NonConvergenceError as exc:
                 trace = exc.trace

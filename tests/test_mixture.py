@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -133,16 +135,16 @@ class TestSampleMixtureModel:
         from clustergen import placement
         from clustergen.errors import NonConvergenceError
 
-        real = placement._optimize_arrays
+        real = placement.optimize_centers
         attempts = []
 
-        def flaky(centers, covs, lengths, bounds, config, rng):
+        def flaky(model, bounds, config, rng):
             attempts.append(1)
             if len(attempts) < 3:
                 raise NonConvergenceError(1.0, [1.0])
-            return real(centers, covs, lengths, bounds, config, rng)
+            return real(model, bounds, config, rng)
 
-        monkeypatch.setattr(placement, "_optimize_arrays", flaky)
+        monkeypatch.setattr(placement, "optimize_centers", flaky)
         a = Archetype(name="retry", n_clusters=3, n_samples=90)
         model = sample_mixture_model(a, np.random.default_rng(0))
         assert len(attempts) == 3
@@ -158,11 +160,39 @@ class TestSampleMixtureModel:
             calls.append(1)
             raise NonConvergenceError(2.0, [2.0])
 
-        monkeypatch.setattr(placement, "_optimize_arrays", always_fails)
+        monkeypatch.setattr(placement, "optimize_centers", always_fails)
         a = Archetype(name="retry", n_clusters=3, n_samples=90)
         with pytest.raises(NonConvergenceError):
             sample_mixture_model(a, np.random.default_rng(0))
         assert len(calls) == 4  # initial try plus three restarts
+
+    def test_centers_replay_from_last_init(self, monkeypatch):
+        """Centers equal optimize_centers rerun from the last init_centers draw."""
+        from clustergen import placement
+
+        real = placement.init_centers
+        draws = []
+
+        def recording(k, dim, radii, config, rng):
+            centers = real(k, dim, radii, config, rng)
+            draws.append((centers.copy(), rng.bit_generator.state, config))
+            return centers
+
+        monkeypatch.setattr(placement, "init_centers", recording)
+        a = Archetype(
+            name="replay", n_clusters=5, dim=3, n_samples=100,
+            aspect_ref=2.0, aspect_maxmin=2.0, radius_maxmin=2.0,
+        )
+        model = sample_mixture_model(a, np.random.default_rng(4))
+        init, state, config = draws[-1]
+        rng = np.random.default_rng()
+        rng.bit_generator.state = state
+        start = replace(
+            model, clusters=[replace(c, center=init[j]) for j, c in enumerate(model.clusters)]
+        )
+        bounds = placement.OverlapBounds.from_overlaps(a.max_overlap, a.min_overlap)
+        replayed, _ = placement.optimize_centers(start, bounds, config, rng)
+        np.testing.assert_array_equal(replayed.centers, model.centers)
 
 
 class TestSerialization:

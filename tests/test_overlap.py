@@ -264,3 +264,24 @@ class TestPairwiseReports:
         rows = overlap_report_rows(reports)
         assert rows[0].split(",") == ["i", "j", "q_lda", "alpha_lda", "alpha_c2c", "alpha_exact"]
         assert len(rows) == 4
+
+    def test_coincident_centers_rejected(self):
+        from clustergen.mixture import MixtureModel
+        from clustergen.overlap import pairwise_overlaps
+
+        clusters = [spherical_cluster(c, 1.0, 2) for c in ([0, 0], [3, 0], [0, 0])]
+        model = MixtureModel(clusters, np.full(3, 10), "twins")
+        with pytest.raises(ValueError, match="coincide"):
+            pairwise_overlaps(model)
+
+
+class TestReportingPathErrors:
+    def test_monte_carlo_coincident_centers_rejected(self):
+        c = spherical_cluster([1, 1], 1.0, 2)
+        with pytest.raises(ValueError, match="coincide"):
+            monte_carlo_overlap(c, c, 100, np.random.default_rng(0))
+
+    def test_lda_overlap_singular_average_rejected(self):
+        degenerate = np.diag([1.0, 0.0])
+        with pytest.raises(ValueError, match="singular"):
+            lda_overlap([0, 0], [1, 0], degenerate, degenerate)

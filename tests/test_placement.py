@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -10,19 +12,16 @@ from clustergen.mixture import (
     sample_mixture_model,
     sample_orientation,
 )
-from clustergen.overlap import lda_axis, separation_quantile
+from clustergen.overlap import lda_axis, lda_separations, separation_quantile
 from clustergen.placement import (
     OverlapBounds,
     PlacementConfig,
-    _gradient_arrays,
-    _separations_from,
     adjusted_density,
+    cluster_loss,
     init_centers,
-    loss_gradient,
     optimize_centers,
     overlap_loss,
     penalty,
-    single_cluster_loss,
 )
 from clustergen.stats import normal_isf
 
@@ -46,6 +45,18 @@ def spherical_model(centers, sigma=1.0):
         group_sizes=np.full(len(clusters), 10),
         archetype_name="test",
     )
+
+
+def model_cluster_loss(i, model, bounds, penalty_mix=0.5):
+    """cluster_loss (loss, grad) of cluster i at the model's centers."""
+    return cluster_loss(model.centers, model.covariances(), i, bounds, penalty_mix)
+
+
+def pair_separations(centers, covs, i):
+    """(others, q, scaled axes) of cluster i against every other cluster."""
+    others = np.array([j for j in range(len(centers)) if j != i])
+    q, axes = lda_separations(centers[i], covs[i], centers[others], covs[others])
+    return others, q, axes
 
 
 def model_at_separation(q, sigma=1.0):
@@ -103,18 +114,18 @@ class TestSingleClusterLoss:
     def test_zero_inside_band(self):
         q_mid = 0.5 * (BOUNDS.q_min + BOUNDS.q_max)
         model = model_at_separation(q_mid)
-        assert single_cluster_loss(0, model, BOUNDS) == 0.0
-        assert single_cluster_loss(1, model, BOUNDS) == 0.0
+        assert model_cluster_loss(0, model, BOUNDS)[0] == 0.0
+        assert model_cluster_loss(1, model, BOUNDS)[0] == 0.0
 
     def test_isolation_penalty_linear(self):
         model = model_at_separation(BOUNDS.q_max + 0.5)
-        assert single_cluster_loss(0, model, BOUNDS, penalty_mix=1.0) == pytest.approx(
+        assert model_cluster_loss(0, model, BOUNDS, penalty_mix=1.0)[0] == pytest.approx(
             0.5, rel=1e-9
         )
 
     def test_crowding_penalty_quadratic(self):
         model = model_at_separation(BOUNDS.q_min - 0.2)
-        assert single_cluster_loss(0, model, BOUNDS, penalty_mix=0.0) == pytest.approx(
+        assert model_cluster_loss(0, model, BOUNDS, penalty_mix=0.0)[0] == pytest.approx(
             0.04, rel=1e-9
         )
 
@@ -123,7 +134,7 @@ class TestSingleClusterLoss:
         model = spherical_model(rng.normal(size=(4, 3)) * 3, sigma=0.8)
         centers = model.centers
         covs = model.covariances()
-        _, q, _ = _separations_from(centers, covs, 0)
+        _, q, _ = pair_separations(centers, covs, 0)
         for m, j in enumerate([1, 2, 3]):
             axis = lda_axis(centers[0], centers[j], covs[0], covs[j])
             expected = abs(
@@ -139,8 +150,8 @@ class TestOverlapLoss:
 
     def test_symmetric_two_cluster_violation(self):
         model = model_at_separation(BOUNDS.q_min - 0.3)
-        l0 = single_cluster_loss(0, model, BOUNDS)
-        l1 = single_cluster_loss(1, model, BOUNDS)
+        l0 = model_cluster_loss(0, model, BOUNDS)[0]
+        l1 = model_cluster_loss(1, model, BOUNDS)[0]
         assert l0 == pytest.approx(l1, rel=1e-12)
         assert overlap_loss(model, BOUNDS) == pytest.approx(l0, rel=1e-12)
 
@@ -154,18 +165,18 @@ class TestOverlapLoss:
 class TestLossGradient:
     def test_zero_gradient_inside_band(self):
         model = model_at_separation(0.5 * (BOUNDS.q_min + BOUNDS.q_max))
-        np.testing.assert_array_equal(loss_gradient(0, model, BOUNDS), 0.0)
+        np.testing.assert_array_equal(model_cluster_loss(0, model, BOUNDS)[1], 0.0)
 
     def test_crowded_pair_pushed_apart(self):
         model = model_at_separation(BOUNDS.q_min - 0.5)
-        grad = loss_gradient(0, model, BOUNDS)
+        grad = model_cluster_loss(0, model, BOUNDS)[1]
         # descent step -grad moves cluster 0 left and cluster 1 right
         assert grad[0][0] > 0
         assert grad[1][0] < 0
 
     def test_isolated_cluster_pulled_toward_neighbor(self):
         model = model_at_separation(BOUNDS.q_max + 1.0)
-        grad = loss_gradient(0, model, BOUNDS)
+        grad = model_cluster_loss(0, model, BOUNDS)[1]
         assert grad[0][0] < 0  # descent moves cluster 0 toward cluster 1 (right)
         assert grad[1][0] > 0
 
@@ -186,7 +197,7 @@ class TestLossGradient:
                 ]
             )
             i = int(rng.integers(k))
-            frozen = _separations_from(centers, covs, i)
+            frozen = pair_separations(centers, covs, i)
 
             def frozen_loss(flat):
                 moved = flat.reshape(k, dim)
@@ -195,9 +206,9 @@ class TestLossGradient:
                 margins = np.einsum(
                     "mp,mp->m", scaled_axes, moved[others] - moved[i]
                 )
-                from clustergen.placement import _cluster_loss_from_q
-
-                return _cluster_loss_from_q(margins, BOUNDS, 0.5)
+                isolation = max(margins.min() - BOUNDS.q_max, 0.0)
+                crowding = np.maximum(BOUNDS.q_min - margins, 0.0)
+                return penalty(isolation, 0.5) + sum(penalty(x, 0.5) for x in crowding)
 
             base_q = frozen[1]
             margin_gaps = np.concatenate(
@@ -205,7 +216,7 @@ class TestLossGradient:
             )
             if margin_gaps.min() < 1e-3:  # too close to a kink
                 continue
-            analytic = _gradient_arrays(centers, covs, i, BOUNDS, 0.5).ravel()
+            analytic = cluster_loss(centers, covs, i, BOUNDS, 0.5)[1].ravel()
             step = 1e-6
             numeric = np.empty_like(analytic)
             flat = centers.ravel().copy()
@@ -222,7 +233,9 @@ class TestLossGradient:
 class TestOptimizeCenters:
     def test_already_satisfied_returns_immediately(self):
         model = model_at_separation(0.5 * (BOUNDS.q_min + BOUNDS.q_max))
-        converged, trace = optimize_centers(model, BOUNDS, PlacementConfig())
+        converged, trace = optimize_centers(
+            model, BOUNDS, PlacementConfig(), np.random.default_rng(0)
+        )
         assert trace == [0.0]
         np.testing.assert_array_equal(converged.centers, model.centers)
 
@@ -245,23 +258,19 @@ class TestOptimizeCenters:
         centers = model.centers
         covs = model.covariances()
         for i in range(6):
-            _, q, _ = _separations_from(centers, covs, i)
+            _, q, _ = pair_separations(centers, covs, i)
             assert (q >= BOUNDS.q_min - 1e-9).all()
             assert q.min() <= BOUNDS.q_max + 1e-9
 
     def test_loss_trace_mostly_decreasing(self):
-        from clustergen.placement import _optimize_arrays
-
         decreasing, total = 0, 0
         bounds = OverlapBounds.from_overlaps(0.02, 0.002)
         for seed in range(5):
             init_rng = np.random.default_rng(seed)
             radii = np.ones(8)
-            lengths = np.ones((8, 2))
-            covs = np.stack([np.eye(2)] * 8)
             centers = init_centers(8, 2, radii, PlacementConfig(), init_rng)
-            _, trace = _optimize_arrays(
-                centers, covs, lengths, bounds, PlacementConfig(), init_rng
+            _, trace = optimize_centers(
+                spherical_model(centers), bounds, PlacementConfig(), init_rng
             )
             positive = [t for t in trace if t > 0]
             diffs = np.diff(positive)
@@ -281,13 +290,15 @@ class TestOptimizeCenters:
         model = model_at_separation(BOUNDS.q_min - 1.0)
         config = PlacementConfig(max_epochs=1, learning_rate=1e-9)
         with pytest.raises(NonConvergenceError) as excinfo:
-            optimize_centers(model, BOUNDS, config)
+            optimize_centers(model, BOUNDS, config, np.random.default_rng(0))
         assert excinfo.value.final_loss > 0
         assert len(excinfo.value.trace) == 2  # initial epoch + final evaluation
 
     def test_axes_and_lengths_untouched(self):
         model = model_at_separation(BOUNDS.q_min - 0.4)
-        converged, _ = optimize_centers(model, BOUNDS, PlacementConfig())
+        converged, _ = optimize_centers(
+            model, BOUNDS, PlacementConfig(), np.random.default_rng(0)
+        )
         for before, after in zip(model.clusters, converged.clusters):
             np.testing.assert_array_equal(before.axes, after.axes)
             np.testing.assert_array_equal(before.axis_lengths, after.axis_lengths)
@@ -295,7 +306,6 @@ class TestOptimizeCenters:
 
     def test_high_dim_epoch_count_comparable_to_2d(self):
         # dimensionality raises the epoch count only mildly
-        from clustergen.placement import _optimize_arrays
         import clustergen.archetype as arch
 
         def epochs_for(dim, seed):
@@ -312,14 +322,22 @@ class TestOptimizeCenters:
             lengths = np.stack(
                 [arch.sample_axis_lengths(aspects[j], radii[j], dim, rng) for j in range(k)]
             )
-            covs = np.stack(
-                [(u * l**2) @ u.T for u, l in
-                 ((sample_orientation(dim, rng), lengths[j]) for j in range(k))]
-            )
+            clusters = [
+                Cluster(
+                    center=np.zeros(dim),
+                    axes=sample_orientation(dim, rng),
+                    axis_lengths=lengths[j],
+                    radial_distribution=RadialDistribution.create("normal"),
+                )
+                for j in range(k)
+            ]
             centers = init_centers(k, dim, radii, PlacementConfig(), rng)
-            _, trace = _optimize_arrays(
-                centers, covs, lengths, bounds, PlacementConfig(), rng
+            start = MixtureModel(
+                clusters=[replace(c, center=centers[j]) for j, c in enumerate(clusters)],
+                group_sizes=np.full(k, 100),
+                archetype_name="wide",
             )
+            _, trace = optimize_centers(start, bounds, PlacementConfig(), rng)
             assert trace[-1] <= 1e-12
             return len(trace)
 
