@@ -353,3 +353,40 @@ class TestOptimizeCenters:
         assert lines[0] == "epoch,loss"
         assert lines[1] == "0,0.5"
         assert lines[3] == "2,0"
+
+
+class TestEpochCounts:
+    # Copies of the placement-heavy benchmark shapes.  The loss-trace length
+    # of every optimize_centers attempt is pinned, so a kernel change that
+    # moves output bits can show it leaves the SGD path itself unchanged.
+    SHAPES = [
+        ("place_k50_d5", 50, 5, 1000, {0: [26], 1: [21]}),
+        ("place_k30_d20", 30, 20, 600, {0: [8], 1: [8]}),
+        ("place_k5_d200", 5, 200, 100, {0: [5], 1: [5]}),
+    ]
+
+    @pytest.mark.parametrize("name,k,dim,n,expected", SHAPES, ids=[s[0] for s in SHAPES])
+    def test_trace_lengths_pinned(self, monkeypatch, name, k, dim, n, expected):
+        import clustergen.placement as placement_mod
+
+        original = placement_mod.optimize_centers
+        lengths = []
+
+        def recording(*args, **kwargs):
+            try:
+                placed, trace = original(*args, **kwargs)
+            except NonConvergenceError as exc:
+                lengths.append(len(exc.trace))
+                raise
+            lengths.append(len(trace))
+            return placed, trace
+
+        monkeypatch.setattr(placement_mod, "optimize_centers", recording)
+        a = Archetype(
+            name=name, n_clusters=k, dim=dim, n_samples=n,
+            aspect_ref=2, aspect_maxmin=2, radius_maxmin=2,
+        )
+        for seed, want in expected.items():
+            lengths.clear()
+            sample_mixture_model(a, np.random.default_rng(seed))
+            assert lengths == want
