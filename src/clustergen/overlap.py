@@ -58,35 +58,98 @@ def lda_axis(mu1, mu2, S1, S2) -> np.ndarray:
     return np.linalg.solve(avg, delta)
 
 
-def lda_separations(mu, S, others_mu, others_S):
-    """LDA separations of one cluster (mu, S) against m others in one batched solve.
+@dataclass(frozen=True)
+class PairInverses:
+    """Inverses of the averaged covariances of every cluster pair.
 
-    Returns (q, axes): q[m] >= 0 is the separation quantile along the LDA
-    axis toward others_mu[m], and axes[m] is that axis oriented from mu
-    toward others_mu[m] and pre-divided by the quantile denominator, so
-    q[m] = axes[m] @ (others_mu[m] - mu), grad_{others_mu[m]} q[m] = axes[m]
-    and grad_{mu} q[m] = -axes[m] with the axis held fixed.  Inputs are not
-    checked; reporting callers go through `_checked_separations`.
+    inv[p] = ((S_i + S_j)/2)^{-1} for the pair (i, j) = (iu[p], ju[p]),
+    i < j: k(k-1)/2 matrices of d x d, packed row by row, so they take
+    k(k-1)/2 * d^2 floats.  others[i] lists every j != i in increasing
+    order, and pairs[i] the matching entries of inv (both k x (k-1)).
+    """
+
+    inv: np.ndarray
+    iu: np.ndarray
+    ju: np.ndarray
+    others: np.ndarray
+    pairs: np.ndarray
+
+
+def pair_inverses(covs) -> PairInverses:
+    """Invert every averaged covariance once; covariances are not checked.
+
+    Row i's pairs (i, j > i) are inverted in one batch, so no temporary is
+    larger than k-1 matrices.
+    """
+    covs = np.asarray(covs, dtype=float)
+    k, dim = covs.shape[0], covs.shape[-1]
+    iu, ju = np.triu_indices(k, 1)
+    index = np.zeros((k, k), dtype=np.intp)
+    index[iu, ju] = index[ju, iu] = np.arange(iu.size)
+    others = np.array([np.delete(np.arange(k), i) for i in range(k)], dtype=np.intp)
+    pairs = np.take_along_axis(index, others, axis=1)
+    inv = np.empty((iu.size, dim, dim))
+    for i in range(k - 1):
+        start = index[i, i + 1]
+        inv[start : start + k - 1 - i] = np.linalg.inv(0.5 * (covs[i] + covs[i + 1 :]))
+    return PairInverses(inv, iu, ju, others, pairs)
+
+
+def _rowdot(x, y):
+    return np.einsum("mp,mp->m", x, y)
+
+
+def _oriented_separations(delta, axes, var_i, var_j):
+    """(q, oriented scaled axes) from LDA axes and both clusters' variances along them."""
+    denom = np.sqrt(var_i) + np.sqrt(var_j)
+    margin = _rowdot(axes, delta)
+    return np.abs(margin) / denom, axes * np.copysign(1.0 / denom, margin)[:, None]
+
+
+def lda_separations(mu, S, others_mu, others_S, inv_avg):
+    """LDA separations of one cluster (mu, S) against m others.
+
+    inv_avg[m] is ((S + others_S[m])/2)^{-1}, from `pair_inverses`, so each
+    axis is one matrix-vector product.  Returns (q, axes): q[m] >= 0 is the
+    separation quantile along the LDA axis toward others_mu[m], and axes[m]
+    is that axis oriented from mu toward others_mu[m] and pre-divided by
+    the quantile denominator, so q[m] = axes[m] @ (others_mu[m] - mu),
+    grad_{others_mu[m]} q[m] = axes[m] and grad_{mu} q[m] = -axes[m] with
+    the axis held fixed.  Inputs are not checked; the reporting paths
+    check theirs in `_checked_pair_separations`.
     """
     delta = others_mu - mu
-    avg = 0.5 * (S[None, :, :] + others_S)
-    axes = np.linalg.solve(avg, delta[..., None])[..., 0]
-    s_i = np.sqrt(np.einsum("mp,pq,mq->m", axes, S, axes))
-    s_j = np.sqrt(np.einsum("mp,mpq,mq->m", axes, others_S, axes))
-    margin = np.einsum("mp,mp->m", axes, delta)
-    denom = s_i + s_j
-    orient = np.where(margin < 0, -1.0, 1.0)
-    return np.abs(margin) / denom, axes * (orient / denom)[:, None]
+    axes = (inv_avg @ delta[:, :, None])[:, :, 0]
+    var_i = _rowdot(axes @ S, axes)
+    var_j = _rowdot((others_S @ axes[:, :, None])[:, :, 0], axes)
+    return _oriented_separations(delta, axes, var_i, var_j)
 
 
-def _checked_separations(mu, S, others_mu, others_S):
-    """`lda_separations` raising `lda_axis`'s errors on inseparable pairs."""
-    mu, S = _as_vector(mu), np.asarray(S, dtype=float)
-    others_mu = np.asarray(others_mu, dtype=float).reshape(-1, mu.shape[0])
-    others_S = np.asarray(others_S, dtype=float).reshape(-1, *S.shape)
-    _require_separable(others_mu - mu, 0.5 * (S[None, :, :] + others_S))
+def pairwise_separations(centers, covs, inverses: PairInverses):
+    """`lda_separations` of every pair i < j at once, packed like `inverses.inv`.
+
+    The variances a'S_i a and a'S_j a come from two batched products of
+    each covariance with a k x k x d table of axes, so no covariance is
+    copied per pair.
+    """
+    iu, ju = inverses.iu, inverses.ju
+    delta = centers[ju] - centers[iu]
+    axes = (inverses.inv @ delta[:, :, None])[:, :, 0]
+    table = np.zeros((centers.shape[0], *centers.shape))
+    table[iu, ju] = axes  # table[i, j] @ covs[i] is a_ij' S_i
+    var_i = _rowdot((table @ covs)[iu, ju], axes)
+    var_j = _rowdot((table.transpose(1, 0, 2) @ covs)[ju, iu], axes)
+    return _oriented_separations(delta, axes, var_i, var_j)
+
+
+def _checked_pair_separations(centers, covs):
+    """`pairwise_separations` raising `lda_axis`'s errors on inseparable pairs."""
+    centers = np.stack([_as_vector(c) for c in centers])
+    covs = np.asarray(covs, dtype=float).reshape(-1, centers.shape[1], centers.shape[1])
+    for i in range(centers.shape[0] - 1):
+        _require_separable(centers[i + 1 :] - centers[i], 0.5 * (covs[i] + covs[i + 1 :]))
     with np.errstate(invalid="ignore", divide="ignore"):
-        q, axes = lda_separations(mu, S, others_mu, others_S)
+        q, axes = pairwise_separations(centers, covs, pair_inverses(covs))
     if not np.all(np.isfinite(q)):
         raise ValueError("covariance matrices must be symmetric positive definite")
     return q, axes
@@ -94,7 +157,7 @@ def _checked_separations(mu, S, others_mu, others_S):
 
 def lda_overlap(mu1, mu2, S1, S2) -> float:
     """Overlap along the LDA axis: 2*(1 - Phi(q))."""
-    q, _ = _checked_separations(mu1, S1, mu2, S2)
+    q, _ = _checked_pair_separations([mu1, mu2], [S1, S2])
     return float(2.0 * normal_sf(q[0]))
 
 
@@ -170,7 +233,9 @@ def monte_carlo_overlap(c1, c2, n: int, rng: np.random.Generator) -> MonteCarloO
     from .mixture import covariance_of
     from .sampling import sample_cluster_points
 
-    _, axes = _checked_separations(c1.center, covariance_of(c1), c2.center, covariance_of(c2))
+    _, axes = _checked_pair_separations(
+        [c1.center, c2.center], [covariance_of(c1), covariance_of(c2)]
+    )
     axis = axes[0]
     s1 = sample_cluster_points(c1, n, rng) @ axis
     s2 = sample_cluster_points(c2, n, rng) @ axis
@@ -203,18 +268,18 @@ def pairwise_overlaps(model, include_exact: bool = False) -> list[OverlapReport]
     centers = model.centers
     covs = model.covariances()
     k = len(model.clusters)
+    q, _ = _checked_pair_separations(centers, covs)
+    iu, ju = np.triu_indices(k, 1)
     reports = []
-    for i in range(k - 1):
-        q, _ = _checked_separations(centers[i], covs[i], centers[i + 1 :], covs[i + 1 :])
-        for j, q_ij in zip(range(i + 1, k), q):
-            alpha = float(2.0 * normal_sf(q_ij))
-            a_c2c = c2c_overlap(centers[i], centers[j], covs[i], covs[j])
-            a_exact = (
-                exact_overlap_oracle(centers[i], centers[j], covs[i], covs[j])
-                if include_exact
-                else None
-            )
-            reports.append(OverlapReport(i, j, float(q_ij), alpha, a_c2c, a_exact))
+    for i, j, q_ij in zip(iu.tolist(), ju.tolist(), q.tolist()):
+        alpha = float(2.0 * normal_sf(q_ij))
+        a_c2c = c2c_overlap(centers[i], centers[j], covs[i], covs[j])
+        a_exact = (
+            exact_overlap_oracle(centers[i], centers[j], covs[i], covs[j])
+            if include_exact
+            else None
+        )
+        reports.append(OverlapReport(i, j, q_ij, alpha, a_c2c, a_exact))
     return reports
 
 

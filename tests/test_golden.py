@@ -34,22 +34,22 @@ CASES = [
         },
         7,
         [],
-        "a830f5a0323508218e04e80ddb83605f46f3564faf6ed0e968e37e70910647a5",
-        "7ed8b35344f946a9ec54af96de8faad5b1f38991b0204b63c2ad185ce3db1afb",
+        "f17ba69e18884b029d85935a3d72e47113ccc3e13bd834812404258d63558a0d",
+        "465842b2636825ede50556e3a06b8e1527f20984dc094d45ea0a85b80801c663",
     ),
     (
         {"name": "golden_wide", "n_clusters": 4, "dim": 40, "n_samples": 80, "scale": 2.0},
         3,
         [],
-        "b4b4a091327d9edde6f564d0ce150b011a93d261c52febbcff3146b4be99145c",
-        "726552d79b91d190f4a28832253bd7e474b58404787b9800fa37c24f1506ec23",
+        "99139ea5f30c73a283d1bbe82b0dcf4408e63babb3b66084e7b43495def314e1",
+        "82ee314cd355c52c620c2f184dc1dc378375791093ee63c29a2c193a75f740f6",
     ),
     (
         {"name": "golden_bent", "n_clusters": 3, "dim": 3, "n_samples": 120},
         11,
         ["--distort", "--wrap"],
-        "83ef0858cf7902de889df592e1752d16a1f9cfec0047cef87ae179d66a998acf",
-        "9180423f78826d7a6e9724b8859e4abdf385b01457c83b3dca089631c48a0753",
+        "c093c9e27acb4c3a7a0fc074a3f7c2c35da58e03e1c28724d0ed18b0f9d8c55a",
+        "eaed6e585c89b37a44ac8533bfc40ae3153e1fe9fe3a6234359de4f68d05587e",
     ),
 ]
 

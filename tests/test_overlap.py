@@ -10,7 +10,10 @@ from clustergen.overlap import (
     exact_overlap_oracle,
     lda_axis,
     lda_overlap,
+    lda_separations,
     monte_carlo_overlap,
+    pair_inverses,
+    pairwise_separations,
     separation_quantile,
 )
 from clustergen.stats import normal_cdf, normal_isf, normal_quantile, normal_sf
@@ -115,6 +118,42 @@ class TestLdaAxis:
         axis = lda_axis(mu1, mu2, s1, s2)
         residual = 0.5 * (s1 + s2) @ axis - (mu2 - mu1)
         assert np.linalg.norm(residual) <= 1e-8 * np.linalg.norm(mu2 - mu1)
+
+
+def reference_separation(mu1, mu2, s1, s2):
+    """(q, oriented scaled axis) from lda_axis and separation_quantile."""
+    axis = lda_axis(mu1, mu2, s1, s2)
+    q = separation_quantile(mu1, mu2, s1, s2, axis)
+    scaled = axis / (np.sqrt(axis @ s1 @ axis) + np.sqrt(axis @ s2 @ axis))
+    return abs(q), np.sign(q) * scaled
+
+
+class TestCachedPairKernel:
+    @pytest.mark.parametrize("dim", [2, 5, 20, 200])
+    def test_matches_lda_axis_reference(self, dim):
+        rng = np.random.default_rng(dim)
+        k = 4
+        covs = np.stack([random_cov(dim, rng, max_aspect=10.0) for _ in range(k)])
+        centers = rng.standard_normal((k, dim)) * 3.0
+        inverses = pair_inverses(covs)
+
+        def check(q, axis, i, j):
+            q_ref, axis_ref = reference_separation(centers[i], centers[j], covs[i], covs[j])
+            assert q == pytest.approx(q_ref, rel=1e-12)
+            assert np.linalg.norm(axis - axis_ref) <= 1e-12 * np.linalg.norm(axis_ref)
+
+        for i in range(k):
+            others = inverses.others[i]
+            q, axes = lda_separations(
+                centers[i], covs[i], centers[others], covs[others],
+                inverses.inv[inverses.pairs[i]],
+            )
+            for m, j in enumerate(others):
+                check(q[m], axes[m], i, j)
+        q, axes = pairwise_separations(centers, covs, inverses)
+        assert q.size == k * (k - 1) // 2
+        for p, (i, j) in enumerate(zip(inverses.iu, inverses.ju)):
+            check(q[p], axes[p], i, j)
 
 
 class TestLdaOverlap:

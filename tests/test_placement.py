@@ -12,7 +12,7 @@ from clustergen.mixture import (
     sample_mixture_model,
     sample_orientation,
 )
-from clustergen.overlap import lda_axis, lda_separations, separation_quantile
+from clustergen.overlap import lda_axis, lda_separations, pair_inverses, separation_quantile
 from clustergen.placement import (
     OverlapBounds,
     PlacementConfig,
@@ -47,15 +47,29 @@ def spherical_model(centers, sigma=1.0):
     )
 
 
+def dense_cluster_loss(centers, covs, i, bounds, penalty_mix):
+    """cluster_loss of cluster i as (loss, grad), grad shaped like centers."""
+    loss, rows, grad_rows = cluster_loss(
+        centers, covs, pair_inverses(covs), i, bounds, penalty_mix
+    )
+    grad = np.zeros_like(centers)
+    grad[rows] = grad_rows
+    return loss, grad
+
+
 def model_cluster_loss(i, model, bounds, penalty_mix=0.5):
     """cluster_loss (loss, grad) of cluster i at the model's centers."""
-    return cluster_loss(model.centers, model.covariances(), i, bounds, penalty_mix)
+    return dense_cluster_loss(model.centers, model.covariances(), i, bounds, penalty_mix)
 
 
 def pair_separations(centers, covs, i):
     """(others, q, scaled axes) of cluster i against every other cluster."""
-    others = np.array([j for j in range(len(centers)) if j != i])
-    q, axes = lda_separations(centers[i], covs[i], centers[others], covs[others])
+    inverses = pair_inverses(covs)
+    others = inverses.others[i]
+    q, axes = lda_separations(
+        centers[i], covs[i], centers[others], covs[others],
+        inverses.inv[inverses.pairs[i]],
+    )
     return others, q, axes
 
 
@@ -162,6 +176,23 @@ class TestOverlapLoss:
             assert overlap_loss(model, BOUNDS) >= 0.0
 
 
+class TestVectorizedLoss:
+    @pytest.mark.parametrize("spacing,regime", [(20.0, "isolation"), (0.8, "crowding")])
+    def test_overlap_loss_is_mean_of_cluster_losses(self, spacing, regime):
+        rng = np.random.default_rng(9)
+        grid = np.array([[a, b, c] for a in range(2) for b in range(2) for c in range(2)])
+        model = spherical_model((grid + 0.1 * rng.normal(size=grid.shape)) * spacing)
+        centers, covs = model.centers, model.covariances()
+        nearest = [pair_separations(centers, covs, i)[1].min() for i in range(len(grid))]
+        if regime == "isolation":
+            assert min(nearest) > BOUNDS.q_max
+        else:
+            assert max(nearest) < BOUNDS.q_min
+        losses = [model_cluster_loss(i, model, BOUNDS)[0] for i in range(len(grid))]
+        assert min(losses) > 0.0
+        assert overlap_loss(model, BOUNDS) == pytest.approx(np.mean(losses), rel=1e-12)
+
+
 class TestLossGradient:
     def test_zero_gradient_inside_band(self):
         model = model_at_separation(0.5 * (BOUNDS.q_min + BOUNDS.q_max))
@@ -216,7 +247,7 @@ class TestLossGradient:
             )
             if margin_gaps.min() < 1e-3:  # too close to a kink
                 continue
-            analytic = cluster_loss(centers, covs, i, BOUNDS, 0.5)[1].ravel()
+            analytic = dense_cluster_loss(centers, covs, i, BOUNDS, 0.5)[1].ravel()
             step = 1e-6
             numeric = np.empty_like(analytic)
             flat = centers.ravel().copy()
