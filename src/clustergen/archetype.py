@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 import json
+import math
 import re
 from dataclasses import dataclass, replace
 
@@ -229,13 +230,21 @@ def maxmin_sample(spec: MaxMinSpec, rng: np.random.Generator) -> np.ndarray:
     else:
         lo = 2.0 * ref / (1.0 + M)
         hi = 2.0 * ref * M / (1.0 + M)
-        for p in range(n_pairs):
-            s = _triangular(rng, lo, ref, hi)
-            values[2 * p] = s
-            values[2 * p + 1] = 2.0 * ref - s
+        _sum_pairs(rng, ref, lo, hi, values)
     if count % 2:
         values[-1] = ref
     return values
+
+
+def _sum_pairs(rng: np.random.Generator, ref: float, lo: float, hi: float, values) -> None:
+    """Fill `values` with SUM-constrained conjugate pairs (s, 2*ref - s).
+
+    s is triangular on [lo, hi] with mode ref; an odd last slot is left as is.
+    """
+    for p in range(len(values) // 2):
+        s = _triangular(rng, lo, ref, hi)
+        values[2 * p] = s
+        values[2 * p + 1] = 2.0 * ref - s
 
 
 def sample_group_sizes(a: Archetype, rng: np.random.Generator) -> np.ndarray:
@@ -288,12 +297,18 @@ def sample_aspect_ratios(a: Archetype, rng: np.random.Generator) -> np.ndarray:
 
 
 def sample_cluster_radii(a: Archetype, rng: np.random.Generator) -> np.ndarray:
-    """Per-cluster radii whose dim-th powers (volumes) average to scale^dim."""
-    volume_spec = MaxMinSpec(
-        a.scale**a.dim, a.radius_maxmin**a.dim, ConstraintKind.SUM, a.n_clusters
-    )
-    volumes = maxmin_sample(volume_spec, rng)
-    return volumes ** (1.0 / a.dim)
+    """Per-cluster radii whose dim-th powers (volumes) average to scale^dim.
+
+    Volumes relative to scale^dim are SUM-constrained max-min draws around 1
+    with spread M = radius_maxmin^dim, so they lie in (0, 2).  Their bounds
+    2/(1+M) and 2M/(1+M) are a logistic of t = dim*log(radius_maxmin), and
+    radius = scale * volume^(1/dim), so neither M nor scale^dim is formed
+    and no dim, scale or ratio overflows or underflows.
+    """
+    e = math.exp(-a.dim * math.log(a.radius_maxmin))  # 1/M, in (0, 1]
+    volumes = np.ones(a.n_clusters)
+    _sum_pairs(rng, 1.0, 2.0 * e / (1.0 + e), 2.0 / (1.0 + e), volumes)
+    return a.scale * volumes ** (1.0 / a.dim)
 
 
 def sample_axis_lengths(

@@ -210,6 +210,18 @@ class TestClusterRadii:
             assert abs(volumes.mean() - 1.5**a.dim) <= 1e-9 * 1.5**a.dim
             assert radii.max() / radii.min() <= 3.0 * (1 + 1e-12)
 
+    @pytest.mark.parametrize(
+        "dim,scale,ratio", [(400, 10.0, 1.0), (1000, 1.0, 3.0), (200, 1e-3, 1.0), (1000, 1e-3, 3.0)]
+    )
+    def test_extreme_dim_scale_and_ratio(self, dim, scale, ratio):
+        # scale**dim and ratio**dim overflow or underflow here; the radii must not
+        a = make_archetype(n_clusters=6, dim=dim, n_samples=600, scale=scale, radius_maxmin=ratio)
+        radii = sample_cluster_radii(a, np.random.default_rng(0))
+        assert np.isfinite(radii).all() and (radii > 0).all()
+        assert radii.max() / radii.min() <= ratio * (1 + 1e-12)
+        relative_volumes = np.exp(dim * np.log(radii / scale))
+        assert abs(relative_volumes.mean() - 1.0) <= 1e-9
+
     def test_high_dimension_does_not_overflow(self):
         a = make_archetype(n_clusters=4, dim=100, n_samples=400)
         radii = sample_cluster_radii(a, np.random.default_rng(0))

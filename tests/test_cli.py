@@ -3,6 +3,7 @@ import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from clustergen import cli
 from clustergen.archetype import Archetype
@@ -252,6 +253,22 @@ class TestHyperparams:
              "--bounds", '{"n_samples": [100, 50]}']
         )
         assert code == 1
+
+
+class TestExtremeGeometry:
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"dim": 400, "scale": 10}, {"dim": 1000, "radius_maxmin": 3}],
+        ids=["dim400_scale10", "dim1000_ratio3"],
+    )
+    def test_generate_succeeds(self, tmp_path, overrides):
+        # these once overflowed in the radius draw and escaped as a raw traceback
+        spec = {"name": "extreme", "n_clusters": 2, "n_samples": 20, **overrides}
+        out = tmp_path / "out"
+        code = cli.main(["generate", "--inline", json.dumps(spec), "--seed", "0", "--out-dir", str(out)])
+        assert code == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert [e["status"] for e in manifest["entries"]] == ["ok"]
 
 
 class TestExitCodeMapping:
