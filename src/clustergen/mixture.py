@@ -126,7 +126,9 @@ def sample_mixture_model(
     Single-cluster archetypes skip placement and sit at `origin` (default
     the coordinate origin).  Otherwise centers are initialized in a
     density-calibrated ball and optimized; on non-convergence the
-    initialization is redrawn up to config.max_restarts times.
+    initialization is redrawn up to config.max_restarts times.  Without a
+    set learning rate, the SGD uses `placement.default_learning_rate` times
+    the archetype's scale.
     """
     a.validated()
     config = config or placement.PlacementConfig()
@@ -158,6 +160,11 @@ def sample_mixture_model(
     if k == 1:
         return model
 
+    if config.learning_rate is None:
+        # q is scale-free but its gradient in the centers goes as 1/scale, so
+        # a rate growing as scale^2 runs the same SGD at every scale
+        rate = placement.default_learning_rate(lengths) * a.scale
+        config = replace(config, learning_rate=rate)
     bounds = placement.OverlapBounds.from_overlaps(a.max_overlap, a.min_overlap)
     for _ in range(config.max_restarts + 1):
         centers = placement.init_centers(k, dim, radii, config, rng)

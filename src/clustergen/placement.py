@@ -41,7 +41,7 @@ class PlacementConfig:
     """Knobs for center initialization and SGD."""
 
     rho_2d: float = 0.10
-    learning_rate: float | None = None  # None -> 0.1 * mean cluster radius
+    learning_rate: float | None = None  # None -> default_learning_rate
     penalty_mix: float = 0.5  # lambda in p(x) = lambda*x + (1-lambda)*x^2
     max_epochs: int = 1000
     loss_tolerance: float = 0.0
@@ -173,9 +173,8 @@ def loss_trace_csv(trace) -> str:
     return "\n".join(rows) + "\n"
 
 
-def _resolve_learning_rate(config: PlacementConfig, lengths: np.ndarray) -> float:
-    if config.learning_rate is not None:
-        return config.learning_rate
+def default_learning_rate(lengths: np.ndarray) -> float:
+    """0.1 * the mean cluster radius, from a k x dim array of axis lengths."""
     radii = np.exp(np.mean(np.log(lengths), axis=1))  # per-cluster geometric mean
     return 0.1 * float(radii.mean())
 
@@ -198,7 +197,9 @@ def optimize_centers(
     covs = model.covariances()
     k = centers.shape[0]
     inverses = pair_inverses(covs)
-    eta = _resolve_learning_rate(config, np.stack([c.axis_lengths for c in model.clusters]))
+    eta = config.learning_rate
+    if eta is None:
+        eta = default_learning_rate(np.stack([c.axis_lengths for c in model.clusters]))
     stop_at = max(config.loss_tolerance, _LOSS_SLACK)
     trace: list[float] = []
     for epoch in range(config.max_epochs + 1):

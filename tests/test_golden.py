@@ -41,8 +41,8 @@ CASES = [
         {"name": "golden_wide", "n_clusters": 4, "dim": 40, "n_samples": 80, "scale": 2.0},
         3,
         [],
-        "99139ea5f30c73a283d1bbe82b0dcf4408e63babb3b66084e7b43495def314e1",
-        "82ee314cd355c52c620c2f184dc1dc378375791093ee63c29a2c193a75f740f6",
+        "a96173a99b76b0cf105825993d15f674f83e08620f971f552f44a6b948cf691f",
+        "0278c7ee9a6303f243fb2dbf73bb2fdb3d33c22986c61bd4bf759e4089d71106",
     ),
     (
         {"name": "golden_bent", "n_clusters": 3, "dim": 3, "n_samples": 120},

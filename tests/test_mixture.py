@@ -194,6 +194,20 @@ class TestSampleMixtureModel:
         replayed, _ = placement.optimize_centers(start, bounds, config, rng)
         np.testing.assert_array_equal(replayed.centers, model.centers)
 
+    @pytest.mark.parametrize("scale", [1e-3, 1e-2, 10.0, 1e3])
+    def test_placement_is_scale_equivariant(self, scale):
+        # the default learning rate grows as scale^2, so the SGD run at any
+        # scale is the unit-scale run scaled; a rate linear in scale diverged
+        # below scale 0.1 and needed hundreds of epochs at scale 100
+        base = dict(
+            name="scaled", n_clusters=6, dim=3, n_samples=60,
+            aspect_ref=2.0, aspect_maxmin=2.0, radius_maxmin=2.0,
+        )
+        unit = sample_mixture_model(Archetype(**base), np.random.default_rng(2))
+        scaled = sample_mixture_model(Archetype(**base, scale=scale), np.random.default_rng(2))
+        atol = 1e-12 * np.abs(unit.centers).max()
+        np.testing.assert_allclose(scaled.centers / scale, unit.centers, rtol=0, atol=atol)
+
 
 class TestSerialization:
     def test_json_round_trip(self):
