@@ -1,4 +1,4 @@
-"""Standard normal CDF/quantile helpers with accurate tails.
+"""Standard normal tail probability and its inverse, with accurate tails.
 
 Overlap targets span roughly 1e-7 to 0.5, so tail probabilities must keep
 full relative precision.  All tail math in the package therefore goes
@@ -12,22 +12,9 @@ from __future__ import annotations
 import numpy as np
 from scipy import special
 
-_SQRT2 = np.sqrt(2.0)
-
-
-def normal_cdf(x):
-    """P(Z <= x) for standard normal Z."""
-    return special.ndtr(x)
-
-
 def normal_sf(x):
     """P(Z > x), computed with full relative precision for large x."""
     return special.ndtr(np.negative(x))
-
-
-def normal_quantile(p):
-    """Inverse of `normal_cdf`."""
-    return special.ndtri(p)
 
 
 def normal_isf(p):
