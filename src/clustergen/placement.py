@@ -130,8 +130,8 @@ def cluster_loss(
         centers[i], covs[i], centers.take(others, axis=0), covs.take(others, axis=0),
         inverses.inv.take(inverses.pairs[i], axis=0),
     )
-    nearest = int(np.argmin(q))
-    isolation = q[nearest] - bounds.q_max
+    nearest = int(q.argmin())
+    isolation = float(q[nearest]) - bounds.q_max
     if isolation > 0:  # then every q_ij > q_max > q_min: no crowding term
         pull = _penalty_slope(isolation, penalty_mix) * axes[nearest]
         rows = np.array([i, others[nearest]])
