@@ -60,13 +60,34 @@ class DistortNetwork:
         return cls(embedding_weight, embedding_bias, blocks, projection_bias, seed)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        h = x @ self.embedding_weight + self.embedding_bias
+        """Run the network on an n x dim matrix.
+
+        The blocks work in two n x width buffers that swap roles: the
+        block's matmul reads one and writes the other, and the layer norm
+        then squares into the one just read.  The layer norm runs the same
+        operations in the same order as `ndarray.mean` and `ndarray.var`,
+        so the output matches the plain NumPy expression
+        `tanh((h - h.mean(1)) / sqrt(h.var(1) + eps))` bit for bit.
+        """
+        width = self.hidden_width
+        h = np.matmul(x, self.embedding_weight)
+        h += self.embedding_bias
+        spare = np.empty_like(h)
+        row = np.empty((h.shape[0], 1))
         for block in self.blocks:
-            h = h @ block.weight + block.bias
-            mean = h.mean(axis=1, keepdims=True)
-            var = h.var(axis=1, keepdims=True)
-            h = (h - mean) / np.sqrt(var + _LAYER_NORM_EPS)
-            h = np.tanh(h)
+            out, spare = spare, h
+            np.matmul(spare, block.weight, out=out)
+            out += block.bias
+            np.sum(out, axis=1, keepdims=True, out=row)
+            row /= width
+            out -= row  # out = h - mean
+            np.square(out, out=spare)
+            np.sum(spare, axis=1, keepdims=True, out=row)
+            row /= width  # row = var
+            row += _LAYER_NORM_EPS
+            np.sqrt(row, out=row)
+            out /= row
+            h = np.tanh(out, out=out)
         return h @ self.projection_weight + self.projection_bias
 
 

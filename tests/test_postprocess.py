@@ -3,8 +3,28 @@ import pytest
 
 from clustergen.archetype import Archetype
 from clustergen.mixture import sample_mixture_model
-from clustergen.postprocess import DistortNetwork, distort, wrap_around_sphere
+from clustergen.postprocess import _LAYER_NORM_EPS, DistortNetwork, distort, wrap_around_sphere
 from clustergen.sampling import sample_dataset
+
+
+def reference_forward(net, x):
+    """The forward pass written as plain NumPy expressions, one new array per op."""
+    h = x @ net.embedding_weight + net.embedding_bias
+    for block in net.blocks:
+        h = h @ block.weight + block.bias
+        mean = h.mean(axis=1, keepdims=True)
+        var = h.var(axis=1, keepdims=True)
+        h = (h - mean) / np.sqrt(var + _LAYER_NORM_EPS)
+        h = np.tanh(h)
+    return h @ net.projection_weight + net.projection_bias
+
+
+def reference_distort(X, seed):
+    mean = X.mean(axis=0)
+    std = X.std(axis=0)
+    std[std == 0] = 1.0
+    net = DistortNetwork.create(X.shape[1], seed)
+    return reference_forward(net, (X - mean) / std) * std + mean
 
 
 class TestDistort:
@@ -65,6 +85,23 @@ class TestDistort:
         distances = np.linalg.norm(distorted[:, None, :] - centroids[None], axis=2)
         accuracy = (np.argmin(distances, axis=1) == dataset.labels).mean()
         assert accuracy > 0.75
+
+
+class TestDistortBitIdentity:
+    """The buffer-reusing forward pass moves no bit against plain NumPy."""
+
+    SHAPES = [(1, 1), (120, 3), (4000, 2), (6000, 10)]
+
+    @pytest.mark.parametrize("n,p", SHAPES, ids=[f"{n}x{p}" for n, p in SHAPES])
+    def test_forward_matches_reference(self, n, p):
+        x = np.random.default_rng(n + p).standard_normal((n, p))
+        net = DistortNetwork.create(p, seed=3)
+        assert np.array_equal(net.forward(x), reference_forward(net, x))
+
+    @pytest.mark.parametrize("n,p", SHAPES, ids=[f"{n}x{p}" for n, p in SHAPES])
+    def test_distort_matches_reference(self, n, p):
+        X = np.random.default_rng(n * p).uniform(-50.0, 50.0, size=(n, p))
+        assert np.array_equal(distort(X, seed=11), reference_distort(X, 11))
 
 
 class TestWrapAroundSphere:
