@@ -65,12 +65,22 @@ def sample_dataset(model: MixtureModel, rng: np.random.Generator) -> Dataset:
 
 
 def dataset_to_csv(dataset: Dataset, path) -> None:
-    """Write x1..x{dim},label rows with round-trip-stable float formatting."""
+    """Write x1..x{dim},label rows with round-trip-stable float formatting.
+
+    The bytes are those of `csv.writer` with its default dialect: `%.17g`
+    floats, an integer label, no quoting (no field can hold a comma or a
+    quote) and `\r\n` line ends.  One format string covers a whole row.
+    """
+    header = [f"x{i + 1}" for i in range(dataset.dim)] + ["label"]
+    row_format = "%.17g," * dataset.dim + "%d\r\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"x{i + 1}" for i in range(dataset.dim)] + ["label"])
-        for row, label in zip(dataset.points, dataset.labels):
-            writer.writerow([f"{v:.17g}" for v in row] + [int(label)])
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(
+            [
+                row_format % (*row, label)
+                for row, label in zip(dataset.points.tolist(), dataset.labels.tolist())
+            ]
+        )
 
 
 def dataset_from_csv(path, archetype_name: str = "") -> Dataset:

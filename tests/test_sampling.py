@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from clustergen.distributions import (
 )
 from clustergen.mixture import Cluster, sample_mixture_model
 from clustergen.sampling import (
+    Dataset,
     dataset_from_csv,
     dataset_to_csv,
     sample_cluster_points,
@@ -193,3 +195,52 @@ class TestCsvRoundTrip:
         path.write_text("a,b,c\n1,2,3\n")
         with pytest.raises(ValueError, match="label"):
             dataset_from_csv(path)
+
+
+def reference_csv(dataset, path):
+    """CSV bytes as a `csv.writer` with the default dialect writes them."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([f"x{i + 1}" for i in range(dataset.dim)] + ["label"])
+        for row, label in zip(dataset.points, dataset.labels):
+            writer.writerow([f"{v:.17g}" for v in row] + [int(label)])
+
+
+class TestCsvBytes:
+    """`dataset_to_csv` writes exactly the bytes of the csv.writer reference."""
+
+    CASES = {
+        "edge_values": Dataset(
+            np.array([[-0.0, 5e-324, 1e300], [-1e-300, 0.0, 1.5], [0.1, -2.5e-308, 1e16]]),
+            np.array([0, 2, 11]),
+            "edge",
+        ),
+        "empty": Dataset(np.empty((0, 4)), np.empty(0, dtype=int), "empty"),
+        "dim1": Dataset(
+            np.random.default_rng(0).standard_normal((30, 1)),
+            np.random.default_rng(1).integers(0, 3, 30),
+            "dim1",
+        ),
+        "random": Dataset(
+            np.random.default_rng(2).standard_normal((500, 6)) * 1e3,
+            np.random.default_rng(3).integers(0, 5, 500),
+            "random",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_same_bytes_as_csv_writer(self, tmp_path, name):
+        dataset = self.CASES[name]
+        dataset_to_csv(dataset, tmp_path / "fast.csv")
+        reference_csv(dataset, tmp_path / "ref.csv")
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_round_trip_is_bit_exact(self, tmp_path, name):
+        dataset = self.CASES[name]
+        dataset_to_csv(dataset, tmp_path / "data.csv")
+        again = dataset_from_csv(tmp_path / "data.csv")
+        assert again.points.shape == dataset.points.shape
+        # compare bit patterns, so -0.0 and 0.0 count as different
+        assert np.array_equal(again.points.view(np.uint64), dataset.points.view(np.uint64))
+        np.testing.assert_array_equal(again.labels, dataset.labels)
