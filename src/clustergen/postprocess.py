@@ -1,4 +1,11 @@
-"""Non-convexity transforms: random-network distortion and sphere wrapping."""
+"""Non-convexity transforms: random-network distortion and sphere wrapping.
+
+`DistortNetwork.forward` runs its blocks in two reused n x width buffers
+instead of a new array per operation, and takes each layer norm in place
+in the order `ndarray.mean` and `ndarray.var` use, so its output matches
+the plain NumPy layer norm bit for bit.  The matmuls stay whole: OpenBLAS
+results depend on the row count, so splitting rows into chunks moves bits.
+"""
 
 from __future__ import annotations
 
@@ -62,32 +69,29 @@ class DistortNetwork:
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Run the network on an n x dim matrix.
 
-        The blocks work in two n x width buffers that swap roles: the
-        block's matmul reads one and writes the other, and the layer norm
-        then squares into the one just read.  The layer norm runs the same
-        operations in the same order as `ndarray.mean` and `ndarray.var`,
-        so the output matches the plain NumPy expression
-        `tanh((h - h.mean(1)) / sqrt(h.var(1) + eps))` bit for bit.
+        Each block's matmul reads one n x width buffer and writes the other;
+        the layer norm then squares into the one just read.  The result is
+        bit-identical to `tanh((h - h.mean(1)) / sqrt(h.var(1) + eps))`.
         """
         width = self.hidden_width
-        h = np.matmul(x, self.embedding_weight)
+        h = x @ self.embedding_weight
         h += self.embedding_bias
-        spare = np.empty_like(h)
+        out = np.empty_like(h)
         row = np.empty((h.shape[0], 1))
         for block in self.blocks:
-            out, spare = spare, h
-            np.matmul(spare, block.weight, out=out)
+            np.matmul(h, block.weight, out=out)
             out += block.bias
             np.sum(out, axis=1, keepdims=True, out=row)
-            row /= width
-            out -= row  # out = h - mean
-            np.square(out, out=spare)
-            np.sum(spare, axis=1, keepdims=True, out=row)
-            row /= width  # row = var
+            row /= width  # mean
+            out -= row
+            np.square(out, out=h)  # h is free once the matmul has read it
+            np.sum(h, axis=1, keepdims=True, out=row)
+            row /= width  # var
             row += _LAYER_NORM_EPS
             np.sqrt(row, out=row)
             out /= row
-            h = np.tanh(out, out=out)
+            np.tanh(out, out=out)
+            h, out = out, h
         return h @ self.projection_weight + self.projection_bias
 
 
