@@ -85,8 +85,13 @@ def _generate_one(archetype_dict, index, seed, out_dir, do_distort, do_wrap):
     dataset = Dataset(points, dataset.labels, dataset.archetype_name)
     path = os.path.join(out_dir, f"{a.name}_{index:03d}.csv")
     tmp_path = path + f".{os.getpid()}.tmp"
-    dataset_to_csv(dataset, tmp_path)
-    os.replace(tmp_path, path)
+    try:
+        dataset_to_csv(dataset, tmp_path)
+        os.replace(tmp_path, path)
+    except BaseException:
+        if os.path.exists(tmp_path):
+            os.unlink(tmp_path)
+        raise
     return path
 
 

@@ -94,6 +94,19 @@ class TestGenerate:
         for name in ("cli_small_000.csv", "cli_small_001.csv"):
             assert (serial / name).read_bytes() == (parallel / name).read_bytes()
 
+    def test_failed_csv_write_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        def write_then_fail(dataset, path):
+            with open(path, "w") as fh:
+                fh.write("x1,x2,label\r\n0.5,")
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(cli, "dataset_to_csv", write_then_fail)
+        out = tmp_path / "out"
+        code = cli.main(["generate", "--inline", SMALL, "--seed", "2", "--out-dir", str(out)])
+        assert code == cli.EXIT_VALIDATION
+        assert list(out.glob("*.tmp")) == []
+        assert list(out.glob("*.csv")) == []
+
 
 class TestValidateOverlap:
     def test_archetype_report_respects_bound(self, tmp_path, capsys):
