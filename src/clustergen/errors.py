@@ -16,7 +16,7 @@ class ArchetypeValidationError(ClustergenError):
 
 
 class NonConvergenceError(ClustergenError):
-    """Center placement exhausted its epoch budget with loss above tolerance."""
+    """Center placement ran out of epochs above tolerance, or hit a non-finite loss."""
 
     def __init__(self, final_loss: float, trace: list[float]):
         self.final_loss = final_loss

@@ -191,7 +191,8 @@ def optimize_centers(
     each one's centers down its `cluster_loss` gradient.  Returns
     (converged model, per-epoch loss trace).  Axes and axis lengths are
     untouched; only centers move.  Raises NonConvergenceError with the
-    final loss and trace when max_epochs is exhausted.
+    final loss and trace when max_epochs is exhausted, or at once when the
+    loss is NaN or infinite.
     """
     centers = model.centers
     covs = model.covariances()
@@ -208,8 +209,8 @@ def optimize_centers(
         if loss <= stop_at:
             clusters = [replace(c, center=centers[j]) for j, c in enumerate(model.clusters)]
             return replace(model, clusters=clusters), trace
-        if epoch == config.max_epochs:
-            raise NonConvergenceError(loss, trace)
+        if epoch == config.max_epochs or not np.isfinite(loss):
+            raise NonConvergenceError(loss, trace)  # no SGD step recovers from NaN/inf
         for i in rng.permutation(k):
             _, rows, grad = cluster_loss(
                 centers, covs, inverses, int(i), bounds, config.penalty_mix

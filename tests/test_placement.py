@@ -325,6 +325,13 @@ class TestOptimizeCenters:
         assert excinfo.value.final_loss > 0
         assert len(excinfo.value.trace) == 2  # initial epoch + final evaluation
 
+    def test_nonfinite_loss_fails_at_first_epoch(self):
+        model = spherical_model([[0.0, 0.0], [np.nan, 1.0], [3.0, 0.0]])
+        with pytest.raises(NonConvergenceError) as excinfo:
+            optimize_centers(model, BOUNDS, PlacementConfig(), np.random.default_rng(0))
+        assert len(excinfo.value.trace) == 1
+        assert not np.isfinite(excinfo.value.final_loss)
+
     def test_axes_and_lengths_untouched(self):
         model = model_at_separation(BOUNDS.q_min - 0.4)
         converged, _ = optimize_centers(
