@@ -79,9 +79,12 @@ class OverlapBounds:
         )
 
 
-def adjusted_density(dim: int, rho_2d: float) -> float:
-    """Sphere-packing-adjusted target density: dim * 2^(1-dim) * rho_2d."""
-    return dim * 2.0 ** (1.0 - dim) * rho_2d
+def log_adjusted_density(dim: int, rho_2d: float) -> float:
+    """Log of the sphere-packing-adjusted target density dim * 2^(1-dim) * rho_2d.
+
+    Taken in log space because 2^(1-dim) underflows to 0 from dim ~1080.
+    """
+    return float(np.log(dim * rho_2d) + (1 - dim) * np.log(2.0))
 
 
 def init_centers(
@@ -94,12 +97,12 @@ def init_centers(
     """Centers i.i.d. uniform in a ball matching the adjusted density.
 
     The ball volume V satisfies (sum of cluster volumes) / V = rho_adj; the
-    unit-ball constant cancels, and radii enter in log space so very high
-    dimensions cannot overflow.
+    unit-ball constant cancels, and radii and density enter in log space so
+    very high dimensions can neither overflow nor underflow.
     """
     radii = np.asarray(cluster_radii, dtype=float)
     log_total = logsumexp(dim * np.log(radii))
-    ball_radius = np.exp((log_total - np.log(adjusted_density(dim, config.rho_2d))) / dim)
+    ball_radius = np.exp((log_total - log_adjusted_density(dim, config.rho_2d)) / dim)
     directions = rng.standard_normal((k, dim))
     directions /= np.linalg.norm(directions, axis=1, keepdims=True)
     radial = rng.uniform(0.0, 1.0, size=(k, 1)) ** (1.0 / dim)

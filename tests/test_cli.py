@@ -271,12 +271,18 @@ class TestHyperparams:
 class TestExtremeGeometry:
     @pytest.mark.parametrize(
         "overrides",
-        [{"dim": 400, "scale": 10}, {"dim": 1000, "radius_maxmin": 3}, {"dim": 200, "scale": 1e-3}],
-        ids=["dim400_scale10", "dim1000_ratio3", "dim200_scale1e-3"],
+        [
+            {"dim": 400, "scale": 10},
+            {"dim": 1000, "radius_maxmin": 3},
+            {"dim": 200, "scale": 1e-3},
+            {"dim": 1100},
+        ],
+        ids=["dim400_scale10", "dim1000_ratio3", "dim200_scale1e-3", "dim1100"],
     )
     def test_generate_succeeds(self, tmp_path, overrides):
         # the first two once overflowed in the radius draw and escaped as a raw
-        # traceback; the third underflowed there, then diverged in placement
+        # traceback; the third underflowed there, then diverged in placement;
+        # the fourth underflowed in the ball density and started from NaN centers
         spec = {"name": "extreme", "n_clusters": 2, "n_samples": 20, **overrides}
         out = tmp_path / "out"
         code = cli.main(["generate", "--inline", json.dumps(spec), "--seed", "0", "--out-dir", str(out)])

@@ -41,15 +41,15 @@ CASES = [
         {"name": "golden_wide", "n_clusters": 4, "dim": 40, "n_samples": 80, "scale": 2.0},
         3,
         [],
-        "a96173a99b76b0cf105825993d15f674f83e08620f971f552f44a6b948cf691f",
-        "0278c7ee9a6303f243fb2dbf73bb2fdb3d33c22986c61bd4bf759e4089d71106",
+        "d4d8b42d56cf82293a845fc419aaaa2e0a0497cad21c006c660edf56149571c3",
+        "cf20eb58e095ab36b4b682022cf42e8462e6e58b7661e5df7452c9777f13d46e",
     ),
     (
         {"name": "golden_bent", "n_clusters": 3, "dim": 3, "n_samples": 120},
         11,
         ["--distort", "--wrap"],
-        "c093c9e27acb4c3a7a0fc074a3f7c2c35da58e03e1c28724d0ed18b0f9d8c55a",
-        "eaed6e585c89b37a44ac8533bfc40ae3153e1fe9fe3a6234359de4f68d05587e",
+        "501f54f3a3eecdc8cd523b66bab14ac4242e55e799a627a0c538f70006ca9038",
+        "31e416c9403fe01b3395f3f1b48a1143d9bac6a92fa66abc2f3d10f3c4fa0e1c",
     ),
 ]
 

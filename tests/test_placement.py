@@ -16,7 +16,7 @@ from clustergen.overlap import lda_axis, lda_separations, pair_inverses, separat
 from clustergen.placement import (
     OverlapBounds,
     PlacementConfig,
-    adjusted_density,
+    log_adjusted_density,
     cluster_loss,
     init_centers,
     optimize_centers,
@@ -91,16 +91,20 @@ class TestOverlapBounds:
 
 class TestInitCenters:
     def test_density_adjustment_formula(self):
-        assert adjusted_density(2, 0.1) == pytest.approx(0.1)
-        assert adjusted_density(10, 0.1) == pytest.approx(10 * 2**-9 * 0.1)
-        assert adjusted_density(10, 0.1) == pytest.approx(1.953125e-3)
+        assert log_adjusted_density(2, 0.1) == pytest.approx(np.log(0.1))
+        assert log_adjusted_density(10, 0.1) == pytest.approx(np.log(10 * 2**-9 * 0.1))
+        assert log_adjusted_density(10, 0.1) == pytest.approx(np.log(1.953125e-3))
+        # 2^(1-dim) alone underflows here; its log does not
+        assert log_adjusted_density(1100, 0.1) == pytest.approx(
+            np.log(1100 * 0.1) - 1099 * np.log(2.0)
+        )
 
     def test_centers_inside_calibrated_ball(self):
         config = PlacementConfig()
         radii = np.array([1.0, 2.0, 0.5, 1.5])
         rng = np.random.default_rng(0)
         # ball radius from (sum r^dim) / R^dim = rho_adj
-        expected_radius = (np.sum(radii**3) / adjusted_density(3, 0.1)) ** (1 / 3)
+        expected_radius = (np.sum(radii**3) / np.exp(log_adjusted_density(3, 0.1))) ** (1 / 3)
         for _ in range(50):
             centers = init_centers(4, 3, radii, config, rng)
             assert centers.shape == (4, 3)
@@ -110,6 +114,12 @@ class TestInitCenters:
         config = PlacementConfig()
         centers = init_centers(4, 100, np.full(4, 1.2), config, np.random.default_rng(1))
         assert np.isfinite(centers).all()
+
+    @pytest.mark.parametrize("dim", [1100, 5000])
+    def test_finite_past_density_underflow(self, dim):
+        centers = init_centers(2, dim, np.ones(2), PlacementConfig(), np.random.default_rng(0))
+        assert np.isfinite(centers).all()
+        assert (np.linalg.norm(centers, axis=1) > 0).all()
 
 
 class TestPenalty:
