@@ -12,6 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
+# Distance-matrix entries silhouette holds at once: rows per block = this // n.
+_BLOCK_FLOATS = 2**21
 
 @dataclass(frozen=True)
 class Labeling:
@@ -187,33 +189,43 @@ def ari(a, b) -> float:
 
 
 def silhouette(X, labels) -> float:
-    """Mean silhouette score; singleton clusters score 0 by convention."""
+    """Mean silhouette score (Rousseeuw 1987); singleton clusters score 0.
+
+    Distances are computed a block of rows at a time and summed per class
+    at once, so memory is O(n·block + n·k), never n×n.
+    """
     X = np.asarray(X, dtype=float)
     labels = _as_labels(labels)
     classes, inverse = np.unique(labels, return_inverse=True)
     if classes.size < 2:
         raise ValueError("silhouette requires at least two label classes")
     n = X.shape[0]
-    distances = np.sqrt(
-        np.maximum(
-            np.sum(X**2, axis=1)[:, None] + np.sum(X**2, axis=1)[None, :] - 2 * X @ X.T,
-            0.0,
-        )
-    )
+    onehot = np.zeros((n, classes.size))
+    onehot[np.arange(n), inverse] = 1.0
+    sq = np.sum(X**2, axis=1)
+    # per-point sum of distances to each class
+    class_sums = np.empty((n, classes.size))
+    rows = max(1, _BLOCK_FLOATS // n)
+    block = np.empty((min(rows, n), n))
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
+        d = np.matmul(X[start:stop], X.T, out=block[: stop - start])
+        d *= -2.0
+        d += sq[start:stop, None]
+        d += sq
+        np.maximum(d, 0.0, out=d)
+        np.sqrt(d, out=d)
+        np.matmul(d, onehot, out=class_sums[start:stop])
     counts = np.bincount(inverse)
-    # per-point mean distance to each class
-    class_sums = np.zeros((n, classes.size))
-    for c in range(classes.size):
-        class_sums[:, c] = distances[:, inverse == c].sum(axis=1)
+    own = counts[inverse]
+    point = np.arange(n)
+    a = class_sums[point, inverse] / np.maximum(own - 1, 1)
+    means = class_sums / counts
+    means[point, inverse] = np.inf
+    b = means.min(axis=1)
     scores = np.zeros(n)
-    for idx in range(n):
-        c = inverse[idx]
-        if counts[c] == 1:
-            continue  # defined as 0
-        a = class_sums[idx, c] / (counts[c] - 1)
-        other = [class_sums[idx, d] / counts[d] for d in range(classes.size) if d != c]
-        b = min(other)
-        scores[idx] = (b - a) / max(a, b)
+    multi = own > 1  # singletons are defined as 0
+    scores[multi] = (b - a)[multi] / np.maximum(a, b)[multi]
     return float(scores.mean())
 
 

@@ -7,6 +7,7 @@ implementations.
 """
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -226,6 +227,19 @@ class TestSilhouette:
             X[40:] += [distance, 0.0]
             scores.append(silhouette(X, labels))
         assert all(s1 > s2 for s1, s2 in zip(scores, scores[1:]))
+
+    def test_memory_stays_blockwise(self):
+        # the 10 000 × 10 000 distance matrix alone would be 763 MiB
+        rng = np.random.default_rng(14)
+        X = rng.normal(size=(10_000, 2))
+        labels = rng.integers(0, 3, size=10_000)
+        tracemalloc.start()
+        try:
+            silhouette(X, labels)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
 
 
 class TestLabeling:
