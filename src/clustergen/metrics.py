@@ -199,6 +199,8 @@ def silhouette(X, labels) -> float:
     classes, inverse = np.unique(labels, return_inverse=True)
     if classes.size < 2:
         raise ValueError("silhouette requires at least two label classes")
+    # centring keeps ‖x‖²+‖y‖²−2x·y from cancelling far from the origin
+    X = X - X.mean(axis=0)
     n = X.shape[0]
     onehot = np.zeros((n, classes.size))
     onehot[np.arange(n), inverse] = 1.0
@@ -215,6 +217,7 @@ def silhouette(X, labels) -> float:
         d += sq
         np.maximum(d, 0.0, out=d)
         np.sqrt(d, out=d)
+        d[np.arange(stop - start), np.arange(start, stop)] = 0.0
         np.matmul(d, onehot, out=class_sums[start:stop])
     counts = np.bincount(inverse)
     own = counts[inverse]

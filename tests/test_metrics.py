@@ -13,6 +13,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from clustergen import metrics
 from clustergen.metrics import Labeling, ami, ari, kmeans, silhouette
 
 
@@ -81,6 +82,38 @@ def ari_bruteforce(a, b):
     numer = 2.0 * (n11 * n00 - n10 * n01)
     denom = (n11 + n10) * (n10 + n00) + (n11 + n01) * (n01 + n00)
     return numer / denom
+
+
+def silhouette_bruteforce(X, labels):
+    """Mean silhouette from explicit per-pair norms, one point at a time."""
+    n = len(labels)
+    classes = sorted(set(labels.tolist()))
+    total = 0.0
+    for i in range(n):
+        own = [j for j in range(n) if labels[j] == labels[i] and j != i]
+        if not own:
+            continue  # singleton scores 0
+        a = sum(np.linalg.norm(X[i] - X[j]) for j in own) / len(own)
+        b = min(
+            np.mean([np.linalg.norm(X[i] - X[j]) for j in range(n) if labels[j] == c])
+            for c in classes
+            if c != labels[i]
+        )
+        total += (b - a) / max(a, b)
+    return total / n
+
+
+def random_silhouette_cases(rng, count):
+    """(X, labels) with unequal classes, some singletons and k up to 12."""
+    for _ in range(count):
+        k = int(rng.integers(2, 13))
+        sizes = rng.integers(1, 9, size=k)
+        sizes[rng.random(k) < 0.3] = 1
+        labels = np.repeat(np.arange(k), sizes)
+        rng.shuffle(labels)
+        dim = int(rng.integers(1, 6))
+        X = rng.normal(size=(labels.size, dim)) + 3.0 * rng.normal(size=(k, dim))[labels]
+        yield X, labels
 
 
 def random_nondegenerate_labels(rng, n, k):
@@ -227,6 +260,37 @@ class TestSilhouette:
             X[40:] += [distance, 0.0]
             scores.append(silhouette(X, labels))
         assert all(s1 > s2 for s1, s2 in zip(scores, scores[1:]))
+
+    def test_random_cases_against_bruteforce(self):
+        rng = np.random.default_rng(12)
+        for X, labels in random_silhouette_cases(rng, 40):
+            assert silhouette(X, labels) == pytest.approx(
+                silhouette_bruteforce(X, labels), abs=1e-10
+            )
+
+    def test_small_blocks_against_bruteforce(self, monkeypatch):
+        # 7 rows per block at n=50: seven full blocks and a ragged one-row block
+        monkeypatch.setattr(metrics, "_BLOCK_FLOATS", 7 * 50)
+        rng = np.random.default_rng(13)
+        X = rng.normal(size=(50, 3))
+        labels = np.repeat(np.arange(6), [1, 4, 20, 10, 14, 1])
+        assert silhouette(X, labels) == pytest.approx(
+            silhouette_bruteforce(X, labels), abs=1e-10
+        )
+        monkeypatch.setattr(metrics, "_BLOCK_FLOATS", 100)
+        for X, labels in random_silhouette_cases(rng, 10):
+            assert silhouette(X, labels) == pytest.approx(
+                silhouette_bruteforce(X, labels), abs=1e-10
+            )
+
+    def test_far_from_origin_against_bruteforce(self):
+        rng = np.random.default_rng(15)
+        X = rng.normal(size=(200, 3))
+        labels = rng.integers(0, 3, size=200)
+        for offset in (0.0, 1e4, 1e6):
+            assert silhouette(X + offset, labels) == pytest.approx(
+                silhouette_bruteforce(X + offset, labels), abs=1e-10
+            )
 
     def test_memory_stays_blockwise(self):
         # the 10 000 × 10 000 distance matrix alone would be 763 MiB
