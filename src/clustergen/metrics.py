@@ -189,7 +189,10 @@ def ari(a, b) -> float:
 
 
 def silhouette(X, labels) -> float:
-    """Mean silhouette score (Rousseeuw 1987); singleton clusters score 0.
+    """Mean silhouette score (Rousseeuw 1987).
+
+    A point in a singleton class, or whose mean distances a (own class) and
+    b (nearest other class) are both 0, scores 0.
 
     Distances are computed a block of rows at a time and summed per class
     at once, so memory is O(n·block + n·k), never n×n.
@@ -226,9 +229,9 @@ def silhouette(X, labels) -> float:
     means = class_sums / counts
     means[point, inverse] = np.inf
     b = means.min(axis=1)
-    scores = np.zeros(n)
-    multi = own > 1  # singletons are defined as 0
-    scores[multi] = (b - a)[multi] / np.maximum(a, b)[multi]
+    # singletons, and points whose a and b are both 0, score 0
+    larger = np.maximum(a, b)
+    scores = np.divide(b - a, larger, out=np.zeros(n), where=(own > 1) & (larger > 0))
     return float(scores.mean())
 
 

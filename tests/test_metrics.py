@@ -250,6 +250,10 @@ class TestSilhouette:
             pair_scores.append((b - a) / max(a, b))
         assert value == pytest.approx(np.mean(pair_scores + [0.0]))
 
+    def test_coincident_points_score_zero(self):
+        # a = b = 0 for every point: 0, as for singletons, not 0/0
+        assert silhouette(np.zeros((4, 2)), np.array([0, 0, 1, 1])) == 0.0
+
     def test_decreases_as_blobs_approach(self):
         rng = np.random.default_rng(10)
         base = rng.normal(size=(80, 2))
