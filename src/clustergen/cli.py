@@ -151,11 +151,15 @@ def cmd_generate(args) -> int:
             try:
                 entry["path"] = os.path.basename(future.result())
                 entry["status"] = "ok"
-            except (NonConvergenceError, ArchetypeValidationError, ValueError) as exc:
-                converge = isinstance(exc, NonConvergenceError)
-                entry["status"] = "convergence-failure" if converge else "validation-failure"
+            except (NonConvergenceError, ArchetypeValidationError, ValueError, OSError) as exc:
+                if isinstance(exc, NonConvergenceError):
+                    entry["status"], code = "convergence-failure", EXIT_CONVERGENCE
+                elif isinstance(exc, OSError):  # the dataset's CSV could not be written
+                    entry["status"], code = "write-failure", EXIT_VALIDATION
+                else:
+                    entry["status"], code = "validation-failure", EXIT_VALIDATION
                 entry["error"] = str(exc)
-                worst = max(worst, EXIT_CONVERGENCE if converge else EXIT_VALIDATION)
+                worst = max(worst, code)
                 print(f"error: {a.name}[{index}]: {exc}", file=sys.stderr)
             manifest.entries.append(entry)
 

@@ -107,6 +107,28 @@ class TestGenerate:
         assert list(out.glob("*.tmp")) == []
         assert list(out.glob("*.csv")) == []
 
+    def test_failed_csv_write_keeps_manifest(self, tmp_path, monkeypatch):
+        real_write = cli.dataset_to_csv
+
+        def fail_second(dataset, path):
+            if "_001.csv" in path:
+                raise OSError(28, "No space left on device")
+            real_write(dataset, path)
+
+        monkeypatch.setattr(cli, "dataset_to_csv", fail_second)
+        out = tmp_path / "out"
+        code = cli.main(
+            ["generate", "--inline", SMALL, "--n-datasets", "3", "--seed", "2",
+             "--out-dir", str(out)]
+        )
+        assert code == cli.EXIT_VALIDATION
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert [e["status"] for e in manifest["entries"]] == ["ok", "write-failure", "ok"]
+        assert "No space left" in manifest["entries"][1]["error"]
+        assert sorted(p.name for p in out.glob("*.csv")) == [
+            "cli_small_000.csv", "cli_small_002.csv"
+        ]
+
 
 class TestValidateOverlap:
     def test_archetype_report_respects_bound(self, tmp_path, capsys):
