@@ -1,4 +1,4 @@
-"""Golden outputs: sha256 of model JSON and `generate` CSV bytes.
+"""Golden outputs: sha256 of model JSON, `generate` CSV bytes and `bench` rows.
 
 Same seed, same bytes.  A change that moves any output bit on purpose
 updates these hashes in the same commit and says so.  Recorded with
@@ -8,6 +8,7 @@ round differently.
 
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -71,3 +72,17 @@ def test_golden_outputs(tmp_path, spec, master, flags, model_hash, csv_hash):
     assert code == cli.EXIT_OK
     csv_bytes = (tmp_path / f"{a.name}_000.csv").read_bytes()
     assert (sha256(model.to_json().encode()), sha256(csv_bytes)) == (model_hash, csv_hash)
+
+
+# sha256 of `clustergen bench` stdout over the six benchmark archetypes:
+# pins the K-Means labels (through AMI/ARI) and the silhouette to 6 decimals
+BENCH_FIXTURE = Path(__file__).parent / "fixtures" / "benchmark_archetypes.jsonl"
+BENCH_HASH = "2dfb21e8c6fd8a97973e29be00b4c67e2b6dd977a25a60dc26b0b2aafe6f6a29"
+
+
+def test_golden_bench_rows(capsys):
+    code = cli.main(
+        ["bench", "--archetypes", str(BENCH_FIXTURE), "--seed", "0", "--n-datasets", "1"]
+    )
+    assert code == cli.EXIT_OK
+    assert sha256(capsys.readouterr().out.encode()) == BENCH_HASH
