@@ -3,9 +3,11 @@
 Together these reproduce the overlap-predicts-difficulty relationship at
 desk scale: K-Means recovers labels, the adjusted indices score agreement
 against ground truth, and the silhouette quantifies geometric separation.
-No metric builds an n×n array: silhouette computes distances a block of
-rows at a time, O(n·block + n·k) memory, so `bench` scores 100k-point
-datasets.
+No metric builds an n×n array.  Silhouette computes distances in square
+tiles over the upper triangle only, adding each tile and its mirror to
+per-class sums, in O(tile² + n·k) memory, so `bench` scores 100k-point
+datasets.  K-Means assigns points with one n×k matmul per Lloyd step and
+reuses one n×d buffer for seeding, centroids and the WCSS.
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-# Distance-matrix entries silhouette holds at once: rows per block = this // n.
-_BLOCK_FLOATS = 2**21
+# Side of the square distance tiles silhouette computes: 256² floats is 512 KiB.
+_TILE = 256
 
 
 @dataclass(frozen=True)
@@ -43,15 +45,18 @@ def _as_labels(x) -> np.ndarray:
     return np.asarray(getattr(x, "labels", x), dtype=int)
 
 
-def _wcss(X, centers, assignment) -> float:
-    return float(np.sum((X - centers[assignment]) ** 2))
+def _squared_distances(X, center, work) -> np.ndarray:
+    """‖x − center‖² per row of X, using the n×d `work` buffer."""
+    np.subtract(X, center, out=work)
+    np.square(work, out=work)
+    return work.sum(axis=1)
 
 
-def _kmeans_pp_seed(X, k, rng) -> np.ndarray:
+def _kmeans_pp_seed(X, k, rng, work) -> np.ndarray:
     n = X.shape[0]
     centers = np.empty((k, X.shape[1]))
     centers[0] = X[rng.integers(n)]
-    closest = np.sum((X - centers[0]) ** 2, axis=1)
+    closest = _squared_distances(X, centers[0], work)
     for j in range(1, k):
         total = closest.sum()
         if total <= 0:
@@ -59,27 +64,45 @@ def _kmeans_pp_seed(X, k, rng) -> np.ndarray:
             break
         probs = closest / total
         centers[j] = X[rng.choice(n, p=probs)]
-        closest = np.minimum(closest, np.sum((X - centers[j]) ** 2, axis=1))
+        np.minimum(closest, _squared_distances(X, centers[j], work), out=closest)
     return centers
 
 
-def _lloyd(X, centers, max_iter=300, rel_tol=1e-6):
+def _lloyd(X, centred, mean, centers, work, max_iter=300, rel_tol=1e-6):
+    """Lloyd iterations on X, where `centred` is X − `mean`.
+
+    The assignment is the argmin of ‖c‖² − 2·x·c over the centred data, so
+    no n×k×d array is built.  Centroids are means over runs of the rows
+    sorted by cluster, summed in the order X[mask].mean() sums them; the
+    sorted rows and the WCSS terms share the n×d `work` buffer.
+    """
+    k = centers.shape[0]
     previous = np.inf
-    assignment = None
     for _ in range(max_iter):
-        distances = np.sum((X[:, None, :] - centers[None, :, :]) ** 2, axis=2)
-        assignment = np.argmin(distances, axis=1)
-        for j in range(centers.shape[0]):
-            mask = assignment == j
-            if mask.any():
-                centers[j] = X[mask].mean(axis=0)
+        shifted = centers - mean
+        partial = centred @ shifted.T
+        partial *= -2.0
+        partial += np.sum(shifted**2, axis=1)
+        assignment = np.argmin(partial, axis=1)
+        counts = np.bincount(assignment, minlength=k)
+        order = np.argsort(assignment, kind="stable")
+        np.take(X, order, axis=0, out=work, mode="clip")  # "raise" would buffer
+        stop = 0
+        for j, count in enumerate(counts):
+            start, stop = stop, stop + count
+            if count:
+                centers[j] = work[start:stop].mean(axis=0)
             else:  # reseed empty cluster at the farthest point
-                centers[j] = X[np.argmax(distances.min(axis=1))]
-        current = _wcss(X, centers, assignment)
+                farthest = partial.min(axis=1) + np.sum(centred**2, axis=1)
+                centers[j] = X[np.argmax(farthest)]
+        np.take(centers, assignment, axis=0, out=work, mode="clip")
+        np.subtract(X, work, out=work)
+        np.square(work, out=work)
+        current = float(work.sum())
         if previous - current <= rel_tol * max(previous, 1e-300):
             break
         previous = current
-    return centers, assignment, _wcss(X, centers, assignment)
+    return centers, assignment, current
 
 
 def kmeans(X, k: int, n_init: int = 10, rng: np.random.Generator | None = None) -> Labeling:
@@ -90,10 +113,14 @@ def kmeans(X, k: int, n_init: int = 10, rng: np.random.Generator | None = None) 
         raise ValueError(f"k={k} exceeds the number of points n={n}")
     if rng is None:
         rng = np.random.default_rng()
+    # one n×d buffer serves every seeding pass, Lloyd step and restart
+    work = np.empty_like(X)
+    mean = X.mean(axis=0)
+    centred = X - mean  # ‖c‖² − 2·x·c cancels less near the origin
     best_assignment, best_score = None, np.inf
     for _ in range(n_init):
-        centers = _kmeans_pp_seed(X, k, rng)
-        _, assignment, score = _lloyd(X, centers)
+        centers = _kmeans_pp_seed(X, k, rng, work)
+        _, assignment, score = _lloyd(X, centred, mean, centers, work)
         if score < best_score:
             best_assignment, best_score = assignment, score
     # compact label ids in case a cluster emptied out
@@ -200,8 +227,10 @@ def silhouette(X, labels) -> float:
     A point in a singleton class, or whose mean distances a (own class) and
     b (nearest other class) are both 0, scores 0.
 
-    Distances are computed a block of rows at a time and summed per class
-    at once, so memory is O(n·block + n·k), never n×n.
+    Distances are computed in square tiles of side `_TILE`, each from one
+    matmul.  Only tiles on or above the diagonal are computed: a tile adds
+    its rows' per-class sums, and its transpose adds those of its columns.
+    Memory is O(tile² + n·k), never n×n.
     """
     X = np.asarray(X, dtype=float)
     labels = _as_labels(labels)
@@ -210,24 +239,32 @@ def silhouette(X, labels) -> float:
         raise ValueError("silhouette requires at least two label classes")
     # centring keeps ‖x‖²+‖y‖²−2x·y from cancelling far from the origin
     X = X - X.mean(axis=0)
-    n = X.shape[0]
-    onehot = np.zeros((n, classes.size))
+    n, k = X.shape[0], classes.size
+    onehot = np.zeros((n, k))
     onehot[np.arange(n), inverse] = 1.0
-    sq = np.sum(X**2, axis=1)
+    sq = np.sum(X**2, axis=1)[:, None]
+    ones = np.ones((n, 1))
+    # one matmul per tile gives ‖x‖² + ‖y‖² − 2x·y
+    left = np.hstack([X, sq, ones])
+    right = np.hstack([-2.0 * X, ones, sq])
     # per-point sum of distances to each class
-    class_sums = np.empty((n, classes.size))
-    rows = max(1, _BLOCK_FLOATS // n)
-    block = np.empty((min(rows, n), n))
-    for start in range(0, n, rows):
-        stop = min(start + rows, n)
-        d = np.matmul(X[start:stop], X.T, out=block[: stop - start])
-        d *= -2.0
-        d += sq[start:stop, None]
-        d += sq
-        np.maximum(d, 0.0, out=d)
-        np.sqrt(d, out=d)
-        d[np.arange(stop - start), np.arange(start, stop)] = 0.0
-        np.matmul(d, onehot, out=class_sums[start:stop])
+    class_sums = np.zeros((n, k))
+    tile = np.empty(_TILE * _TILE)
+    tile_sums = np.empty((_TILE, k))
+    for i in range(0, n, _TILE):
+        rows = slice(i, min(i + _TILE, n))
+        for j in range(i, n, _TILE):
+            cols = slice(j, min(j + _TILE, n))
+            height, width = rows.stop - i, cols.stop - j
+            d = tile[: height * width].reshape(height, width)  # contiguous
+            np.matmul(left[rows], right[cols].T, out=d)
+            np.maximum(d, 0.0, out=d)
+            np.sqrt(d, out=d)
+            if i == j:
+                np.fill_diagonal(d, 0.0)
+            class_sums[rows] += np.matmul(d, onehot[cols], out=tile_sums[:height])
+            if i != j:  # the mirrored tile (J, I) is dᵀ
+                class_sums[cols] += np.matmul(d.T, onehot[rows], out=tile_sums[:width])
     counts = np.bincount(inverse)
     own = counts[inverse]
     point = np.arange(n)

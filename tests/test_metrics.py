@@ -15,6 +15,8 @@ import pytest
 
 from clustergen import metrics
 from clustergen.metrics import Labeling, ami, ari, kmeans, silhouette
+from clustergen.mixture import sample_mixture_model
+from clustergen.sampling import sample_dataset
 
 
 def contingency(a, b):
@@ -124,6 +126,62 @@ def random_nondegenerate_labels(rng, n, k):
             return compact
 
 
+def lloyd_reference(X, centers, max_iter=300, rel_tol=1e-6):
+    """Lloyd iterations as first written: n×k×d distances and masked means."""
+
+    def wcss():
+        return float(np.sum((X - centers[assignment]) ** 2))
+
+    previous = np.inf
+    for _ in range(max_iter):
+        distances = np.sum((X[:, None, :] - centers[None, :, :]) ** 2, axis=2)
+        assignment = np.argmin(distances, axis=1)
+        for j in range(centers.shape[0]):
+            mask = assignment == j
+            if mask.any():
+                centers[j] = X[mask].mean(axis=0)
+            else:
+                centers[j] = X[np.argmax(distances.min(axis=1))]
+        current = wcss()
+        if previous - current <= rel_tol * max(previous, 1e-300):
+            break
+        previous = current
+    return assignment, wcss()
+
+
+def kmeans_reference(X, k, rng, n_init=10):
+    """Best of n_init reference Lloyd runs from k-means++ seeds."""
+
+    def seed():
+        n = X.shape[0]
+        centers = np.empty((k, X.shape[1]))
+        centers[0] = X[rng.integers(n)]
+        closest = np.sum((X - centers[0]) ** 2, axis=1)
+        for j in range(1, k):
+            total = closest.sum()
+            if total <= 0:
+                centers[j:] = X[rng.integers(n, size=k - j)]
+                break
+            centers[j] = X[rng.choice(n, p=closest / total)]
+            closest = np.minimum(closest, np.sum((X - centers[j]) ** 2, axis=1))
+        return centers
+
+    best_assignment, best_score = None, np.inf
+    for _ in range(n_init):
+        assignment, score = lloyd_reference(X, seed())
+        if score < best_score:
+            best_assignment, best_score = assignment, score
+    return np.unique(best_assignment, return_inverse=True)[1]
+
+
+def assert_kmeans_matches_reference(X, k, seed):
+    rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    np.testing.assert_array_equal(
+        kmeans(X, k, rng=rng).labels, kmeans_reference(X, k, reference_rng)
+    )
+    assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+
 class TestKmeans:
     def test_recovers_separated_blobs(self):
         rng = np.random.default_rng(0)
@@ -157,6 +215,36 @@ class TestKmeans:
         r1 = kmeans(X, 3, rng=np.random.default_rng(11))
         r2 = kmeans(X, 3, rng=np.random.default_rng(11))
         np.testing.assert_array_equal(r1.labels, r2.labels)
+
+    def test_benchmark_archetypes_match_reference(self, benchmark_archetypes):
+        for a in benchmark_archetypes:
+            for seed in range(3):
+                rng = np.random.default_rng(seed)
+                dataset = sample_dataset(sample_mixture_model(a, rng), rng)
+                assert_kmeans_matches_reference(dataset.points, a.n_clusters, seed)
+
+    def test_empty_cluster_reseed_matches_reference(self):
+        # a centre far from every point owns none of them and is reseeded
+        # at the point farthest from its nearest centre
+        X = np.random.default_rng(18).normal(size=(40, 2))
+        start = np.vstack([X[:2], [[1e3, 1e3]]])
+        centers = start.copy()
+        mean = X.mean(axis=0)
+        assignment = metrics._lloyd(X, X - mean, mean, centers, np.empty_like(X))[1]
+        reference_centers = start.copy()
+        reference_assignment = lloyd_reference(X, reference_centers)[0]
+        np.testing.assert_array_equal(assignment, reference_assignment)
+        np.testing.assert_array_equal(centers, reference_centers)
+        # three distinct points and k=5: duplicate seeds leave clusters empty
+        X = np.repeat([[0.0, 0.0], [1.0, 2.0], [-3.0, 1.0]], [4, 3, 5], axis=0)
+        for seed in range(5):
+            assert_kmeans_matches_reference(X, 5, seed)
+
+    def test_far_from_origin_matches_reference(self):
+        rng = np.random.default_rng(16)
+        X = rng.normal(size=(300, 3)) + 4.0 * rng.normal(size=(4, 3))[rng.integers(0, 4, 300)]
+        for offset in (0.0, 1e4, 1e10):
+            assert_kmeans_matches_reference(X + offset, 4, 0)
 
 
 class TestAmi:
@@ -273,19 +361,33 @@ class TestSilhouette:
             )
 
     def test_small_blocks_against_bruteforce(self, monkeypatch):
-        # 7 rows per block at n=50: seven full blocks and a ragged one-row block
-        monkeypatch.setattr(metrics, "_BLOCK_FLOATS", 7 * 50)
+        # 7-row tiles at n=50: seven full tiles and a ragged one-row tile per side
+        monkeypatch.setattr(metrics, "_TILE", 7)
         rng = np.random.default_rng(13)
         X = rng.normal(size=(50, 3))
         labels = np.repeat(np.arange(6), [1, 4, 20, 10, 14, 1])
         assert silhouette(X, labels) == pytest.approx(
             silhouette_bruteforce(X, labels), abs=1e-10
         )
-        monkeypatch.setattr(metrics, "_BLOCK_FLOATS", 100)
+        monkeypatch.setattr(metrics, "_TILE", 2)
         for X, labels in random_silhouette_cases(rng, 10):
             assert silhouette(X, labels) == pytest.approx(
                 silhouette_bruteforce(X, labels), abs=1e-10
             )
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1, metrics._TILE + 1],
+                             ids=["tile-1", "tile", "tile+1", "2tile+1"])
+    def test_tile_edges_against_bruteforce(self, offset):
+        # n just below, at and just above one tile, and one past two tiles
+        n = metrics._TILE + offset
+        rng = np.random.default_rng(17 + offset)
+        k = 12
+        labels = np.concatenate([np.arange(k), rng.integers(2, k, size=n - k)])
+        rng.shuffle(labels)  # classes 0 and 1 are singletons
+        X = rng.normal(size=(n, 3)) + 3.0 * rng.normal(size=(k, 3))[labels]
+        assert silhouette(X, labels) == pytest.approx(
+            silhouette_bruteforce(X, labels), abs=1e-10
+        )
 
     def test_far_from_origin_against_bruteforce(self):
         rng = np.random.default_rng(15)
