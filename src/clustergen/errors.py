@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Each error whose constructor takes other arguments than its message
+defines `__reduce__`, so it pickles with its attributes: `generate --jobs`
+sends errors back from worker processes.
+"""
 
 from __future__ import annotations
 
@@ -14,6 +19,9 @@ class ArchetypeValidationError(ClustergenError):
         self.violations = list(violations)
         super().__init__("invalid archetype: " + "; ".join(self.violations))
 
+    def __reduce__(self):
+        return type(self), (self.violations,)
+
 
 class NonConvergenceError(ClustergenError):
     """Center placement ran out of epochs above tolerance, or hit a non-finite loss."""
@@ -24,6 +32,9 @@ class NonConvergenceError(ClustergenError):
         super().__init__(
             f"overlap loss {final_loss:.3e} after {len(trace)} epochs did not reach tolerance"
         )
+
+    def __reduce__(self):
+        return type(self), (self.final_loss, self.trace)
 
 
 class NLError(ClustergenError):
@@ -45,13 +56,20 @@ class NLRateLimitError(NLError):
         self.retry_trace = list(retry_trace)
         super().__init__(message)
 
+    def __reduce__(self):
+        return type(self), (self.args[0], self.retry_trace)
+
 
 class NLParseError(NLError):
     """No usable JSON object / identifier in the model response."""
 
     def __init__(self, message: str, raw_response: str):
+        self.message = message
         self.raw_response = raw_response
         super().__init__(f"{message} (raw response attached)")
+
+    def __reduce__(self):
+        return type(self), (self.message, self.raw_response)
 
 
 class NLValidationError(NLError):
@@ -61,3 +79,6 @@ class NLValidationError(NLError):
         self.violations = list(violations)
         self.raw_response = raw_response
         super().__init__("archetype from response is invalid: " + "; ".join(self.violations))
+
+    def __reduce__(self):
+        return type(self), (self.violations, self.raw_response)

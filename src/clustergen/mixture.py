@@ -20,6 +20,30 @@ from .distributions import RadialDistribution
 from .errors import NonConvergenceError
 
 
+def _typed(record: dict, key: str, kind: type, where: str):
+    """record[key], which must be a `kind`."""
+    if key not in record:
+        raise ValueError(f"{where} is missing key {key!r}")
+    if not isinstance(record[key], kind):
+        raise ValueError(
+            f"{where} key {key!r} must be a {kind.__name__}, got {type(record[key]).__name__}"
+        )
+    return record[key]
+
+
+def _finite_array(record: dict, key: str, ndim: int, where: str) -> np.ndarray:
+    """record[key] as a nonempty, finite, `ndim`-D float array."""
+    if key not in record:
+        raise ValueError(f"{where} is missing key {key!r}")
+    try:
+        array = np.asarray(record[key], dtype=float)
+    except (TypeError, ValueError):
+        array = None
+    if array is None or array.ndim != ndim or not array.size or not np.isfinite(array).all():
+        raise ValueError(f"{where} key {key!r} must be a nonempty, finite {ndim}-D array of numbers")
+    return array
+
+
 @dataclass(frozen=True)
 class Cluster:
     """One ellipsoidal mixture component."""
@@ -75,20 +99,40 @@ class MixtureModel:
 
     @classmethod
     def from_dict(cls, data: dict) -> "MixtureModel":
-        clusters = [
-            Cluster(
-                center=np.asarray(c["center"], dtype=float),
-                axes=np.asarray(c["axes"], dtype=float),
-                axis_lengths=np.asarray(c["axis_lengths"], dtype=float),
-                radial_distribution=RadialDistribution.from_dict(c["distribution"]),
+        """Inverse of `to_dict`; a missing or ill-typed key raises ValueError naming it."""
+        if not isinstance(data, dict):
+            raise ValueError(f"model must be a JSON object, got {type(data).__name__}")
+        name = _typed(data, "archetype_name", str, "model")
+        raw_clusters = _typed(data, "clusters", list, "model")
+        sizes = _typed(data, "group_sizes", list, "model")
+        if not raw_clusters:
+            raise ValueError("model key 'clusters' must list at least one cluster")
+        if len(sizes) != len(raw_clusters) or not all(
+            type(s) is int and s >= 0 for s in sizes
+        ):
+            raise ValueError("model key 'group_sizes' must hold one nonnegative integer per cluster")
+        clusters = []
+        for index, c in enumerate(raw_clusters):
+            where = f"model cluster {index}"
+            if not isinstance(c, dict):
+                raise ValueError(f"{where} must be a JSON object, got {type(c).__name__}")
+            center = _finite_array(c, "center", 1, where)
+            axes = _finite_array(c, "axes", 2, where)
+            lengths = _finite_array(c, "axis_lengths", 1, where)
+            dim = clusters[0].dim if clusters else center.size
+            if center.shape != (dim,) or axes.shape != (dim, dim) or lengths.shape != (dim,):
+                raise ValueError(
+                    f"{where} keys 'center', 'axes', 'axis_lengths' must have shapes "
+                    f"({dim},), ({dim}, {dim}), ({dim},)"
+                )
+            distribution = _typed(c, "distribution", dict, where)
+            _typed(distribution, "name", str, f"{where} distribution")
+            if "params" in distribution:
+                _typed(distribution, "params", dict, f"{where} distribution")
+            clusters.append(
+                Cluster(center, axes, lengths, RadialDistribution.from_dict(distribution))
             )
-            for c in data["clusters"]
-        ]
-        return cls(
-            clusters=clusters,
-            group_sizes=np.asarray(data["group_sizes"], dtype=int),
-            archetype_name=data["archetype_name"],
-        )
+        return cls(clusters=clusters, group_sizes=np.asarray(sizes, dtype=int), archetype_name=name)
 
     @classmethod
     def from_json(cls, text: str) -> "MixtureModel":

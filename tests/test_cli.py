@@ -28,6 +28,16 @@ def write_jsonl(path, archetypes):
     path.write_text("\n".join(archetypes) + "\n")
 
 
+def without(record, key):
+    return {k: v for k, v in record.items() if k != key}
+
+
+def edit_cluster(model, index, cluster):
+    clusters = list(model["clusters"])
+    clusters[index] = cluster
+    return {**model, "clusters": clusters}
+
+
 class TestGenerate:
     def test_writes_datasets_and_manifest(self, tmp_path):
         src = tmp_path / "arch.jsonl"
@@ -129,6 +139,23 @@ class TestGenerate:
             "cli_small_000.csv", "cli_small_002.csv"
         ]
 
+    def test_parallel_convergence_failure_keeps_manifest(self, tmp_path):
+        # placement cannot hold three elongated clusters in this band for
+        # dataset 0; dataset 1 converges.  Workers send the error back pickled.
+        spec = {"name": "nc", "n_clusters": 3, "dim": 2, "max_overlap": 1e-7,
+                "min_overlap": 9.9e-8, "aspect_ref": 20, "aspect_maxmin": 5}
+        out = tmp_path / "out"
+        code = cli.main(
+            ["generate", "--inline", json.dumps(spec), "--n-datasets", "2", "--seed", "0",
+             "--out-dir", str(out), "--jobs", "2"]
+        )
+        assert code == cli.EXIT_CONVERGENCE
+        manifest = json.loads((out / "manifest.json").read_text())
+        statuses = [e["status"] for e in manifest["entries"]]
+        assert statuses == ["convergence-failure", "ok"]
+        assert "did not reach tolerance" in manifest["entries"][0]["error"]
+        assert sorted(p.name for p in out.glob("*.csv")) == ["nc_001.csv"]
+
 
 class TestValidateOverlap:
     def test_archetype_report_respects_bound(self, tmp_path, capsys):
@@ -174,6 +201,28 @@ class TestValidateOverlap:
         code = cli.main(["validate-overlap", "--model", str(model_path)])
         assert code == 0
 
+    @pytest.mark.parametrize("edit,message", [
+        (lambda m: {"clusters": []}, "missing key 'archetype_name'"),
+        (lambda m: without(m, "group_sizes"), "missing key 'group_sizes'"),
+        (lambda m: {**m, "group_sizes": "12"}, "'group_sizes' must be a list"),
+        (lambda m: {**m, "group_sizes": m["group_sizes"][:-1]}, "one nonnegative integer"),
+        (lambda m: {**m, "clusters": []}, "at least one cluster"),
+        (lambda m: edit_cluster(m, 1, without(m["clusters"][1], "center")),
+         "cluster 1 is missing key 'center'"),
+        (lambda m: edit_cluster(m, 0, {**m["clusters"][0], "axes": [[1.0]]}), "must have shapes"),
+        (lambda m: edit_cluster(m, 2, {**m["clusters"][2], "axis_lengths": ["x", 1]}),
+         "'axis_lengths' must be"),
+        (lambda m: edit_cluster(m, 0, {**m["clusters"][0], "distribution": "normal"}),
+         "'distribution' must be a dict"),
+        (lambda m: [], "must be a JSON object"),
+    ])
+    def test_malformed_model_json_exits_1(self, tmp_path, capsys, edit, message):
+        model = sample_mixture_model(Archetype.from_json(SMALL), np.random.default_rng(0))
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps(edit(model.to_dict())))
+        code = cli.main(["validate-overlap", "--model", str(model_path)])
+        assert code == cli.EXIT_VALIDATION
+        assert message in capsys.readouterr().err
 
 class TestNlCommand:
     def test_dry_run_prints_prompts(self, capsys):
