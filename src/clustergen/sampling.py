@@ -10,7 +10,7 @@ covariance, so the Gaussian overlap formulas hold in-sample.
 
 from __future__ import annotations
 
-import csv
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,18 +84,18 @@ def dataset_to_csv(dataset: Dataset, path) -> None:
 
 
 def dataset_from_csv(path, archetype_name: str = "") -> Dataset:
+    """Read the x1..x{dim},label rows `dataset_to_csv` writes, every float bit-exact."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
+        header = fh.readline().rstrip("\r\n").split(",")
         if header[-1] != "label":
             raise ValueError(f"{path}: expected trailing 'label' column, got {header[-1]!r}")
-        points, labels = [], []
-        for row in reader:
-            points.append([float(v) for v in row[:-1]])
-            labels.append(int(row[-1]))
-    dim = len(header) - 1
-    return Dataset(
-        np.asarray(points, dtype=float).reshape(len(labels), dim),
-        np.asarray(labels, dtype=int),
-        archetype_name,
-    )
+        if fh.tell() == os.fstat(fh.fileno()).st_size:  # header only: no rows
+            body = np.empty((0, len(header)))
+        else:
+            body = np.loadtxt(fh, delimiter=",", ndmin=2)
+    if body.shape[1] != len(header):
+        raise ValueError(f"{path}: rows have {body.shape[1]} fields, the header {len(header)}")
+    labels = body[:, -1].astype(int)
+    if not np.array_equal(labels, body[:, -1]):
+        raise ValueError(f"{path}: labels must be integers")
+    return Dataset(np.ascontiguousarray(body[:, :-1]), labels, archetype_name)
