@@ -86,7 +86,8 @@ def _lloyd(X, centred, mean, centers, work, max_iter=300, rel_tol=1e-6):
         assignment = np.argmin(partial, axis=1)
         counts = np.bincount(assignment, minlength=k)
         order = np.argsort(assignment, kind="stable")
-        np.take(X, order, axis=0, out=work, mode="clip")  # "raise" would buffer
+        # the indices are in range; mode "raise" would copy through a temporary
+        np.take(X, order, axis=0, out=work, mode="clip")
         stop = 0
         for j, count in enumerate(counts):
             start, stop = stop, stop + count

@@ -196,28 +196,6 @@ class TestCsvRoundTrip:
         with pytest.raises(ValueError, match="label"):
             dataset_from_csv(path)
 
-    def test_edge_values_bit_exact(self, tmp_path):
-        values = np.array([[-0.0], [5e-324], [1e300], [-5e-324], [-1e300]])
-        path = tmp_path / "edge.csv"
-        dataset_to_csv(Dataset(values, np.arange(5), "edge"), path)
-        again = dataset_from_csv(path)
-        assert np.array_equal(again.points.view(np.uint64), values.view(np.uint64))
-
-    def test_header_only_file(self, tmp_path):
-        path = tmp_path / "empty.csv"
-        path.write_bytes(b"x1,x2,x3,label\r\n")
-        dataset = dataset_from_csv(path)
-        assert dataset.points.shape == (0, 3)
-        assert dataset.labels.shape == (0,)
-
-    def test_one_column_file(self, tmp_path):
-        # only the label column: n points in zero dimensions
-        path = tmp_path / "labels.csv"
-        path.write_bytes(b"label\r\n2\r\n0\r\n1\r\n")
-        dataset = dataset_from_csv(path)
-        assert dataset.points.shape == (3, 0)
-        np.testing.assert_array_equal(dataset.labels, [2, 0, 1])
-
     @pytest.mark.parametrize("body,match", [
         (b"x1,label\r\n0.5,1.5\r\n", "integers"),
         (b"x1,x2,label\r\n0.5,1\r\n", "fields"),
@@ -249,6 +227,7 @@ class TestCsvBytes:
             "edge",
         ),
         "empty": Dataset(np.empty((0, 4)), np.empty(0, dtype=int), "empty"),
+        "labels_only": Dataset(np.empty((3, 0)), np.array([2, 0, 1]), "labels_only"),
         "dim1": Dataset(
             np.random.default_rng(0).standard_normal((30, 1)),
             np.random.default_rng(1).integers(0, 3, 30),
