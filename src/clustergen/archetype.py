@@ -291,7 +291,9 @@ def sample_aspect_ratios(a: Archetype, rng: np.random.Generator) -> np.ndarray:
         if values[i] < 1.0:
             i, j = j, i
         if values[j] < 1.0:
-            values[i] = values[i] * values[j]
+            # the product is aspect_ref**2 >= 1 up to rounding, which at
+            # aspect_ref = 1 can land one ulp below 1
+            values[i] = max(values[i] * values[j], 1.0)
             values[j] = 1.0
     return values
 
@@ -373,11 +375,18 @@ def sample_hyperparams(
     Each hyperparameter is redrawn independently from a Poisson centered
     on its current value and rejection-sampled into the caller's bounds.
     """
+    if bounds is not None and not isinstance(bounds, dict):
+        raise ValueError(f"bounds must map hyperparameter names to [min, max], got {bounds!r}")
     bounds = dict(bounds or {})
     unknown = set(bounds) - set(_POISSON_HYPERPARAMS)
     if unknown:
         raise ValueError(f"bounds given for unknown hyperparameter(s): {sorted(unknown)}")
-    for key, (lo, hi) in bounds.items():
+    for key, pair in bounds.items():
+        if not (
+            isinstance(pair, (list, tuple)) and len(pair) == 2 and all(map(_is_number, pair))
+        ):
+            raise ValueError(f"{key} bounds must be a [min, max] pair of numbers, got {pair!r}")
+        lo, hi = pair
         center = getattr(a, key)
         if lo > hi:
             raise ValueError(f"{key} bounds inverted: min {lo} > max {hi}")

@@ -1,7 +1,7 @@
 """Command-line interface: generate, validate-overlap, nl, plot, bench, hyperparams.
 
-Exit codes are a stable contract: 0 success, 1 validation failure,
-2 convergence failure, 3 NL/API failure.
+Exit codes are a stable contract: 0 success, 1 validation failure
+(usage errors included), 2 convergence failure, 3 NL/API failure.
 """
 
 from __future__ import annotations
@@ -289,8 +289,6 @@ def cmd_hyperparams(args) -> int:
     with open(args.archetype, "r", encoding="utf-8") as fh:
         a = Archetype.from_json(fh.read())
     bounds = json.loads(args.bounds) if args.bounds else None
-    if bounds is not None:
-        bounds = {key: tuple(value) for key, value in bounds.items()}
     rng = np.random.default_rng(args.seed)
     try:
         variants = sample_hyperparams(a, args.n_variants, bounds, rng)
@@ -301,8 +299,27 @@ def cmd_hyperparams(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Exits with EXIT_VALIDATION on a usage error; argparse's own 2 means
+    convergence failure here.  Subcommand parsers inherit the class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_VALIDATION, f"{self.prog}: error: {message}\n")
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+        if value >= 1:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="clustergen",
         description="Synthetic cluster benchmark data from dataset archetypes",
     )
@@ -313,12 +330,12 @@ def build_parser() -> argparse.ArgumentParser:
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--archetypes", help="JSONL file, one archetype per line")
     src.add_argument("--inline", help="single archetype as inline JSON")
-    p.add_argument("--n-datasets", type=int, default=1)
+    p.add_argument("--n-datasets", type=_positive_int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--distort", action="store_true", help="apply the random-network transform")
     p.add_argument("--wrap", action="store_true", help="wrap datasets around the sphere")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_positive_int, default=1)
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("validate-overlap", help="report pairwise overlaps of a model")
@@ -347,14 +364,14 @@ def build_parser() -> argparse.ArgumentParser:
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--archetypes")
     src.add_argument("--inline")
-    p.add_argument("--n-datasets", type=int, default=10)
+    p.add_argument("--n-datasets", type=_positive_int, default=10)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("hyperparams", help="Poisson-resample archetype hyperparameters")
     p.add_argument("--archetype", required=True, help="archetype JSON file")
-    p.add_argument("--n-variants", type=int, default=5)
+    p.add_argument("--n-variants", type=_positive_int, default=5)
     p.add_argument("--bounds", help='JSON like {"n_clusters": [2, 20]}')
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_hyperparams)

@@ -2,8 +2,13 @@
 
 Every supported family is rescaled so that the 68.2% quantile of its
 absolute value equals 1, putting all families on the spread scale of the
-standard normal (P(|N(0,1)| <= 1) ~ 0.682).  The normalization constant
-is found by bisection on the family's CDF and cached per parameter set.
+standard normal (P(|N(0,1)| <= 1) ~ 0.682).  Each family's CDF is written
+in closed form from the `scipy.special` functions (ndtr, stdtr, gammainc,
+chdtr, fdtr, betainc, expm1) that SciPy's distribution objects evaluate
+internally, so the values are the same while the package imports neither
+SciPy's stats nor its optimize subpackage, which cost about a second of
+every cold start.  The normalization constant is found by bisection on
+the CDF down to adjacent floats and cached per parameter set.
 """
 
 from __future__ import annotations
@@ -11,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize, stats
+from scipy import special
 
 TARGET_MASS = 0.682
 
@@ -23,13 +28,29 @@ def _positive(params: dict, key: str) -> float:
     return value
 
 
+def _zero_up_to(edge, formula):
+    """A CDF that is 0 for x <= edge and formula(x, params) above it.
+
+    The formula only sees x inside the support, so log(0) and 0**-b are
+    never evaluated."""
+
+    def cdf(x, params):
+        x = np.asarray(x, dtype=float)
+        out = np.zeros(x.shape)
+        inside = x > edge
+        out[inside] = formula(x[inside], params)
+        return out[()]
+
+    return cdf
+
+
 class _Family:
     """CDF + sampler pair under one parameterization."""
 
-    def __init__(self, name, defaults, frozen, sampler, signed):
+    def __init__(self, name, defaults, cdf, sampler, signed):
         self.name = name
         self.defaults = dict(defaults)
-        self._frozen = frozen  # params -> scipy frozen distribution
+        self.cdf = cdf  # (x, params) -> P(X <= x)
         self._sampler = sampler  # (rng, size, params) -> draws
         self.signed = signed
 
@@ -43,9 +64,6 @@ class _Family:
         merged.update(params or {})
         return merged
 
-    def cdf(self, x, params):
-        return self._frozen(params).cdf(x)
-
     def sample(self, rng, size, params):
         return self._sampler(rng, size, params)
 
@@ -53,70 +71,73 @@ class _Family:
 _FAMILIES: dict[str, _Family] = {}
 
 
-def _register(name, defaults, frozen, sampler, signed):
-    _FAMILIES[name] = _Family(name, defaults, frozen, sampler, signed)
+def _register(name, defaults, cdf, sampler, signed):
+    _FAMILIES[name] = _Family(name, defaults, cdf, sampler, signed)
 
 
 _register(
     "normal",
     {},
-    lambda p: stats.norm(),
+    lambda x, p: special.ndtr(x),
     lambda rng, size, p: rng.standard_normal(size),
     signed=True,
 )
 _register(
     "lognormal",
     {"sigma": 0.75},
-    lambda p: stats.lognorm(s=_positive(p, "sigma")),
+    _zero_up_to(0.0, lambda x, p: special.ndtr(np.log(x) / _positive(p, "sigma"))),
     lambda rng, size, p: rng.lognormal(mean=0.0, sigma=_positive(p, "sigma"), size=size),
     signed=False,
 )
 _register(
     "exponential",
     {"rate": 1.0},
-    lambda p: stats.expon(scale=1.0 / _positive(p, "rate")),
+    # x / (1/rate), not x * rate, to round as SciPy's expon(scale=1/rate) does
+    _zero_up_to(0.0, lambda x, p: -special.expm1(-(x / (1.0 / _positive(p, "rate"))))),
     lambda rng, size, p: rng.exponential(scale=1.0 / _positive(p, "rate"), size=size),
     signed=False,
 )
 _register(
     "standard_t",
     {"df": 5.0},
-    lambda p: stats.t(df=_positive(p, "df")),
+    lambda x, p: special.stdtr(_positive(p, "df"), x),
     lambda rng, size, p: rng.standard_t(df=_positive(p, "df"), size=size),
     signed=True,
 )
 _register(
     "gamma",
     {"shape": 2.0},
-    lambda p: stats.gamma(a=_positive(p, "shape")),
+    _zero_up_to(0.0, lambda x, p: special.gammainc(_positive(p, "shape"), x)),
     lambda rng, size, p: rng.gamma(shape=_positive(p, "shape"), size=size),
     signed=False,
 )
 _register(
     "chisquare",
     {"df": 4.0},
-    lambda p: stats.chi2(df=_positive(p, "df")),
+    _zero_up_to(0.0, lambda x, p: special.chdtr(_positive(p, "df"), x)),
     lambda rng, size, p: rng.chisquare(df=_positive(p, "df"), size=size),
     signed=False,
 )
 _register(
     "weibull",
     {"shape": 1.5},
-    lambda p: stats.weibull_min(c=_positive(p, "shape")),
+    _zero_up_to(0.0, lambda x, p: -special.expm1(-np.power(x, _positive(p, "shape")))),
     lambda rng, size, p: rng.weibull(a=_positive(p, "shape"), size=size),
     signed=False,
 )
 _register(
     "gumbel",
     {"scale": 1.0},
-    lambda p: stats.gumbel_r(scale=_positive(p, "scale")),
+    lambda x, p: np.exp(-np.exp(-(x / _positive(p, "scale")))),
     lambda rng, size, p: rng.gumbel(scale=_positive(p, "scale"), size=size),
     signed=True,
 )
 _register(
     "f",
     {"dfnum": 5.0, "dfden": 10.0},
-    lambda p: stats.f(dfn=_positive(p, "dfnum"), dfd=_positive(p, "dfden")),
+    _zero_up_to(
+        0.0, lambda x, p: special.fdtr(_positive(p, "dfnum"), _positive(p, "dfden"), x)
+    ),
     lambda rng, size, p: rng.f(
         dfnum=_positive(p, "dfnum"), dfden=_positive(p, "dfden"), size=size
     ),
@@ -125,7 +146,7 @@ _register(
 _register(
     "pareto",
     {"shape": 3.0},
-    lambda p: stats.pareto(b=_positive(p, "shape")),
+    _zero_up_to(1.0, lambda x, p: 1.0 - np.power(x, -_positive(p, "shape"))),
     # numpy's pareto is the Lomax form; +1 shifts to classical Pareto (support >= 1)
     lambda rng, size, p: 1.0 + rng.pareto(a=_positive(p, "shape"), size=size),
     signed=False,
@@ -133,14 +154,17 @@ _register(
 _register(
     "beta",
     {"a": 2.0, "b": 2.0},
-    lambda p: stats.beta(a=_positive(p, "a"), b=_positive(p, "b")),
+    _zero_up_to(
+        0.0,
+        lambda x, p: special.betainc(_positive(p, "a"), _positive(p, "b"), np.minimum(x, 1.0)),
+    ),
     lambda rng, size, p: rng.beta(a=_positive(p, "a"), b=_positive(p, "b"), size=size),
     signed=False,
 )
 _register(
     "uniform",
     {},
-    lambda p: stats.uniform(),
+    _zero_up_to(0.0, lambda x, p: np.minimum(x, 1.0)),
     lambda rng, size, p: rng.uniform(0.0, 1.0, size=size),
     signed=False,
 )
@@ -151,7 +175,7 @@ _norm_constant_cache: dict[tuple, float] = {}
 
 
 def normalization_constant(name: str, params: dict | None = None) -> float:
-    """The q with P(|X| <= q) = 0.682, solved by bisection on the CDF."""
+    """The smallest float q with P(|X| <= q) >= 0.682, found by bisection on the CDF."""
     family = _FAMILIES.get(name)
     if family is None:
         raise ValueError(f"unsupported distribution family {name!r}")
@@ -171,9 +195,20 @@ def normalization_constant(name: str, params: dict | None = None) -> float:
         hi *= 2.0
         if hi > 1e12:
             raise ValueError(f"cannot bracket the {name!r} normalization constant")
-    q = optimize.brentq(lambda x: absolute_mass(x) - TARGET_MASS, 0.0, hi, xtol=1e-13)
-    _norm_constant_cache[key] = q
-    return q
+    # absolute_mass(lo) < TARGET_MASS <= absolute_mass(hi) throughout; stop
+    # when lo and hi are adjacent floats, so hi is the smallest float whose
+    # mass reaches the target
+    lo = 0.0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        if absolute_mass(mid) < TARGET_MASS:
+            lo = mid
+        else:
+            hi = mid
+    _norm_constant_cache[key] = hi
+    return hi
 
 
 @dataclass(frozen=True)

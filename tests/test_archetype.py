@@ -189,6 +189,14 @@ class TestAspectRatios:
             assert values.max() / values.min() <= 3.0 + 1e-12
 
 
+    def test_unit_reference_never_rounds_below_one(self):
+        # the clamped pair's product 1 * 1 once rounded to 1 - 2**-53 on
+        # about one seed in eight, and sample_axis_lengths refused it
+        a = make_archetype(n_clusters=2, aspect_ref=1.0, aspect_maxmin=11.277017836090344)
+        for seed in range(200):
+            assert (sample_aspect_ratios(a, np.random.default_rng(seed)) >= 1.0).all()
+
+
 class TestClusterRadii:
     def test_unit_ratio_gives_scale(self):
         a = make_archetype(radius_maxmin=1, scale=1.0)

@@ -339,6 +339,51 @@ class TestHyperparams:
         assert code == 1
 
 
+    @pytest.mark.parametrize(
+        "bounds",
+        ['{"n_clusters": 5}', "[1,2]", '{"n_clusters": ["a","b"]}'],
+        ids=["scalar_value", "not_an_object", "non_numeric_pair"],
+    )
+    def test_malformed_bounds_exit_1(self, tmp_path, capsys, bounds):
+        arch_path = tmp_path / "a.json"
+        arch_path.write_text(SMALL)
+        code = cli.main(["hyperparams", "--archetype", str(arch_path), "--bounds", bounds])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["generate", "--inline", SMALL],
+            ["generate", "--inline", SMALL, "--out-dir", "out", "--n-datasets", "x"],
+            ["generate", "--inline", SMALL, "--out-dir", "out", "--n-datasets", "-1"],
+            ["generate", "--inline", SMALL, "--out-dir", "out", "--jobs", "0"],
+            ["bench", "--inline", SMALL, "--n-datasets", "0"],
+            ["hyperparams", "--archetype", "a.json", "--n-variants", "-1"],
+            [],
+        ],
+        ids=["missing_out_dir", "n_datasets_x", "n_datasets_negative", "jobs_0",
+             "bench_n_datasets_0", "n_variants_negative", "no_command"],
+    )
+    def test_exit_1_without_output(self, tmp_path, monkeypatch, capsys, argv):
+        # exit code 2 is reserved for convergence failure
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(argv)
+        assert excinfo.value.code == 1
+        assert "error: " in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [["--help"], ["--version"], ["generate", "--help"]])
+    def test_help_and_version_exit_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(argv)
+        assert excinfo.value.code == 0
+        assert capsys.readouterr().out
+
+
 class TestExtremeGeometry:
     @pytest.mark.parametrize(
         "overrides",

@@ -24,7 +24,7 @@ CASES = [
         0,
         [],
         "cc9355aacee833a6245a3f4b88dee1c967def4486e47d082130204ab32245e62",
-        "d7c54d4e86d1910fa7ebfc136f2401bcd4b37e253bf7e924af3d1a3884b47f8c",
+        "11b4082882b540472e0b529deb6f30a6d70a6c18acd2d928ec323df15532d469",
     ),
     (
         {
@@ -36,21 +36,21 @@ CASES = [
         7,
         [],
         "f17ba69e18884b029d85935a3d72e47113ccc3e13bd834812404258d63558a0d",
-        "465842b2636825ede50556e3a06b8e1527f20984dc094d45ea0a85b80801c663",
+        "684f6b16fb8162ed80845dae208f4808319fa89135073883bdd23bc0753a765f",
     ),
     (
         {"name": "golden_wide", "n_clusters": 4, "dim": 40, "n_samples": 80, "scale": 2.0},
         3,
         [],
         "d4d8b42d56cf82293a845fc419aaaa2e0a0497cad21c006c660edf56149571c3",
-        "cf20eb58e095ab36b4b682022cf42e8462e6e58b7661e5df7452c9777f13d46e",
+        "36f1f87821d69e69484736717e2e800849aca56b7c832c2956e1963b5603e764",
     ),
     (
         {"name": "golden_bent", "n_clusters": 3, "dim": 3, "n_samples": 120},
         11,
         ["--distort", "--wrap"],
         "501f54f3a3eecdc8cd523b66bab14ac4242e55e799a627a0c538f70006ca9038",
-        "31e416c9403fe01b3395f3f1b48a1143d9bac6a92fa66abc2f3d10f3c4fa0e1c",
+        "0f654e146c840237bb19e3cf57edf8f00ca3513ff412395d9602a42d44e3cb6e",
     ),
 ]
 

@@ -1,0 +1,124 @@
+"""Property tests: every validated archetype places within its overlap band
+or fails with NonConvergenceError, and `generate` exits 0 or 2.
+
+The examples are derandomized, so every run tests the same archetypes;
+`max_examples` keeps the whole file to a few seconds.
+"""
+
+import json
+import math
+import tempfile
+from pathlib import Path
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from clustergen import cli
+from clustergen.archetype import Archetype
+from clustergen.distributions import SUPPORTED_FAMILIES
+from clustergen.errors import NonConvergenceError
+from clustergen.mixture import sample_mixture_model
+from clustergen.overlap import pairwise_overlaps
+
+PROPERTY = settings(deadline=None, derandomize=True, database=None)
+
+# realized overlaps may miss the band by what placement's 1e-12 loss slack allows
+BAND_RTOL = 1e-6
+
+# k=3 at max_overlap 1e-7 with elongated clusters: placement gives up on every seed tried
+NON_CONVERGING = Archetype(
+    name="nc", n_clusters=3, dim=2, max_overlap=1e-7, min_overlap=9.9e-8,
+    aspect_ref=8.0, aspect_maxmin=5.0,
+)
+WIDEST = Archetype(name="wide", n_clusters=2, dim=1100, n_samples=2)
+# a spherical reference with spread once drew an aspect ratio of 1 - 2**-53
+ROUNDED_ASPECT = Archetype(
+    name="round", n_clusters=2, n_samples=2, aspect_ref=1.0, aspect_maxmin=11.277017836090344,
+    max_overlap=0.1, min_overlap=0.05,
+)
+
+
+def log_uniform(lo, hi):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0**e)
+
+
+@st.composite
+def archetypes(draw, max_clusters, dims):
+    k = draw(st.integers(1, max_clusters))
+    max_overlap = draw(log_uniform(1e-7, 0.5))
+    families = draw(st.lists(st.sampled_from(SUPPORTED_FAMILIES), min_size=1, max_size=3, unique=True))
+    weights = draw(st.none() | st.lists(st.floats(0.1, 1.0), min_size=len(families), max_size=len(families)))
+    return Archetype(
+        name="prop",
+        n_clusters=k,
+        dim=draw(dims),
+        n_samples=draw(st.just(k) | st.integers(k, 30 * k)),
+        aspect_ref=draw(st.floats(1.0, 20.0)),
+        aspect_maxmin=draw(st.floats(1.0, 20.0)),
+        radius_maxmin=draw(st.floats(1.0, 20.0)),
+        scale=draw(log_uniform(1e-3, 1e3)),
+        max_overlap=max_overlap,
+        min_overlap=max_overlap * draw(st.floats(1e-3, 0.99)),
+        imbalance_ratio=draw(st.floats(1.0, 30.0)),
+        distributions=tuple(families),
+        distribution_proportions=None if weights is None else tuple(
+            w / sum(weights) for w in weights
+        ),
+    ).validated()
+
+
+LOW_DIM = archetypes(max_clusters=8, dims=st.integers(2, 30))
+HIGH_DIM = archetypes(max_clusters=2, dims=st.integers(100, 1100))
+
+
+def assert_in_band_or_nonconvergent(a, seed):
+    try:
+        model = sample_mixture_model(a, np.random.default_rng(seed))
+    except NonConvergenceError:
+        return
+    if a.n_clusters < 2:
+        return
+    alphas = np.full((a.n_clusters, a.n_clusters), np.nan)
+    for r in pairwise_overlaps(model):
+        alphas[r.i, r.j] = alphas[r.j, r.i] = r.alpha_lda
+    assert np.nanmax(alphas) <= a.max_overlap * (1 + BAND_RTOL)
+    # no isolated cluster: each one's nearest neighbour overlaps it enough
+    assert np.nanmax(alphas, axis=1).min() >= a.min_overlap * (1 - BAND_RTOL)
+
+
+@settings(PROPERTY, max_examples=80)
+@given(LOW_DIM, st.integers(0, 2**32 - 1))
+@example(NON_CONVERGING, 0)
+@example(ROUNDED_ASPECT, 8)
+def test_low_dim_model_in_band_or_nonconvergence(a, seed):
+    assert_in_band_or_nonconvergent(a, seed)
+
+
+@settings(PROPERTY, max_examples=3)
+@given(HIGH_DIM, st.integers(0, 2**32 - 1))
+@example(WIDEST, 0)
+def test_high_dim_model_in_band_or_nonconvergence(a, seed):
+    assert_in_band_or_nonconvergent(a, seed)
+
+
+@settings(PROPERTY, max_examples=20)
+@given(
+    LOW_DIM | HIGH_DIM,
+    st.integers(0, 2**31 - 1),
+    st.integers(1, 2),
+    st.sampled_from([1, 2]),
+)
+@example(NON_CONVERGING, 0, 1, 2)
+@example(WIDEST, 0, 1, 1)
+def test_generate_exits_0_or_2(a, seed, n_datasets, jobs):
+    with tempfile.TemporaryDirectory() as out:
+        code = cli.main(
+            ["generate", "--inline", a.to_json(), "--seed", str(seed),
+             "--n-datasets", str(n_datasets), "--jobs", str(jobs), "--out-dir", out]
+        )
+        statuses = [e["status"] for e in json.loads((Path(out) / "manifest.json").read_text())["entries"]]
+    assert code in (cli.EXIT_OK, cli.EXIT_CONVERGENCE)
+    assert len(statuses) == n_datasets
+    assert set(statuses) <= {"ok", "convergence-failure"}
+    assert (code == cli.EXIT_CONVERGENCE) == ("convergence-failure" in statuses)

@@ -1,13 +1,22 @@
 import csv
 import math
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import optimize
 from scipy import stats as sps
 
+import clustergen
 from clustergen.archetype import Archetype
 from clustergen.distributions import (
+    _FAMILIES,
     SUPPORTED_FAMILIES,
+    TARGET_MASS,
     RadialDistribution,
     normalization_constant,
 )
@@ -86,6 +95,116 @@ class TestNormalizationConstant:
             normalization_constant("cauchy")
         with pytest.raises(ValueError, match="unknown parameter"):
             normalization_constant("gamma", {"rate": 2.0})
+
+
+# scipy.stats as a test-only oracle for the closed-form CDFs
+SCIPY_FROZEN = {
+    "normal": lambda p: sps.norm(),
+    "lognormal": lambda p: sps.lognorm(s=p["sigma"]),
+    "exponential": lambda p: sps.expon(scale=1.0 / p["rate"]),
+    "standard_t": lambda p: sps.t(df=p["df"]),
+    "gamma": lambda p: sps.gamma(a=p["shape"]),
+    "chisquare": lambda p: sps.chi2(df=p["df"]),
+    "weibull": lambda p: sps.weibull_min(c=p["shape"]),
+    "gumbel": lambda p: sps.gumbel_r(scale=p["scale"]),
+    "f": lambda p: sps.f(dfn=p["dfnum"], dfd=p["dfden"]),
+    "pareto": lambda p: sps.pareto(b=p["shape"]),
+    "beta": lambda p: sps.beta(a=p["a"], b=p["b"]),
+    "uniform": lambda p: sps.uniform(),
+}
+
+# defaults ({}) plus two non-default sets for every family that has parameters
+PARAM_SETS = {
+    "normal": [{}],
+    "lognormal": [{}, {"sigma": 0.2}, {"sigma": 2.5}],
+    "exponential": [{}, {"rate": 0.3}, {"rate": 7.0}],
+    "standard_t": [{}, {"df": 1.0}, {"df": 30.0}],
+    "gamma": [{}, {"shape": 0.5}, {"shape": 9.0}],
+    "chisquare": [{}, {"df": 1.0}, {"df": 12.0}],
+    "weibull": [{}, {"shape": 0.7}, {"shape": 4.0}],
+    "gumbel": [{}, {"scale": 0.25}, {"scale": 3.0}],
+    "f": [{}, {"dfnum": 2.0, "dfden": 3.0}, {"dfnum": 20.0, "dfden": 50.0}],
+    "pareto": [{}, {"shape": 1.5}, {"shape": 8.0}],
+    "beta": [{}, {"a": 0.5, "b": 0.5}, {"a": 5.0, "b": 1.5}],
+    "uniform": [{}],
+}
+CASES = [(name, params) for name in SUPPORTED_FAMILIES for params in PARAM_SETS[name]]
+CASE_IDS = [f"{name}-{params}" for name, params in CASES]
+
+# negatives, both signs of zero, the support edges 0 and 1, their neighbours
+# and points beyond them
+CDF_GRID = np.array([
+    -30.0, -5.0, -1.0, -0.5, -5e-324, -0.0, 0.0, 5e-324, 1e-10, 0.25, 0.5,
+    np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0), 1.5, 2.0, 3.7, 10.0, 50.0, 1e3,
+])
+
+
+def absolute_mass(name, params, q):
+    family = _FAMILIES[name]
+    params = family.resolve(params)
+    if family.signed:
+        return family.cdf(q, params) - family.cdf(-q, params)
+    return family.cdf(q, params)
+
+
+class TestClosedFormCdf:
+    @pytest.mark.parametrize("name,params", CASES, ids=CASE_IDS)
+    def test_matches_scipy_stats(self, name, params):
+        resolved = _FAMILIES[name].resolve(params)
+        expected = SCIPY_FROZEN[name](resolved).cdf(CDF_GRID)
+        np.testing.assert_array_max_ulp(_FAMILIES[name].cdf(CDF_GRID, resolved), expected, 2)
+        scalars = [_FAMILIES[name].cdf(x, resolved) for x in CDF_GRID]
+        np.testing.assert_array_max_ulp(np.array(scalars), expected, 2)
+
+    @pytest.mark.parametrize("name,params", CASES, ids=CASE_IDS)
+    def test_constant_matches_brentq_on_scipy_mass(self, name, params):
+        frozen = SCIPY_FROZEN[name](_FAMILIES[name].resolve(params))
+
+        def old_mass(q):
+            return frozen.cdf(q) - frozen.cdf(-q)
+
+        hi = 1.0
+        while old_mass(hi) < TARGET_MASS:
+            hi *= 2.0
+        expected = optimize.brentq(lambda x: old_mass(x) - TARGET_MASS, 0.0, hi, xtol=1e-13)
+        assert normalization_constant(name, params) == pytest.approx(expected, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("name,params", CASES, ids=CASE_IDS)
+    def test_constant_is_smallest_float_reaching_target(self, name, params):
+        q = normalization_constant(name, params)
+        assert absolute_mass(name, params, q) >= TARGET_MASS
+        assert absolute_mass(name, params, np.nextafter(q, 0.0)) < TARGET_MASS
+
+    @pytest.mark.parametrize("name,params", CASES, ids=CASE_IDS)
+    def test_no_warning_at_left_edge(self, name, params):
+        resolved = _FAMILIES[name].resolve(params)
+        edge = 1.0 if name == "pareto" else 0.0
+        points = [edge, np.nextafter(edge, -1.0), -0.0, -1.0, -30.0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = _FAMILIES[name].cdf(np.array(points), resolved)
+            for x in points:
+                _FAMILIES[name].cdf(x, resolved)
+        if not _FAMILIES[name].signed:
+            np.testing.assert_array_equal(values, 0.0)
+
+
+def test_package_imports_no_scipy_stats_or_optimize():
+    # a fresh interpreter: this test session has imported scipy.stats itself
+    code = (
+        "import sys, clustergen, clustergen.cli; "
+        "print(sorted(m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules))"
+    )
+    src = str(Path(clustergen.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert result.stdout.strip() == "[]"
 
 
 class TestQuantileInvariant:
