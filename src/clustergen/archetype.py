@@ -38,7 +38,6 @@ _JSON_KEYS = (
     "distribution_proportions",
     "name",
     "scale",
-    "seed",
 )
 
 
@@ -64,7 +63,6 @@ class Archetype:
     imbalance_ratio: float = 1.0
     distributions: tuple[str, ...] = ("normal",)
     distribution_proportions: tuple[float, ...] | None = None
-    rng_seed: int | None = None
 
     def __post_init__(self):
         if self.n_samples is None and isinstance(self.n_clusters, int):
@@ -86,9 +84,8 @@ class Archetype:
     def to_dict(self) -> dict:
         out: dict = {}
         for key in _JSON_KEYS:
-            attr = "rng_seed" if key == "seed" else key
-            value = getattr(self, attr)
-            if value is None and key in ("distribution_proportions", "seed"):
+            value = getattr(self, key)
+            if value is None and key == "distribution_proportions":
                 continue
             if isinstance(value, tuple):
                 value = list(value)
@@ -105,8 +102,7 @@ class Archetype:
             raise ArchetypeValidationError(
                 [f"unknown key(s): {', '.join(sorted(unknown))}"]
             )
-        kwargs = {("rng_seed" if k == "seed" else k): v for k, v in data.items()}
-        return cls(**kwargs).validated()
+        return cls(**data).validated()
 
     @classmethod
     def from_json(cls, text: str) -> "Archetype":
@@ -361,6 +357,7 @@ def assign_distributions(a: Archetype, rng: np.random.Generator) -> list[str]:
 
 _POISSON_HYPERPARAMS = ("n_clusters", "dim", "n_samples")
 _STRUCTURAL_FLOORS = {"n_clusters": 1, "dim": 2, "n_samples": 1}
+_MAX_ATTEMPTS = 10_000  # Poisson draws per hyperparameter before giving up
 
 
 def sample_hyperparams(
@@ -368,7 +365,6 @@ def sample_hyperparams(
     n_variants: int,
     bounds: dict[str, tuple[int, int]] | None,
     rng: np.random.Generator,
-    max_attempts: int = 10_000,
 ) -> list[Archetype]:
     """Poisson-resample n_clusters/dim/n_samples around the originals.
 
@@ -400,12 +396,12 @@ def sample_hyperparams(
         lo, hi = bounds.get(key, (None, None))
         lo = max(lo if lo is not None else _STRUCTURAL_FLOORS[key], _STRUCTURAL_FLOORS[key])
         hi = hi if hi is not None else np.inf
-        for _ in range(max_attempts):
+        for _ in range(_MAX_ATTEMPTS):
             value = int(rng.poisson(center))
             if lo <= value <= hi:
                 return value
         raise ValueError(
-            f"rejection sampling for {key} failed after {max_attempts} attempts"
+            f"rejection sampling for {key} failed after {_MAX_ATTEMPTS} attempts"
         )
 
     variants = []
@@ -433,9 +429,3 @@ def load_archetypes_jsonl(path) -> list[Archetype]:
                     [f"{path}:{lineno}: {v}" for v in exc.violations]
                 ) from exc
     return out
-
-
-def save_archetypes_jsonl(archetypes, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for a in archetypes:
-            fh.write(a.to_json() + "\n")

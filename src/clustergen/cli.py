@@ -14,7 +14,6 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,24 +37,6 @@ def derive_seed(master_seed: int, archetype_name: str, index: int) -> int:
     """Stable per-dataset seed: sha256 of 'master|name|index', first 8 bytes."""
     digest = hashlib.sha256(f"{master_seed}|{archetype_name}|{index}".encode()).digest()
     return int.from_bytes(digest[:8], "big")
-
-
-@dataclass
-class RunManifest:
-    """Trace from every emitted dataset back to (archetype, seed)."""
-
-    tool_version: str
-    created_at: str
-    master_seed: int
-    entries: list[dict] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "tool_version": self.tool_version,
-            "created_at": self.created_at,
-            "master_seed": self.master_seed,
-            "entries": self.entries,
-        }
 
 
 def _write_atomic(path: str, text: str) -> None:
@@ -116,11 +97,12 @@ def _load_archetype_args(args) -> list[Archetype]:
 def cmd_generate(args) -> int:
     archetypes = _load_archetype_args(args)
     os.makedirs(args.out_dir, exist_ok=True)
-    manifest = RunManifest(
-        tool_version=__version__,
-        created_at=datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        master_seed=args.seed,
-    )
+    manifest = {  # traces every emitted dataset back to (archetype, seed)
+        "tool_version": __version__,
+        "created_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+        "master_seed": args.seed,
+        "entries": [],
+    }
     jobs = []
     for a in archetypes:
         for index in range(args.n_datasets):
@@ -161,13 +143,13 @@ def cmd_generate(args) -> int:
                 entry["error"] = str(exc)
                 worst = max(worst, code)
                 print(f"error: {a.name}[{index}]: {exc}", file=sys.stderr)
-            manifest.entries.append(entry)
+            manifest["entries"].append(entry)
 
     _write_atomic(
         os.path.join(args.out_dir, "manifest.json"),
-        json.dumps(manifest.to_dict(), indent=2) + "\n",
+        json.dumps(manifest, indent=2) + "\n",
     )
-    written = sum(1 for e in manifest.entries if e["status"] == "ok")
+    written = sum(1 for e in manifest["entries"] if e["status"] == "ok")
     print(f"wrote {written}/{len(jobs)} datasets to {args.out_dir}")
     return worst
 

@@ -188,7 +188,7 @@ def parse_archetype_json(raw: str, defaults: dict | None = None) -> tuple[Archet
     data = _first_json_object(raw)
     merged = dict(defaults or {})
     merged.update(data)
-    optional = {"seed", "distribution_proportions"}
+    optional = {"distribution_proportions"}
     applied = sorted((set(_JSON_KEYS) | set(defaults or {})) - set(data) - optional)
     try:
         result = Archetype.from_dict(merged)

@@ -6,11 +6,14 @@ separation quantile is
 
     q(a) = a'(mu2 - mu1) / (sqrt(a'S1 a) + sqrt(a'S2 a))
 
-and the induced overlap is 2*(1 - Phi(q)).  Three estimators are provided:
-the LDA approximation (axis solving the averaged-covariance system), the
-cheaper center-to-center approximation, and an exact oracle for Gaussian
-pairs that maximizes q over the one-parameter axis family
-a(t) = (t*S1 + (1-t)*S2)^{-1} (mu2 - mu1), t in (0, 1).
+and the induced overlap is 2*(1 - Phi(q)).  Three estimators are provided,
+each one batched pair kernel evaluated along its own axis: the LDA
+approximation (axis ((S1+S2)/2)^{-1} (mu2 - mu1)), the cheaper
+center-to-center approximation (axis mu2 - mu1), and an exact oracle for
+Gaussian pairs that maximizes q over the one-parameter axis family
+a(t) = (t*S1 + (1-t)*S2)^{-1} (mu2 - mu1), t in (0, 1).  All three run
+over every pair at once, the single-pair functions being the k = 2 case,
+and all refuse the same inputs (`_checked`, `_finite`).
 """
 
 from __future__ import annotations
@@ -23,39 +26,8 @@ from .stats import normal_sf
 
 _MAX_CONDITION = 1e12
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
-
-
-def _as_vector(x) -> np.ndarray:
-    return np.asarray(x, dtype=float).reshape(-1)
-
-
-def separation_quantile(mu1, mu2, S1, S2, axis) -> float:
-    """Signed separation along `axis`; invariant to positive rescaling."""
-    mu1, mu2, axis = _as_vector(mu1), _as_vector(mu2), _as_vector(axis)
-    if not np.any(axis):
-        raise ValueError("classification axis must be nonzero")
-    s1 = float(axis @ np.asarray(S1) @ axis)
-    s2 = float(axis @ np.asarray(S2) @ axis)
-    if s1 <= 0 or s2 <= 0 or not np.isfinite(s1 + s2):
-        raise ValueError("covariance matrices must be symmetric positive definite")
-    return float(axis @ (mu2 - mu1)) / (np.sqrt(s1) + np.sqrt(s2))
-
-
-def _require_separable(delta, avg) -> None:
-    """Raise ValueError if any pair has coincident centers or a singular average."""
-    if not np.all(np.any(delta, axis=-1)):
-        raise ValueError("cluster centers coincide; no separating axis exists")
-    if np.any(np.linalg.cond(avg) > _MAX_CONDITION):
-        raise ValueError("averaged covariance is numerically singular")
-
-
-def lda_axis(mu1, mu2, S1, S2) -> np.ndarray:
-    """Solve ((S1+S2)/2) a = mu2 - mu1 without forming an inverse."""
-    mu1, mu2 = _as_vector(mu1), _as_vector(mu2)
-    delta = mu2 - mu1
-    avg = 0.5 * (np.asarray(S1, dtype=float) + np.asarray(S2, dtype=float))
-    _require_separable(delta, avg)
-    return np.linalg.solve(avg, delta)
+_EXACT_GRID = 1.0 / (1.0 + np.exp(-np.linspace(-12.0, 12.0, 64)))  # log-symmetric in t-odds
+_EXACT_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -100,10 +72,31 @@ def _rowdot(x, y):
 
 
 def _oriented_separations(delta, axes, var_i, var_j):
-    """(q, oriented scaled axes) from LDA axes and both clusters' variances along them."""
+    """(q, oriented scaled axes) from axes and both clusters' variances along them."""
     denom = np.sqrt(var_i) + np.sqrt(var_j)
     margin = _rowdot(axes, delta)
     return np.abs(margin) / denom, axes * np.copysign(1.0 / denom, margin)[:, None]
+
+
+def _row_separations(delta, S, others_S, axes):
+    """(q, axes) as in `lda_separations`, along any axes[m]; delta[m] = others_mu[m] - mu."""
+    var_i = _rowdot(axes @ S, axes)
+    var_j = _rowdot((others_S @ axes[:, :, None])[:, :, 0], axes)
+    return _oriented_separations(delta, axes, var_i, var_j)
+
+
+def _table_separations(delta, covs, iu, ju, axes):
+    """Separations of every pair (iu[p], ju[p]) along axes[p]; delta[p] = mu_j - mu_i.
+
+    The variances a'S_i a and a'S_j a come from two batched products of
+    each covariance with a k x k x d table of axes, so no covariance is
+    copied per pair.
+    """
+    table = np.zeros((len(covs), len(covs), delta.shape[1]))
+    table[iu, ju] = axes  # table[i, j] @ covs[i] is a_ij' S_i
+    var_i = _rowdot((table @ covs)[iu, ju], axes)
+    var_j = _rowdot((table.transpose(1, 0, 2) @ covs)[ju, iu], axes)
+    return _oriented_separations(delta, axes, var_i, var_j)
 
 
 def lda_separations(mu, S, others_mu, others_S, inv_avg):
@@ -115,106 +108,123 @@ def lda_separations(mu, S, others_mu, others_S, inv_avg):
     is that axis oriented from mu toward others_mu[m] and pre-divided by
     the quantile denominator, so q[m] = axes[m] @ (others_mu[m] - mu),
     grad_{others_mu[m]} q[m] = axes[m] and grad_{mu} q[m] = -axes[m] with
-    the axis held fixed.  Inputs are not checked; the reporting paths
-    check theirs in `_checked_pair_separations`.
+    the axis held fixed.  Inputs are not checked; the estimators below
+    check theirs in `_checked`.
     """
     delta = others_mu - mu
     axes = (inv_avg @ delta[:, :, None])[:, :, 0]
-    var_i = _rowdot(axes @ S, axes)
-    var_j = _rowdot((others_S @ axes[:, :, None])[:, :, 0], axes)
-    return _oriented_separations(delta, axes, var_i, var_j)
+    return _row_separations(delta, S, others_S, axes)
 
 
 def pairwise_separations(centers, covs, inverses: PairInverses):
-    """`lda_separations` of every pair i < j at once, packed like `inverses.inv`.
-
-    The variances a'S_i a and a'S_j a come from two batched products of
-    each covariance with a k x k x d table of axes, so no covariance is
-    copied per pair.
-    """
+    """`lda_separations` of every pair i < j at once, packed like `inverses.inv`."""
     iu, ju = inverses.iu, inverses.ju
     delta = centers[ju] - centers[iu]
     axes = (inverses.inv @ delta[:, :, None])[:, :, 0]
-    table = np.zeros((centers.shape[0], *centers.shape))
-    table[iu, ju] = axes  # table[i, j] @ covs[i] is a_ij' S_i
-    var_i = _rowdot((table @ covs)[iu, ju], axes)
-    var_j = _rowdot((table.transpose(1, 0, 2) @ covs)[ju, iu], axes)
-    return _oriented_separations(delta, axes, var_i, var_j)
+    return _table_separations(delta, covs, iu, ju, axes)
 
 
-def _checked_pair_separations(centers, covs):
-    """`pairwise_separations` raising `lda_axis`'s errors on inseparable pairs."""
-    centers = np.stack([_as_vector(c) for c in centers])
+def _checked(centers, covs):
+    """centers and covs as k x d and k x d x d float arrays, refusing inseparable pairs.
+
+    Raises ValueError when two centers coincide or when some pair's
+    averaged covariance has a condition number above 1e12 (or NaN).
+    """
+    centers = np.asarray(centers, dtype=float).reshape(len(centers), -1)
     covs = np.asarray(covs, dtype=float).reshape(-1, centers.shape[1], centers.shape[1])
     for i in range(centers.shape[0] - 1):
-        _require_separable(centers[i + 1 :] - centers[i], 0.5 * (covs[i] + covs[i + 1 :]))
-    with np.errstate(invalid="ignore", divide="ignore"):
-        q, axes = pairwise_separations(centers, covs, pair_inverses(covs))
+        if not np.all(np.any(centers[i + 1 :] - centers[i], axis=1)):
+            raise ValueError("cluster centers coincide; no separating axis exists")
+        eig = np.linalg.eigvalsh(0.5 * (covs[i] + covs[i + 1 :]))  # ascending
+        if not np.all(eig[:, 0] * _MAX_CONDITION >= eig[:, -1]):
+            raise ValueError("averaged covariance is numerically singular")
+    return centers, covs
+
+
+def _finite(q):
+    """q, unless some variance along an axis was not positive."""
     if not np.all(np.isfinite(q)):
         raise ValueError("covariance matrices must be symmetric positive definite")
-    return q, axes
+    return q
+
+
+@np.errstate(invalid="ignore", divide="ignore")
+def _lda(centers, covs):
+    """(q, oriented scaled axes) along the LDA axis of every checked pair i < j."""
+    q, axes = pairwise_separations(centers, covs, pair_inverses(covs))
+    return _finite(q), axes
+
+
+@np.errstate(invalid="ignore", divide="ignore")
+def _c2c(centers, covs):
+    """q along the center-difference axis of every checked pair i < j."""
+    iu, ju = np.triu_indices(centers.shape[0], 1)
+    delta = centers[ju] - centers[iu]
+    return _finite(_table_separations(delta, covs, iu, ju, delta)[0])
+
+
+@np.errstate(invalid="ignore", divide="ignore")
+def _exact(centers, covs, q_lda):
+    """Largest q over the axis family a(t) of every checked pair i < j.
+
+    Row i's pairs (i, j > i) are searched in lockstep: the 64-point grid
+    brackets each pair's maximum, and golden-section search narrows every
+    bracket to _EXACT_TOL, solving again only for the pairs whose bracket
+    is still wider.  No temporary is larger than k-1 matrices.  The LDA
+    axis is the t = 1/2 member, so no q falls below q_lda.
+    """
+    q = [q_lda[:0]]  # an empty row keeps k = 1 concatenable
+    for i in range(centers.shape[0] - 1):
+        S, others_S = covs[i], covs[i + 1 :]
+        delta = centers[i + 1 :] - centers[i]
+
+        def q_at(t, rows=slice(None)):
+            sub = others_S[rows]
+            mix = (1.0 - t)[:, None, None] * sub
+            mix += t[:, None, None] * S  # t*S + (1-t)*S_j, one temporary fewer
+            axes = np.linalg.solve(mix, delta[rows, :, None])[:, :, 0]
+            return _row_separations(delta[rows], S, sub, axes)[0]
+
+        values = _finite(np.stack([q_at(np.full(len(delta), t)) for t in _EXACT_GRID]))
+        best = values.argmax(axis=0)
+        a = _EXACT_GRID[np.maximum(best - 1, 0)]
+        b = _EXACT_GRID[np.minimum(best + 1, _EXACT_GRID.size - 1)]
+        x1, x2 = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
+        f1, f2 = q_at(x1), q_at(x2)
+        while (rows := np.flatnonzero(b - a > _EXACT_TOL)).size:
+            up = f1[rows] < f2[rows]  # the maximum lies above x1
+            lo, hi = rows[up], rows[~up]
+            a[lo], x1[lo], f1[lo] = x1[lo], x2[lo], f2[lo]
+            b[hi], x2[hi], f2[hi] = x2[hi], x1[hi], f1[hi]
+            x2[lo] = a[lo] + _GOLDEN * (b[lo] - a[lo])
+            x1[hi] = b[hi] - _GOLDEN * (b[hi] - a[hi])
+            f = q_at(np.where(up, x2[rows], x1[rows]), rows)
+            f2[lo], f1[hi] = f[up], f[~up]
+        q.append(np.maximum.reduce([f1, f2, values[best, np.arange(len(delta))]]))
+    return _finite(np.maximum(np.concatenate(q), q_lda))
 
 
 def lda_overlap(mu1, mu2, S1, S2) -> float:
     """Overlap along the LDA axis: 2*(1 - Phi(q))."""
-    q, _ = _checked_pair_separations([mu1, mu2], [S1, S2])
-    return float(2.0 * normal_sf(q[0]))
+    return float(2.0 * normal_sf(_lda(*_checked([mu1, mu2], [S1, S2]))[0][0]))
 
 
 def c2c_overlap(mu1, mu2, S1, S2) -> float:
     """Overlap along the center-difference axis."""
-    mu1, mu2 = _as_vector(mu1), _as_vector(mu2)
-    delta = mu2 - mu1
-    if not np.any(delta):
-        raise ValueError("cluster centers coincide; no separating axis exists")
-    q = separation_quantile(mu1, mu2, S1, S2, delta)
-    return float(2.0 * normal_sf(q))
+    return float(2.0 * normal_sf(_c2c(*_checked([mu1, mu2], [S1, S2]))[0]))
 
 
-def exact_overlap_oracle(mu1, mu2, S1, S2, tol: float = 1e-6) -> float:
+def exact_overlap_oracle(mu1, mu2, S1, S2) -> float:
     """Exact overlap for a Gaussian pair.
 
     The minimax axis lies in the family a(t) = (t*S1 + (1-t)*S2)^{-1} delta
     for some t in (0,1), where it maximizes the separation quantile.  A
     64-point grid (log-symmetric in t-odds) brackets the maximum and
-    golden-section search refines t to within `tol`.  The LDA axis is the
+    golden-section search refines t to within 1e-6.  The LDA axis is the
     t = 1/2 member, so the result never falls below the LDA quantile.
     """
-    mu1, mu2 = _as_vector(mu1), _as_vector(mu2)
-    delta = mu2 - mu1
-    if not np.any(delta):
-        raise ValueError("cluster centers coincide; no separating axis exists")
-    S1 = np.asarray(S1, dtype=float)
-    S2 = np.asarray(S2, dtype=float)
-
-    def q_of(t: float) -> float:
-        axis = np.linalg.solve(t * S1 + (1.0 - t) * S2, delta)
-        return separation_quantile(mu1, mu2, S1, S2, axis)
-
-    grid = 1.0 / (1.0 + np.exp(-np.linspace(-12.0, 12.0, 64)))
-    values = np.array([q_of(t) for t in grid])
-    if not np.all(np.isfinite(values)):
-        raise ValueError("separation objective is not finite; cannot locate maximum")
-    best = int(np.argmax(values))
-    lo = grid[max(best - 1, 0)]
-    hi = grid[min(best + 1, len(grid) - 1)]
-
-    # golden-section maximization of q_of on [lo, hi]
-    a, b = lo, hi
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
-    f1, f2 = q_of(x1), q_of(x2)
-    while b - a > tol:
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            f2 = q_of(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            f1 = q_of(x1)
-    q_star = max(f1, f2, values[best], q_of(0.5))
-    return float(2.0 * normal_sf(q_star))
+    centers, covs = _checked([mu1, mu2], [S1, S2])
+    return float(2.0 * normal_sf(_exact(centers, covs, _lda(centers, covs)[0])[0]))
 
 
 @dataclass(frozen=True)
@@ -233,9 +243,7 @@ def monte_carlo_overlap(c1, c2, n: int, rng: np.random.Generator) -> MonteCarloO
     from .mixture import covariance_of
     from .sampling import sample_cluster_points
 
-    _, axes = _checked_pair_separations(
-        [c1.center, c2.center], [covariance_of(c1), covariance_of(c2)]
-    )
+    _, axes = _lda(*_checked([c1.center, c2.center], [covariance_of(c1), covariance_of(c2)]))
     axis = axes[0]
     s1 = sample_cluster_points(c1, n, rng) @ axis
     s2 = sample_cluster_points(c2, n, rng) @ axis
@@ -264,23 +272,15 @@ class OverlapReport:
 
 
 def pairwise_overlaps(model, include_exact: bool = False) -> list[OverlapReport]:
-    """All pairwise overlap reports for a mixture model."""
-    centers = model.centers
-    covs = model.covariances()
-    k = len(model.clusters)
-    q, _ = _checked_pair_separations(centers, covs)
-    iu, ju = np.triu_indices(k, 1)
-    reports = []
-    for i, j, q_ij in zip(iu.tolist(), ju.tolist(), q.tolist()):
-        alpha = float(2.0 * normal_sf(q_ij))
-        a_c2c = c2c_overlap(centers[i], centers[j], covs[i], covs[j])
-        a_exact = (
-            exact_overlap_oracle(centers[i], centers[j], covs[i], covs[j])
-            if include_exact
-            else None
-        )
-        reports.append(OverlapReport(i, j, q_ij, alpha, a_c2c, a_exact))
-    return reports
+    """All pairwise overlap reports for a mixture model, from one pass of each estimator."""
+    centers, covs = _checked(model.centers, model.covariances())
+    iu, ju = np.triu_indices(centers.shape[0], 1)
+    q_lda, _ = _lda(centers, covs)
+    exact = [None] * iu.size
+    if include_exact:
+        exact = (2.0 * normal_sf(_exact(centers, covs, q_lda))).tolist()
+    columns = (iu, ju, q_lda, 2.0 * normal_sf(q_lda), 2.0 * normal_sf(_c2c(centers, covs)))
+    return [OverlapReport(*row) for row in zip(*(c.tolist() for c in columns), exact)]
 
 
 def overlap_report_rows(reports) -> list[str]:

@@ -169,13 +169,6 @@ def overlap_loss(
     return _mean_loss(model.centers, covs, pair_inverses(covs), bounds, penalty_mix)
 
 
-def loss_trace_csv(trace) -> str:
-    """Render a per-epoch loss trace as CSV for convergence plots."""
-    rows = ["epoch,loss"]
-    rows.extend(f"{epoch},{loss:.17g}" for epoch, loss in enumerate(trace))
-    return "\n".join(rows) + "\n"
-
-
 def default_learning_rate(lengths: np.ndarray) -> float:
     """0.1 * the mean cluster radius, from a k x dim array of axis lengths."""
     radii = np.exp(np.mean(np.log(lengths), axis=1))  # per-cluster geometric mean

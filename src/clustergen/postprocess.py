@@ -14,6 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 _LAYER_NORM_EPS = 1e-5
+_WIDTH = 128
+_BLOCKS = 16
 
 
 @dataclass(frozen=True)
@@ -26,7 +28,7 @@ class _Block:
 class DistortNetwork:
     """Randomly initialized tied-weight feed-forward network.
 
-    Linear embedding (dim -> width), 16 blocks of linear + layer norm +
+    Linear embedding (dim -> width 128), 16 blocks of linear + layer norm +
     tanh at constant width, and a linear projection back to dim whose
     weight is the transpose of the embedding weight (shared storage).
     """
@@ -35,7 +37,6 @@ class DistortNetwork:
     embedding_bias: np.ndarray
     blocks: tuple[_Block, ...]
     projection_bias: np.ndarray
-    init_seed: int
 
     @property
     def hidden_width(self) -> int:
@@ -46,25 +47,20 @@ class DistortNetwork:
         return self.embedding_weight.T
 
     @classmethod
-    def create(
-        cls, dim: int, seed: int, hidden_width: int = 128, n_blocks: int = 16
-    ) -> "DistortNetwork":
+    def create(cls, dim: int, seed: int) -> "DistortNetwork":
         rng = np.random.default_rng(seed)
 
         def linear(fan_in, shape):
             return rng.normal(0.0, 1.0 / np.sqrt(fan_in), size=shape)
 
-        embedding_weight = linear(dim, (dim, hidden_width))
-        embedding_bias = linear(dim, hidden_width)
+        embedding_weight = linear(dim, (dim, _WIDTH))
+        embedding_bias = linear(dim, _WIDTH)
         blocks = tuple(
-            _Block(
-                weight=linear(hidden_width, (hidden_width, hidden_width)),
-                bias=linear(hidden_width, hidden_width),
-            )
-            for _ in range(n_blocks)
+            _Block(weight=linear(_WIDTH, (_WIDTH, _WIDTH)), bias=linear(_WIDTH, _WIDTH))
+            for _ in range(_BLOCKS)
         )
-        projection_bias = linear(hidden_width, dim)
-        return cls(embedding_weight, embedding_bias, blocks, projection_bias, seed)
+        projection_bias = linear(_WIDTH, dim)
+        return cls(embedding_weight, embedding_bias, blocks, projection_bias)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Run the network on an n x dim matrix.
@@ -95,7 +91,7 @@ class DistortNetwork:
         return h @ self.projection_weight + self.projection_bias
 
 
-def distort(X: np.ndarray, seed: int = 0, hidden_width: int = 128) -> np.ndarray:
+def distort(X: np.ndarray, seed: int = 0) -> np.ndarray:
     """Pass a dataset through a randomly initialized network.
 
     Columns are standardized before the embedding and the standardization
@@ -110,7 +106,7 @@ def distort(X: np.ndarray, seed: int = 0, hidden_width: int = 128) -> np.ndarray
     mean = X.mean(axis=0)
     std = X.std(axis=0)
     std[std == 0] = 1.0
-    net = DistortNetwork.create(X.shape[1], seed, hidden_width)
+    net = DistortNetwork.create(X.shape[1], seed)
     out = net.forward((X - mean) / std)
     return out * std + mean
 

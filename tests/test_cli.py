@@ -80,6 +80,13 @@ class TestGenerate:
         assert code == 1
         assert ":2:" in capsys.readouterr().err
 
+    def test_seed_key_is_unknown(self, tmp_path, capsys):
+        # the master seed is --seed; an archetype file carries none
+        seeded = json.dumps({**json.loads(SMALL), "seed": 11})
+        code = cli.main(["generate", "--inline", seeded, "--out-dir", str(tmp_path / "o")])
+        assert code == cli.EXIT_VALIDATION
+        assert "unknown key(s): seed" in capsys.readouterr().err
+
     def test_distort_then_wrap_adds_column(self, tmp_path):
         out = tmp_path / "out"
         code = cli.main(

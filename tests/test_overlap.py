@@ -3,18 +3,22 @@ import math
 import numpy as np
 import pytest
 
+from overlap_reference import c2c_quantile, exact_quantile, lda_axis, separation_quantile
+
+from clustergen import mixture
+from clustergen.archetype import Archetype
 from clustergen.distributions import RadialDistribution
-from clustergen.mixture import Cluster, sample_orientation
+from clustergen.mixture import Cluster, MixtureModel, sample_mixture_model, sample_orientation
 from clustergen.overlap import (
     c2c_overlap,
     exact_overlap_oracle,
-    lda_axis,
     lda_overlap,
     lda_separations,
     monte_carlo_overlap,
+    overlap_report_rows,
     pair_inverses,
+    pairwise_overlaps,
     pairwise_separations,
-    separation_quantile,
 )
 from clustergen.stats import normal_isf, normal_sf
 
@@ -287,10 +291,6 @@ class TestMonteCarloOverlap:
 
 class TestPairwiseReports:
     def test_alpha_q_relation_and_csv(self):
-        from clustergen.archetype import Archetype
-        from clustergen.mixture import sample_mixture_model
-        from clustergen.overlap import overlap_report_rows, pairwise_overlaps
-
         a = Archetype(name="rep", n_clusters=3, n_samples=90)
         model = sample_mixture_model(a, np.random.default_rng(0))
         reports = pairwise_overlaps(model, include_exact=True)
@@ -303,22 +303,102 @@ class TestPairwiseReports:
         assert len(rows) == 4
 
     def test_coincident_centers_rejected(self):
-        from clustergen.mixture import MixtureModel
-        from clustergen.overlap import pairwise_overlaps
-
         clusters = [spherical_cluster(c, 1.0, 2) for c in ([0, 0], [3, 0], [0, 0])]
         model = MixtureModel(clusters, np.full(3, 10), "twins")
         with pytest.raises(ValueError, match="coincide"):
             pairwise_overlaps(model)
 
 
-class TestReportingPathErrors:
-    def test_monte_carlo_coincident_centers_rejected(self):
-        c = spherical_cluster([1, 1], 1.0, 2)
-        with pytest.raises(ValueError, match="coincide"):
-            monte_carlo_overlap(c, c, 100, np.random.default_rng(0))
+def random_model(k, dim, rng):
+    clusters = [
+        Cluster(
+            center=rng.standard_normal(dim) * 3.0,
+            axes=sample_orientation(dim, rng),
+            axis_lengths=rng.uniform(0.3, 3.0, dim),
+            radial_distribution=RadialDistribution.create("normal"),
+        )
+        for _ in range(k)
+    ]
+    return MixtureModel(clusters, np.full(k, 10), "random")
 
-    def test_lda_overlap_singular_average_rejected(self):
-        degenerate = np.diag([1.0, 0.0])
-        with pytest.raises(ValueError, match="singular"):
-            lda_overlap([0, 0], [1, 0], degenerate, degenerate)
+
+class TestBatchedMatchesScalar:
+    @pytest.mark.parametrize("k", [2, 5, 12])
+    @pytest.mark.parametrize("dim", [2, 5, 40])
+    def test_every_pair_matches_references(self, k, dim):
+        model = random_model(k, dim, np.random.default_rng(100 * k + dim))
+        centers, covs = model.centers, model.covariances()
+        reports = pairwise_overlaps(model, include_exact=True)
+        q_placement, _ = pairwise_separations(centers, covs, pair_inverses(covs))
+        assert [r.q_lda for r in reports] == q_placement.tolist()
+        for r in reports:
+            pair = (centers[r.i], centers[r.j], covs[r.i], covs[r.j])
+            q_ref = separation_quantile(*pair, lda_axis(*pair))
+            assert r.q_lda == pytest.approx(q_ref, rel=1e-12)
+            assert r.alpha_c2c == pytest.approx(2.0 * normal_sf(c2c_quantile(*pair)), rel=1e-12)
+            assert r.alpha_exact == pytest.approx(2.0 * normal_sf(exact_quantile(*pair)), rel=1e-12)
+
+    def test_single_pair_functions_are_the_two_cluster_case(self):
+        model = random_model(2, 4, np.random.default_rng(7))
+        (report,) = pairwise_overlaps(model, include_exact=True)
+        pair = (*model.centers, *model.covariances())
+        assert lda_overlap(*pair) == report.alpha_lda
+        assert c2c_overlap(*pair) == report.alpha_c2c
+        assert exact_overlap_oracle(*pair) == report.alpha_exact
+
+    def test_single_cluster_has_no_pairs(self):
+        model = random_model(1, 3, np.random.default_rng(8))
+        assert pairwise_overlaps(model, include_exact=True) == []
+
+
+def _clusters(mu1, mu2, S1, S2):
+    """Two clusters whose covariances S1, S2 ride in `axes`; see `refusal_cases`."""
+    return [
+        Cluster(np.asarray(mu, dtype=float), np.asarray(S, dtype=float), np.ones(2),
+                RadialDistribution.create("normal"))
+        for mu, S in ((mu1, S1), (mu2, S2))
+    ]
+
+
+ESTIMATORS = {
+    "lda_overlap": lda_overlap,
+    "c2c_overlap": c2c_overlap,
+    "exact_overlap_oracle": exact_overlap_oracle,
+    "monte_carlo_overlap": lambda *pair: monte_carlo_overlap(
+        *_clusters(*pair), 200, np.random.default_rng(0)
+    ),
+    "pairwise_overlaps": lambda *pair: pairwise_overlaps(
+        MixtureModel(_clusters(*pair), np.full(2, 10), "pair"), include_exact=True
+    ),
+}
+
+CONDITION_0_5E12 = np.diag([1.0, 1.0 / 0.5e12])
+CONDITION_2E12 = np.diag([1.0, 1.0 / 2e12])
+
+
+class TestRefusals:
+    """Every estimator refuses the same inputs with the same message."""
+
+    @pytest.fixture(autouse=True)
+    def covariance_as_given(self, monkeypatch):
+        # lets a cluster carry any matrix, indefinite ones included, as its covariance
+        monkeypatch.setattr(mixture, "covariance_of", lambda cluster: cluster.axes)
+
+    @pytest.mark.parametrize("name", ESTIMATORS)
+    @pytest.mark.parametrize(
+        "pair, match",
+        [
+            (([1, 1], [1, 1], np.eye(2), np.eye(2)), "coincide"),
+            (([0, 0], [1, 0], np.diag([1.0, 0.0]), np.diag([1.0, 0.0])), "singular"),
+            (([0, 0], [1, 0], CONDITION_2E12, CONDITION_2E12), "singular"),
+            (([0, 0], [0, 1], np.diag([1.0, -0.5]), np.eye(2)), "positive definite"),
+        ],
+        ids=["coincident", "singular", "condition-2e12", "indefinite"],
+    )
+    def test_refused(self, name, pair, match):
+        with pytest.raises(ValueError, match=match):
+            ESTIMATORS[name](*pair)
+
+    @pytest.mark.parametrize("name", ESTIMATORS)
+    def test_condition_half_e12_accepted(self, name):
+        ESTIMATORS[name]([0, 0], [1, 0], CONDITION_0_5E12, CONDITION_0_5E12)

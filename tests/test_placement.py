@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from overlap_reference import lda_axis, separation_quantile
 
 from clustergen.archetype import Archetype
 from clustergen.distributions import RadialDistribution
@@ -12,7 +13,7 @@ from clustergen.mixture import (
     sample_mixture_model,
     sample_orientation,
 )
-from clustergen.overlap import lda_axis, lda_separations, pair_inverses, separation_quantile
+from clustergen.overlap import lda_separations, pair_inverses
 from clustergen.placement import (
     OverlapBounds,
     PlacementConfig,
@@ -392,15 +393,6 @@ class TestOptimizeCenters:
         low = np.mean([epochs_for(2, s) for s in range(3)])
         high = np.mean([epochs_for(100, s) for s in range(3)])
         assert high <= 5 * low + 10
-
-    def test_loss_trace_csv(self):
-        from clustergen.placement import loss_trace_csv
-
-        text = loss_trace_csv([0.5, 0.25, 0.0])
-        lines = text.strip().splitlines()
-        assert lines[0] == "epoch,loss"
-        assert lines[1] == "0,0.5"
-        assert lines[3] == "2,0"
 
 
 class TestEpochCounts:
