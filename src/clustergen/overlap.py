@@ -200,7 +200,7 @@ def _exact(centers, covs, q_lda):
             x1[hi] = b[hi] - _GOLDEN * (b[hi] - a[hi])
             f = q_at(np.where(up, x2[rows], x1[rows]), rows)
             f2[lo], f1[hi] = f[up], f[~up]
-        q.append(np.maximum.reduce([f1, f2, values[best, np.arange(len(delta))]]))
+        q.append(np.maximum.reduce([f1, f2, values.max(axis=0)]))
     return _finite(np.maximum(np.concatenate(q), q_lda))
 
 

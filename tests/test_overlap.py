@@ -352,7 +352,7 @@ class TestBatchedMatchesScalar:
 
 
 def _clusters(mu1, mu2, S1, S2):
-    """Two clusters whose covariances S1, S2 ride in `axes`; see `refusal_cases`."""
+    """Two clusters whose covariances S1, S2 ride in `axes` (see `covariance_as_given`)."""
     return [
         Cluster(np.asarray(mu, dtype=float), np.asarray(S, dtype=float), np.ones(2),
                 RadialDistribution.create("normal"))
