@@ -97,11 +97,18 @@ class Archetype:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Archetype":
+        if not isinstance(data, dict):
+            raise ArchetypeValidationError(
+                [f"archetype must be a JSON object, got {type(data).__name__}"]
+            )
         unknown = set(data) - set(_JSON_KEYS)
         if unknown:
             raise ArchetypeValidationError(
                 [f"unknown key(s): {', '.join(sorted(unknown))}"]
             )
+        missing = [key for key in ("name", "n_clusters") if key not in data]
+        if missing:
+            raise ArchetypeValidationError([f"missing key(s): {', '.join(missing)}"])
         return cls(**data).validated()
 
     @classmethod
@@ -420,7 +427,7 @@ def load_archetypes_jsonl(path) -> list[Archetype]:
                 continue
             try:
                 out.append(Archetype.from_json(line))
-            except (json.JSONDecodeError, TypeError) as exc:
+            except json.JSONDecodeError as exc:
                 raise ArchetypeValidationError(
                     [f"{path}:{lineno}: cannot parse archetype JSON ({exc})"]
                 ) from exc

@@ -3,12 +3,14 @@
 Every supported family is rescaled so that the 68.2% quantile of its
 absolute value equals 1, putting all families on the spread scale of the
 standard normal (P(|N(0,1)| <= 1) ~ 0.682).  Each family's CDF is written
-in closed form from the `scipy.special` functions (ndtr, stdtr, gammainc,
-chdtr, fdtr, betainc, expm1) that SciPy's distribution objects evaluate
-internally, so the values are the same while the package imports neither
-SciPy's stats nor its optimize subpackage, which cost about a second of
-every cold start.  The normalization constant is found by bisection on
-the CDF down to adjacent floats and cached per parameter set.
+in closed form: normal and lognormal through `stats.normal_sf`, exponential
+and Weibull through `np.expm1`, and gumbel, pareto and uniform from
+elementary functions.  Only standard_t, gamma, chisquare, f and beta need
+a special function (stdtr, gammainc, chdtr, fdtr, betainc, as in SciPy's
+distribution objects).  They import `scipy.special` inside their CDF, so a
+run that uses none of those five never pays SciPy's import, about half of
+a cold start.  The normalization constant is found by bisection on the
+CDF down to adjacent floats and cached per parameter set.
 """
 
 from __future__ import annotations
@@ -16,9 +18,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special
+
+from .stats import normal_sf
 
 TARGET_MASS = 0.682
+
+
+def _special():
+    """scipy.special, imported by the first CDF call that needs it."""
+    from scipy import special
+
+    return special
 
 
 def _positive(params: dict, key: str) -> float:
@@ -78,14 +88,14 @@ def _register(name, defaults, cdf, sampler, signed):
 _register(
     "normal",
     {},
-    lambda x, p: special.ndtr(x),
+    lambda x, p: normal_sf(np.negative(x)),
     lambda rng, size, p: rng.standard_normal(size),
     signed=True,
 )
 _register(
     "lognormal",
     {"sigma": 0.75},
-    _zero_up_to(0.0, lambda x, p: special.ndtr(np.log(x) / _positive(p, "sigma"))),
+    _zero_up_to(0.0, lambda x, p: normal_sf(-(np.log(x) / _positive(p, "sigma")))),
     lambda rng, size, p: rng.lognormal(mean=0.0, sigma=_positive(p, "sigma"), size=size),
     signed=False,
 )
@@ -93,35 +103,35 @@ _register(
     "exponential",
     {"rate": 1.0},
     # x / (1/rate), not x * rate, to round as SciPy's expon(scale=1/rate) does
-    _zero_up_to(0.0, lambda x, p: -special.expm1(-(x / (1.0 / _positive(p, "rate"))))),
+    _zero_up_to(0.0, lambda x, p: -np.expm1(-(x / (1.0 / _positive(p, "rate"))))),
     lambda rng, size, p: rng.exponential(scale=1.0 / _positive(p, "rate"), size=size),
     signed=False,
 )
 _register(
     "standard_t",
     {"df": 5.0},
-    lambda x, p: special.stdtr(_positive(p, "df"), x),
+    lambda x, p: _special().stdtr(_positive(p, "df"), x),
     lambda rng, size, p: rng.standard_t(df=_positive(p, "df"), size=size),
     signed=True,
 )
 _register(
     "gamma",
     {"shape": 2.0},
-    _zero_up_to(0.0, lambda x, p: special.gammainc(_positive(p, "shape"), x)),
+    _zero_up_to(0.0, lambda x, p: _special().gammainc(_positive(p, "shape"), x)),
     lambda rng, size, p: rng.gamma(shape=_positive(p, "shape"), size=size),
     signed=False,
 )
 _register(
     "chisquare",
     {"df": 4.0},
-    _zero_up_to(0.0, lambda x, p: special.chdtr(_positive(p, "df"), x)),
+    _zero_up_to(0.0, lambda x, p: _special().chdtr(_positive(p, "df"), x)),
     lambda rng, size, p: rng.chisquare(df=_positive(p, "df"), size=size),
     signed=False,
 )
 _register(
     "weibull",
     {"shape": 1.5},
-    _zero_up_to(0.0, lambda x, p: -special.expm1(-np.power(x, _positive(p, "shape")))),
+    _zero_up_to(0.0, lambda x, p: -np.expm1(-np.power(x, _positive(p, "shape")))),
     lambda rng, size, p: rng.weibull(a=_positive(p, "shape"), size=size),
     signed=False,
 )
@@ -136,7 +146,7 @@ _register(
     "f",
     {"dfnum": 5.0, "dfden": 10.0},
     _zero_up_to(
-        0.0, lambda x, p: special.fdtr(_positive(p, "dfnum"), _positive(p, "dfden"), x)
+        0.0, lambda x, p: _special().fdtr(_positive(p, "dfnum"), _positive(p, "dfden"), x)
     ),
     lambda rng, size, p: rng.f(
         dfnum=_positive(p, "dfnum"), dfden=_positive(p, "dfden"), size=size
@@ -156,7 +166,7 @@ _register(
     {"a": 2.0, "b": 2.0},
     _zero_up_to(
         0.0,
-        lambda x, p: special.betainc(_positive(p, "a"), _positive(p, "b"), np.minimum(x, 1.0)),
+        lambda x, p: _special().betainc(_positive(p, "a"), _positive(p, "b"), np.minimum(x, 1.0)),
     ),
     lambda rng, size, p: rng.beta(a=_positive(p, "a"), b=_positive(p, "b"), size=size),
     signed=False,

@@ -12,10 +12,10 @@ reuses one n×d buffer for seeding, centroids and the WCSS.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 # Side of the square distance tiles silhouette computes: 256² floats is 512 KiB.
 _TILE = 256
@@ -159,7 +159,7 @@ def _expected_mutual_information(table: np.ndarray, n: int) -> float:
     """
     a = table.sum(axis=1)
     b = table.sum(axis=0)
-    log_fact = gammaln(np.arange(n + 1) + 1)
+    log_fact = np.fromiter(map(math.lgamma, range(1, n + 2)), dtype=float, count=n + 1)
     emi = 0.0
     for ai in a:
         grid_nij = np.arange(1, min(ai, b.max()) + 1)
@@ -215,6 +215,8 @@ def ari(a, b) -> float:
     sum_a = comb2(table.sum(axis=1)).sum()
     sum_b = comb2(table.sum(axis=0)).sum()
     total = comb2(n)
+    if total == 0:  # one point has no pairs: the labelings agree, as ami says
+        return 1.0
     expected = sum_a * sum_b / total
     maximum = 0.5 * (sum_a + sum_b)
     if maximum == expected:  # both partitions trivial

@@ -12,8 +12,6 @@ import enum
 import json
 import os
 import time
-import urllib.error
-import urllib.request
 from dataclasses import dataclass, field
 
 from . import prompts
@@ -90,6 +88,10 @@ def render_prompt(kind: TemplateKind, description: str) -> str:
 
 
 def _http_transport(url: str, payload: dict, headers: dict, timeout: float):
+    # imported here so that the CLI's offline commands never load the HTTP stack
+    import urllib.error
+    import urllib.request
+
     request = urllib.request.Request(
         url, data=json.dumps(payload).encode("utf-8"), headers=headers, method="POST"
     )

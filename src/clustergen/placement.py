@@ -24,7 +24,6 @@ from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import NonConvergenceError
 from .overlap import PairInverses, lda_separations, pair_inverses, pairwise_separations
@@ -100,8 +99,9 @@ def init_centers(
     unit-ball constant cancels, and radii and density enter in log space so
     very high dimensions can neither overflow nor underflow.
     """
-    radii = np.asarray(cluster_radii, dtype=float)
-    log_total = logsumexp(dim * np.log(radii))
+    log_volumes = dim * np.log(np.asarray(cluster_radii, dtype=float))
+    shift = log_volumes.max()
+    log_total = shift + np.log(np.sum(np.exp(log_volumes - shift)))
     ball_radius = np.exp((log_total - log_adjusted_density(dim, config.rho_2d)) / dim)
     directions = rng.standard_normal((k, dim))
     directions /= np.linalg.norm(directions, axis=1, keepdims=True)

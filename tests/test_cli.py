@@ -80,6 +80,15 @@ class TestGenerate:
         assert code == 1
         assert ":2:" in capsys.readouterr().err
 
+    def test_non_object_jsonl_line_names_line(self, tmp_path, capsys):
+        src = tmp_path / "arch.jsonl"
+        src.write_text(SMALL + "\n[1]\n")
+        code = cli.main(
+            ["generate", "--archetypes", str(src), "--out-dir", str(tmp_path / "o")]
+        )
+        assert code == 1
+        assert ":2: archetype must be a JSON object, got list" in capsys.readouterr().err
+
     def test_seed_key_is_unknown(self, tmp_path, capsys):
         # the master seed is --seed; an archetype file carries none
         seeded = json.dumps({**json.loads(SMALL), "seed": 11})
@@ -357,6 +366,29 @@ class TestHyperparams:
         code = cli.main(["hyperparams", "--archetype", str(arch_path), "--bounds", bounds])
         assert code == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+
+class TestNonObjectArchetype:
+    @pytest.mark.parametrize("text,kind", [("[1]", "list"), ("5", "int"), ("null", "NoneType")])
+    @pytest.mark.parametrize("command", ["generate", "bench", "validate-overlap", "hyperparams"])
+    def test_exits_1_with_error_line(self, tmp_path, capsys, command, text, kind):
+        path = tmp_path / "a.json"
+        path.write_text(text)
+        argv = {
+            "generate": ["generate", "--inline", text, "--out-dir", str(tmp_path / "o")],
+            "bench": ["bench", "--inline", text],
+            "validate-overlap": ["validate-overlap", "--archetype", str(path)],
+            "hyperparams": ["hyperparams", "--archetype", str(path)],
+        }[command]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert f"archetype must be a JSON object, got {kind}" in err
+
+    def test_missing_required_key_exits_1(self, tmp_path, capsys):
+        code = cli.main(["generate", "--inline", '{"name": "a"}', "--out-dir", str(tmp_path)])
+        assert code == 1
+        assert "missing key(s): n_clusters" in capsys.readouterr().err
 
 
 class TestUsageErrors:

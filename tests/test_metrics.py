@@ -298,6 +298,11 @@ class TestAri:
         a = Labeling(np.array([0, 0, 1, 1]))
         assert ari(a, a) == pytest.approx(1.0)
 
+    def test_single_point_agrees_with_ami(self):
+        # one point has no pairs to count; like ami, the labelings agree
+        assert ari([0], [0]) == 1.0
+        assert ami([0], [0]) == 1.0
+
     def test_permutation_invariance(self):
         rng = np.random.default_rng(11)
         a = random_nondegenerate_labels(rng, 40, 4)

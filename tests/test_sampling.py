@@ -1,4 +1,5 @@
 import csv
+import json
 import math
 import os
 import subprocess
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from normal_reference import assert_within, exact_cdf, exact_lognormal_cdf
 from scipy import optimize
 from scipy import stats as sps
 
@@ -129,7 +131,18 @@ PARAM_SETS = {
     "uniform": [{}],
 }
 CASES = [(name, params) for name in SUPPORTED_FAMILIES for params in PARAM_SETS[name]]
-CASE_IDS = [f"{name}-{params}" for name, params in CASES]
+
+
+def case_ids(cases):
+    return [f"{name}-{params}" for name, params in cases]
+
+
+CASE_IDS = case_ids(CASES)
+# normal and lognormal go through the C library's erfc, not SciPy's ndtr, so
+# mpmath is their oracle, with the bounds explained in `normal_reference`
+MPMATH_FAMILIES = ("normal", "lognormal")
+SCIPY_CASES = [case for case in CASES if case[0] not in MPMATH_FAMILIES]
+MPMATH_CASES = [case for case in CASES if case[0] in MPMATH_FAMILIES]
 
 # negatives, both signs of zero, the support edges 0 and 1, their neighbours
 # and points beyond them
@@ -147,14 +160,32 @@ def absolute_mass(name, params, q):
     return family.cdf(q, params)
 
 
+def mpmath_cdf_and_bounds(name, params):
+    """The exact CDF over CDF_GRID and the (4 + c·t²)-ulp bound at each point."""
+    if name == "normal":
+        return [exact_cdf(x) for x in CDF_GRID], 4.0 + 2.0 * CDF_GRID**2
+    sigma = params["sigma"]
+    # where x <= 0 the exact CDF is 0, which the check skips, so its bound is never read
+    exact = [exact_lognormal_cdf(x, sigma) if x > 0 else 0.0 for x in CDF_GRID]
+    t = np.log(np.maximum(CDF_GRID, 5e-324)) / sigma
+    return exact, 4.0 + 3.0 * t**2
+
+
 class TestClosedFormCdf:
-    @pytest.mark.parametrize("name,params", CASES, ids=CASE_IDS)
+    @pytest.mark.parametrize("name,params", SCIPY_CASES, ids=case_ids(SCIPY_CASES))
     def test_matches_scipy_stats(self, name, params):
         resolved = _FAMILIES[name].resolve(params)
         expected = SCIPY_FROZEN[name](resolved).cdf(CDF_GRID)
         np.testing.assert_array_max_ulp(_FAMILIES[name].cdf(CDF_GRID, resolved), expected, 2)
         scalars = [_FAMILIES[name].cdf(x, resolved) for x in CDF_GRID]
         np.testing.assert_array_max_ulp(np.array(scalars), expected, 2)
+
+    @pytest.mark.parametrize("name,params", MPMATH_CASES, ids=case_ids(MPMATH_CASES))
+    def test_matches_mpmath(self, name, params):
+        resolved = _FAMILIES[name].resolve(params)
+        exact, bounds = mpmath_cdf_and_bounds(name, resolved)
+        assert_within(_FAMILIES[name].cdf(CDF_GRID, resolved), exact, bounds)
+        assert_within([_FAMILIES[name].cdf(x, resolved) for x in CDF_GRID], exact, bounds)
 
     @pytest.mark.parametrize("name,params", CASES, ids=CASE_IDS)
     def test_constant_matches_brentq_on_scipy_mass(self, name, params):
@@ -189,22 +220,57 @@ class TestClosedFormCdf:
             np.testing.assert_array_equal(values, 0.0)
 
 
-def test_package_imports_no_scipy_stats_or_optimize():
-    # a fresh interpreter: this test session has imported scipy.stats itself
-    code = (
-        "import sys, clustergen, clustergen.cli; "
-        "print(sorted(m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules))"
+def modules_loaded_after(code, *argv):
+    """The scipy and urllib.request modules loaded once `code` has run in a
+    fresh interpreter (this test session has imported SciPy itself)."""
+    code += (
+        "\nimport json, sys"
+        "\nprint(json.dumps(sorted(m for m in sys.modules"
+        " if m.split('.')[0] == 'scipy' or m == 'urllib.request')))"
     )
     src = str(Path(clustergen.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, "-c", code, *argv],
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True,
         text=True,
         check=True,
     )
-    assert result.stdout.strip() == "[]"
+    return json.loads(result.stdout.splitlines()[-1])
+
+
+# generate --distort --wrap with the families in argv[2], then the CDF of each
+GENERATE_CODE = """
+import json, sys
+from clustergen import cli
+from clustergen.distributions import normalization_constant
+families = sys.argv[2].split(",")
+spec = {"name": "fresh", "n_clusters": 3, "dim": 3, "n_samples": 30, "distributions": families}
+argv = ["generate", "--inline", json.dumps(spec), "--out-dir", sys.argv[1], "--distort", "--wrap"]
+assert cli.main(argv) == cli.EXIT_OK
+for name in families:
+    normalization_constant(name)
+"""
+
+
+def test_package_import_loads_no_scipy_or_http():
+    assert modules_loaded_after("import clustergen, clustergen.cli") == []
+
+
+@pytest.mark.parametrize(
+    "families",
+    ["normal", "normal,lognormal,exponential,weibull,gumbel,pareto,uniform"],
+    ids=["normal", "elementary"],
+)
+def test_generate_loads_no_scipy_or_http(tmp_path, families):
+    assert modules_loaded_after(GENERATE_CODE, str(tmp_path), families) == []
+
+
+def test_gamma_family_loads_scipy_special(tmp_path):
+    loaded = modules_loaded_after(GENERATE_CODE, str(tmp_path), "gamma")
+    assert "scipy.special" in loaded
+    assert "urllib.request" not in loaded
 
 
 class TestQuantileInvariant:
