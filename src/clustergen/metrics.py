@@ -19,6 +19,8 @@ import numpy as np
 
 # Side of the square distance tiles silhouette computes: 256² floats is 512 KiB.
 _TILE = 256
+# K-Means restarts; the best WCSS of these wins.
+_N_INIT = 10
 
 
 @dataclass(frozen=True)
@@ -106,8 +108,8 @@ def _lloyd(X, centred, mean, centers, work, max_iter=300, rel_tol=1e-6):
     return centers, assignment, current
 
 
-def kmeans(X, k: int, n_init: int = 10, rng: np.random.Generator | None = None) -> Labeling:
-    """Best-of-n_init Lloyd iterations with k-means++ seeding."""
+def kmeans(X, k: int, rng: np.random.Generator | None = None) -> Labeling:
+    """Best of _N_INIT Lloyd runs, each from a k-means++ seeding."""
     X = np.asarray(X, dtype=float)
     n = X.shape[0]
     if k > n:
@@ -119,7 +121,7 @@ def kmeans(X, k: int, n_init: int = 10, rng: np.random.Generator | None = None) 
     mean = X.mean(axis=0)
     centred = X - mean  # ‖c‖² − 2·x·c cancels less near the origin
     best_assignment, best_score = None, np.inf
-    for _ in range(n_init):
+    for _ in range(_N_INIT):
         centers = _kmeans_pp_seed(X, k, rng, work)
         _, assignment, score = _lloyd(X, centred, mean, centers, work)
         if score < best_score:

@@ -159,23 +159,17 @@ def covariance_of(cluster: Cluster) -> np.ndarray:
     return (u * cluster.axis_lengths**2) @ u.T
 
 
-def sample_mixture_model(
-    a: arch.Archetype,
-    rng: np.random.Generator,
-    config: placement.PlacementConfig | None = None,
-    origin=None,
-) -> MixtureModel:
+def sample_mixture_model(a: arch.Archetype, rng: np.random.Generator) -> MixtureModel:
     """Draw a mixture model matching the archetype, overlap constraints met.
 
-    Single-cluster archetypes skip placement and sit at `origin` (default
-    the coordinate origin).  Otherwise centers are initialized in a
-    density-calibrated ball and optimized; on non-convergence the
-    initialization is redrawn up to config.max_restarts times.  Without a
-    set learning rate, the SGD uses `placement.default_learning_rate` times
-    the archetype's scale.
+    Single-cluster archetypes skip placement and sit at the coordinate
+    origin.  Otherwise centers are initialized in a density-calibrated ball
+    and optimized with `placement.PlacementConfig`'s defaults, except that
+    the SGD's learning rate is `placement.default_learning_rate` times the
+    archetype's scale; on non-convergence the initialization is redrawn up
+    to max_restarts times.
     """
     a.validated()
-    config = config or placement.PlacementConfig()
     k, dim = a.n_clusters, a.dim
 
     aspects = arch.sample_aspect_ratios(a, rng)
@@ -187,14 +181,14 @@ def sample_mixture_model(
     families = arch.assign_distributions(a, rng)
     group_sizes = arch.sample_group_sizes(a, rng)
 
-    center = np.zeros(dim) if origin is None else np.asarray(origin, dtype=float)
+    center = np.zeros(dim)
     model = MixtureModel(
         clusters=[
             Cluster(
                 center=center,
                 axes=orientations[j],
                 axis_lengths=lengths[j],
-                radial_distribution=RadialDistribution.create(families[j]),
+                radial_distribution=RadialDistribution(families[j]),
             )
             for j in range(k)
         ],
@@ -204,11 +198,10 @@ def sample_mixture_model(
     if k == 1:
         return model
 
-    if config.learning_rate is None:
-        # q is scale-free but its gradient in the centers goes as 1/scale, so
-        # a rate growing as scale^2 runs the same SGD at every scale
-        rate = placement.default_learning_rate(lengths) * a.scale
-        config = replace(config, learning_rate=rate)
+    # q is scale-free but its gradient in the centers goes as 1/scale, so
+    # a rate growing as scale^2 runs the same SGD at every scale
+    rate = placement.default_learning_rate(lengths) * a.scale
+    config = placement.PlacementConfig(learning_rate=rate)
     bounds = placement.OverlapBounds.from_overlaps(a.max_overlap, a.min_overlap)
     for _ in range(config.max_restarts + 1):
         centers = placement.init_centers(k, dim, radii, config, rng)

@@ -111,11 +111,11 @@ def distort(X: np.ndarray, seed: int = 0) -> np.ndarray:
     return out * std + mean
 
 
-def wrap_around_sphere(X: np.ndarray, prescale: float | None = None) -> np.ndarray:
+def wrap_around_sphere(X: np.ndarray) -> np.ndarray:
     """Inverse stereographic embedding onto the unit sphere in dim+1.
 
-    Rows are centered and divided by `prescale` (median row norm when not
-    given) so the data sits mid-sphere, then mapped by
+    Rows are centered and divided by their median norm (1 when that is 0 or
+    there are no rows) so the data sits mid-sphere, then mapped by
     s(x) = (2x, |x|^2 - 1) / (|x|^2 + 1).  Every output row has unit norm.
     """
     X = np.asarray(X, dtype=float)
@@ -124,13 +124,9 @@ def wrap_around_sphere(X: np.ndarray, prescale: float | None = None) -> np.ndarr
     if not np.all(np.isfinite(X)):
         raise ValueError("input contains non-finite values")
     centered = X - X.mean(axis=0) if X.shape[0] else X
-    if prescale is None:
-        norms = np.linalg.norm(centered, axis=1)
-        prescale = float(np.median(norms)) if X.shape[0] else 1.0
-        if prescale <= 0:
-            prescale = 1.0
-    elif prescale <= 0:
-        raise ValueError(f"prescale must be positive, got {prescale}")
+    prescale = float(np.median(np.linalg.norm(centered, axis=1))) if X.shape[0] else 1.0
+    if prescale <= 0:
+        prescale = 1.0
     y = centered / prescale
     sq = np.sum(y * y, axis=1, keepdims=True)
     return np.hstack([2.0 * y, sq - 1.0]) / (sq + 1.0)

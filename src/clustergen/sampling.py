@@ -83,8 +83,11 @@ def dataset_to_csv(dataset: Dataset, path) -> None:
         )
 
 
-def dataset_from_csv(path, archetype_name: str = "") -> Dataset:
-    """Read the x1..x{dim},label rows `dataset_to_csv` writes, every float bit-exact."""
+def dataset_from_csv(path) -> Dataset:
+    """Read the x1..x{dim},label rows `dataset_to_csv` writes, every float bit-exact.
+
+    A NaN or infinite field raises ValueError naming its column; the
+    dataset carries no archetype name."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         header = fh.readline().rstrip("\r\n").split(",")
         if header[-1] != "label":
@@ -95,7 +98,11 @@ def dataset_from_csv(path, archetype_name: str = "") -> Dataset:
             body = np.loadtxt(fh, delimiter=",", ndmin=2)
     if body.shape[1] != len(header):
         raise ValueError(f"{path}: rows have {body.shape[1]} fields, the header {len(header)}")
+    finite = np.isfinite(body).all(axis=0)
+    if not finite.all():
+        column = header[np.flatnonzero(~finite)[0]]
+        raise ValueError(f"{path}: column {column!r} has a non-finite value")
     labels = body[:, -1].astype(int)
     if not np.array_equal(labels, body[:, -1]):
         raise ValueError(f"{path}: labels must be integers")
-    return Dataset(np.ascontiguousarray(body[:, :-1]), labels, archetype_name)
+    return Dataset(np.ascontiguousarray(body[:, :-1]), labels, "")

@@ -24,12 +24,6 @@ def exact_cdf(t):
         return mpmath.ncdf(mpmath.mpf(t))
 
 
-def exact_lognormal_cdf(x, sigma):
-    """Φ(log(x)/σ) for the floats x > 0 and σ."""
-    with mpmath.workdps(DIGITS):
-        return mpmath.ncdf(mpmath.log(mpmath.mpf(float(x))) / mpmath.mpf(sigma))
-
-
 def exact_isf(p):
     """The x with P(Z > x) = p for the float p: Newton steps from normal_isf."""
     with mpmath.workdps(DIGITS):

@@ -77,7 +77,7 @@ def placement_runs(benchmark_archetypes):
             start = MixtureModel(
                 clusters=[
                     Cluster(
-                        centers[j], orientations[j], lengths[j], RadialDistribution.create("normal")
+                        centers[j], orientations[j], lengths[j], RadialDistribution("normal")
                     )
                     for j in range(k)
                 ],
@@ -200,7 +200,7 @@ class TestAcceptance:
         rng = np.random.default_rng(2)
         observed = {}
         for family in SUPPORTED_FAMILIES:
-            draws = RadialDistribution.create(family).draw(rng, 100_000)
+            draws = RadialDistribution(family).draw(rng, 100_000)
             quantile = float(np.quantile(draws, 0.682))
             observed[family] = quantile
             assert 0.99 <= quantile <= 1.01, f"{family}: {quantile:.4f}"

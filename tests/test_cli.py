@@ -240,6 +240,31 @@ class TestValidateOverlap:
         assert code == cli.EXIT_VALIDATION
         assert message in capsys.readouterr().err
 
+    def _model_with_distribution(self, tmp_path, distribution):
+        model = sample_mixture_model(Archetype.from_json(SMALL), np.random.default_rng(0)).to_dict()
+        edited = edit_cluster(model, 0, {**model["clusters"][0], "distribution": distribution})
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps(edited))
+        return model_path
+
+    @pytest.mark.parametrize("distribution", [
+        {"name": "gamma"},
+        {"name": "gamma", "params": {"shape": 2.0}},
+        {"name": "standard_t", "params": {"df": 5}},
+        {"name": "f", "params": {"dfden": 10, "dfnum": 5.0}},
+    ], ids=["absent", "equal", "int", "reordered"])
+    def test_model_params_absent_or_fixed_exit_0(self, tmp_path, distribution):
+        model_path = self._model_with_distribution(tmp_path, distribution)
+        assert cli.main(["validate-overlap", "--model", str(model_path)]) == cli.EXIT_OK
+
+    @pytest.mark.parametrize("params", [{"shape": 3.0}, {}, {"shape": 2.0, "scale": 1.0}])
+    def test_model_params_other_than_fixed_exit_1(self, tmp_path, capsys, params):
+        model_path = self._model_with_distribution(tmp_path, {"name": "gamma", "params": params})
+        code = cli.main(["validate-overlap", "--model", str(model_path)])
+        assert code == cli.EXIT_VALIDATION
+        assert "'gamma' has the fixed parameters {'shape': 2.0}" in capsys.readouterr().err
+
+
 class TestNlCommand:
     def test_dry_run_prints_prompts(self, capsys):
         code = cli.main(["nl", "five oblong clusters in two dimensions", "--dry-run"])
@@ -301,6 +326,16 @@ class TestPlot:
         code = cli.main(["plot", str(csv_path), str(tmp_path / "o.svg")])
         assert code == 1
         assert "2-D" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_value_exits_1_without_svg(self, tmp_path, capsys, value):
+        csv_path = tmp_path / "bad.csv"
+        csv_path.write_text(f"x1,x2,label\n0.5,1.5,0\n1.0,{value},1\n")
+        svg_path = tmp_path / "bad.svg"
+        code = cli.main(["plot", str(csv_path), str(svg_path)])
+        assert code == cli.EXIT_VALIDATION
+        assert "column 'x2' has a non-finite value" in capsys.readouterr().err
+        assert not svg_path.exists()
 
     def test_empty_dataset_axes_only(self, tmp_path):
         csv_path = tmp_path / "empty.csv"

@@ -2,8 +2,8 @@
 
 Same seed, same bytes.  A change that moves any output bit on purpose
 updates these hashes in the same commit and says so.  Recorded with
-numpy 2.4.6 and scipy 1.17.1 on x86-64 Linux with glibc; another
-BLAS/LAPACK build may round differently.  The normal tail probability
+numpy 2.4.6 on x86-64 Linux with glibc (no SciPy code computes them);
+another BLAS/LAPACK build may round differently.  The normal tail probability
 (`stats.normal_sf`) comes from the C library's `erfc` (`math.erfc`), so
 the hashes also depend on the libm: another C library may move them.
 """

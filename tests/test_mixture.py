@@ -38,7 +38,7 @@ class TestCovarianceOf:
             center=np.zeros(axes.shape[0]),
             axes=axes,
             axis_lengths=np.asarray(lengths, dtype=float),
-            radial_distribution=RadialDistribution.create("normal"),
+            radial_distribution=RadialDistribution("normal"),
         )
 
     def test_axis_aligned(self):
@@ -75,11 +75,6 @@ class TestSampleMixtureModel:
         a = Archetype(name="solo", n_clusters=1, dim=3, n_samples=50)
         model = sample_mixture_model(a, np.random.default_rng(0))
         np.testing.assert_array_equal(model.clusters[0].center, np.zeros(3))
-
-    def test_single_cluster_configurable_origin(self):
-        a = Archetype(name="solo", n_clusters=1, dim=2, n_samples=50)
-        model = sample_mixture_model(a, np.random.default_rng(0), origin=[5.0, -1.0])
-        np.testing.assert_array_equal(model.clusters[0].center, [5.0, -1.0])
 
     def test_seven_clusters_10d_respect_max_overlap(self, benchmark_archetypes):
         highly_separated = benchmark_archetypes[2]

@@ -260,7 +260,7 @@ def spherical_cluster(center, sigma, dim, family="normal"):
         center=np.asarray(center, dtype=float),
         axes=np.eye(dim),
         axis_lengths=np.full(dim, sigma),
-        radial_distribution=RadialDistribution.create(family),
+        radial_distribution=RadialDistribution(family),
     )
 
 
@@ -315,7 +315,7 @@ def random_model(k, dim, rng):
             center=rng.standard_normal(dim) * 3.0,
             axes=sample_orientation(dim, rng),
             axis_lengths=rng.uniform(0.3, 3.0, dim),
-            radial_distribution=RadialDistribution.create("normal"),
+            radial_distribution=RadialDistribution("normal"),
         )
         for _ in range(k)
     ]
@@ -355,7 +355,7 @@ def _clusters(mu1, mu2, S1, S2):
     """Two clusters whose covariances S1, S2 ride in `axes` (see `covariance_as_given`)."""
     return [
         Cluster(np.asarray(mu, dtype=float), np.asarray(S, dtype=float), np.ones(2),
-                RadialDistribution.create("normal"))
+                RadialDistribution("normal"))
         for mu, S in ((mu1, S1), (mu2, S2))
     ]
 

@@ -37,7 +37,7 @@ def spherical_model(centers, sigma=1.0):
             center=c,
             axes=np.eye(dim),
             axis_lengths=np.full(dim, sigma),
-            radial_distribution=RadialDistribution.create("normal"),
+            radial_distribution=RadialDistribution("normal"),
         )
         for c in centers
     ]
@@ -376,7 +376,7 @@ class TestOptimizeCenters:
                     center=np.zeros(dim),
                     axes=sample_orientation(dim, rng),
                     axis_lengths=lengths[j],
-                    radial_distribution=RadialDistribution.create("normal"),
+                    radial_distribution=RadialDistribution("normal"),
                 )
                 for j in range(k)
             ]

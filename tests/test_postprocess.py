@@ -108,12 +108,12 @@ class TestWrapAroundSphere:
     def test_origin_maps_to_pole(self):
         # symmetric data keeps the zero row at the origin after centering
         X = np.array([[0.0, 0.0], [1.0, 2.0], [-1.0, -2.0]])
-        wrapped = wrap_around_sphere(X, prescale=1.0)
+        wrapped = wrap_around_sphere(X)
         np.testing.assert_allclose(wrapped[0], [0.0, 0.0, -1.0], atol=1e-15)
 
     def test_unit_norm_row_lands_on_equator(self):
         X = np.array([[1.0, 0.0], [-1.0, 0.0]])
-        wrapped = wrap_around_sphere(X, prescale=1.0)
+        wrapped = wrap_around_sphere(X)
         assert wrapped[0][-1] == pytest.approx(0.0, abs=1e-15)
         assert np.linalg.norm(wrapped[0]) == pytest.approx(1.0, abs=1e-12)
 
@@ -127,11 +127,11 @@ class TestWrapAroundSphere:
     def test_round_trip_recovers_prescaled_input(self):
         rng = np.random.default_rng(6)
         X = rng.normal(size=(200, 3)) * 4
-        prescale = 2.5
-        wrapped = wrap_around_sphere(X, prescale=prescale)
+        wrapped = wrap_around_sphere(X)
         u, v = wrapped[:, :-1], wrapped[:, -1:]
         recovered = u / (1.0 - v)  # forward stereographic projection
-        expected = (X - X.mean(axis=0)) / prescale
+        centered = X - X.mean(axis=0)
+        expected = centered / np.median(np.linalg.norm(centered, axis=1))
         np.testing.assert_allclose(recovered, expected, atol=1e-9)
 
     def test_injective_on_distinct_rows(self):
@@ -142,6 +142,7 @@ class TestWrapAroundSphere:
         np.fill_diagonal(diffs, np.inf)
         assert diffs.min() > 0
 
-    def test_bad_prescale_rejected(self):
-        with pytest.raises(ValueError, match="prescale"):
-            wrap_around_sphere(np.zeros((3, 2)), prescale=-1.0)
+    def test_all_zero_rows_map_to_pole(self):
+        # the median norm is 0 here, so the rows are divided by 1 instead
+        wrapped = wrap_around_sphere(np.zeros((3, 2)))
+        np.testing.assert_array_equal(wrapped, np.tile([0.0, 0.0, -1.0], (3, 1)))

@@ -4,24 +4,15 @@ import math
 import os
 import subprocess
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from normal_reference import assert_within, exact_cdf, exact_lognormal_cdf
-from scipy import optimize
 from scipy import stats as sps
 
 import clustergen
 from clustergen.archetype import Archetype
-from clustergen.distributions import (
-    _FAMILIES,
-    SUPPORTED_FAMILIES,
-    TARGET_MASS,
-    RadialDistribution,
-    normalization_constant,
-)
+from clustergen.distributions import SUPPORTED_FAMILIES, RadialDistribution
 from clustergen.mixture import Cluster, sample_mixture_model
 from clustergen.sampling import (
     Dataset,
@@ -30,6 +21,10 @@ from clustergen.sampling import (
     sample_cluster_points,
     sample_dataset,
 )
+
+FIXTURES = Path(__file__).parent / "fixtures"
+# every family is scaled so that P(|X| <= 1) reaches this mass
+TARGET_MASS = 0.682
 
 
 def make_cluster(family="normal", sigma=(1.0, 1.0), axes=None, center=None):
@@ -40,66 +35,11 @@ def make_cluster(family="normal", sigma=(1.0, 1.0), axes=None, center=None):
         center=center,
         axes=np.eye(dim) if axes is None else axes,
         axis_lengths=sigma,
-        radial_distribution=RadialDistribution.create(family),
+        radial_distribution=RadialDistribution(family),
     )
 
 
-class TestNormalizationConstant:
-    def test_normal_close_to_one(self):
-        # independent oracle: Phi^-1(0.5 + 0.682/2)
-        expected = sps.norm.ppf(0.5 + 0.682 / 2)
-        assert normalization_constant("normal") == pytest.approx(expected, abs=1e-9)
-
-    def test_exponential_analytic(self):
-        assert normalization_constant("exponential") == pytest.approx(
-            -math.log(1 - 0.682), abs=1e-9
-        )
-
-    def test_uniform_is_the_mass_itself(self):
-        assert normalization_constant("uniform") == pytest.approx(0.682, abs=1e-12)
-
-    def test_pareto_analytic(self):
-        # survival (1/q)^3 = 0.318 inverts to q = 0.318^(-1/3)
-        assert normalization_constant("pareto") == pytest.approx(
-            (1 - 0.682) ** (-1 / 3), abs=1e-9
-        )
-
-    def test_weibull_analytic(self):
-        expected = (-math.log(1 - 0.682)) ** (1 / 1.5)
-        assert normalization_constant("weibull") == pytest.approx(expected, abs=1e-9)
-
-    @pytest.mark.parametrize("family", SUPPORTED_FAMILIES)
-    def test_absolute_mass_at_constant_is_target(self, family):
-        q = normalization_constant(family)
-        dist = RadialDistribution.create(family)
-        frozen = {
-            "normal": sps.norm(),
-            "lognormal": sps.lognorm(s=0.75),
-            "exponential": sps.expon(),
-            "standard_t": sps.t(df=5),
-            "gamma": sps.gamma(a=2),
-            "chisquare": sps.chi2(df=4),
-            "weibull": sps.weibull_min(c=1.5),
-            "gumbel": sps.gumbel_r(),
-            "f": sps.f(dfn=5, dfd=10),
-            "pareto": sps.pareto(b=3),
-            "beta": sps.beta(a=2, b=2),
-            "uniform": sps.uniform(),
-        }[family]
-        mass = frozen.cdf(q) - frozen.cdf(-q)
-        assert mass == pytest.approx(0.682, abs=1e-9)
-        assert dist.norm_constant == q
-
-    def test_invalid_params_rejected(self):
-        with pytest.raises(ValueError, match="positive"):
-            normalization_constant("gamma", {"shape": -1.0})
-        with pytest.raises(ValueError, match="unsupported"):
-            normalization_constant("cauchy")
-        with pytest.raises(ValueError, match="unknown parameter"):
-            normalization_constant("gamma", {"rate": 2.0})
-
-
-# scipy.stats as a test-only oracle for the closed-form CDFs
+# scipy.stats as a test-only oracle, built from each family's fixed parameters
 SCIPY_FROZEN = {
     "normal": lambda p: sps.norm(),
     "lognormal": lambda p: sps.lognorm(s=p["sigma"]),
@@ -115,109 +55,75 @@ SCIPY_FROZEN = {
     "uniform": lambda p: sps.uniform(),
 }
 
-# defaults ({}) plus two non-default sets for every family that has parameters
-PARAM_SETS = {
-    "normal": [{}],
-    "lognormal": [{}, {"sigma": 0.2}, {"sigma": 2.5}],
-    "exponential": [{}, {"rate": 0.3}, {"rate": 7.0}],
-    "standard_t": [{}, {"df": 1.0}, {"df": 30.0}],
-    "gamma": [{}, {"shape": 0.5}, {"shape": 9.0}],
-    "chisquare": [{}, {"df": 1.0}, {"df": 12.0}],
-    "weibull": [{}, {"shape": 0.7}, {"shape": 4.0}],
-    "gumbel": [{}, {"scale": 0.25}, {"scale": 3.0}],
-    "f": [{}, {"dfnum": 2.0, "dfden": 3.0}, {"dfnum": 20.0, "dfden": 50.0}],
-    "pareto": [{}, {"shape": 1.5}, {"shape": 8.0}],
-    "beta": [{}, {"a": 0.5, "b": 0.5}, {"a": 5.0, "b": 1.5}],
-    "uniform": [{}],
-}
-CASES = [(name, params) for name in SUPPORTED_FAMILIES for params in PARAM_SETS[name]]
+
+def scipy_absolute_mass(family):
+    """q -> P(|X| <= q) under SciPy's distribution at the family's fixed parameters."""
+    frozen = SCIPY_FROZEN[family](RadialDistribution(family).params)
+    return lambda q: frozen.cdf(q) - frozen.cdf(-q)
 
 
-def case_ids(cases):
-    return [f"{name}-{params}" for name, params in cases]
+def bisect_for_target(mass):
+    """The smallest float q with mass(q) >= TARGET_MASS, by bisection down to
+    adjacent floats, for a nondecreasing mass with mass(0) < TARGET_MASS."""
+    hi = 1.0
+    while mass(hi) < TARGET_MASS:
+        hi *= 2.0
+    lo = 0.0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return hi
+        if mass(mid) < TARGET_MASS:
+            lo = mid
+        else:
+            hi = mid
 
 
-CASE_IDS = case_ids(CASES)
-# normal and lognormal go through the C library's erfc, not SciPy's ndtr, so
-# mpmath is their oracle, with the bounds explained in `normal_reference`
-MPMATH_FAMILIES = ("normal", "lognormal")
-SCIPY_CASES = [case for case in CASES if case[0] not in MPMATH_FAMILIES]
-MPMATH_CASES = [case for case in CASES if case[0] in MPMATH_FAMILIES]
+class TestNormalizationConstant:
+    def test_normal_close_to_one(self):
+        # independent oracle: Phi^-1(0.5 + 0.682/2)
+        expected = sps.norm.ppf(0.5 + 0.682 / 2)
+        assert RadialDistribution("normal").norm_constant == pytest.approx(expected, abs=1e-9)
 
-# negatives, both signs of zero, the support edges 0 and 1, their neighbours
-# and points beyond them
-CDF_GRID = np.array([
-    -30.0, -5.0, -1.0, -0.5, -5e-324, -0.0, 0.0, 5e-324, 1e-10, 0.25, 0.5,
-    np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0), 1.5, 2.0, 3.7, 10.0, 50.0, 1e3,
-])
+    def test_exponential_analytic(self):
+        assert RadialDistribution("exponential").norm_constant == pytest.approx(
+            -math.log(1 - 0.682), abs=1e-9
+        )
 
+    def test_uniform_is_the_mass_itself(self):
+        assert RadialDistribution("uniform").norm_constant == pytest.approx(0.682, abs=1e-12)
 
-def absolute_mass(name, params, q):
-    family = _FAMILIES[name]
-    params = family.resolve(params)
-    if family.signed:
-        return family.cdf(q, params) - family.cdf(-q, params)
-    return family.cdf(q, params)
+    def test_pareto_analytic(self):
+        # survival (1/q)^3 = 0.318 inverts to q = 0.318^(-1/3)
+        assert RadialDistribution("pareto").norm_constant == pytest.approx(
+            (1 - 0.682) ** (-1 / 3), abs=1e-9
+        )
 
+    def test_weibull_analytic(self):
+        expected = (-math.log(1 - 0.682)) ** (1 / 1.5)
+        assert RadialDistribution("weibull").norm_constant == pytest.approx(expected, abs=1e-9)
 
-def mpmath_cdf_and_bounds(name, params):
-    """The exact CDF over CDF_GRID and the (4 + c·t²)-ulp bound at each point."""
-    if name == "normal":
-        return [exact_cdf(x) for x in CDF_GRID], 4.0 + 2.0 * CDF_GRID**2
-    sigma = params["sigma"]
-    # where x <= 0 the exact CDF is 0, which the check skips, so its bound is never read
-    exact = [exact_lognormal_cdf(x, sigma) if x > 0 else 0.0 for x in CDF_GRID]
-    t = np.log(np.maximum(CDF_GRID, 5e-324)) / sigma
-    return exact, 4.0 + 3.0 * t**2
+    @pytest.mark.parametrize("family", SUPPORTED_FAMILIES)
+    def test_absolute_mass_at_constant_is_target(self, family):
+        mass = scipy_absolute_mass(family)(RadialDistribution(family).norm_constant)
+        assert mass == pytest.approx(0.682, abs=1e-9)
 
 
-class TestClosedFormCdf:
-    @pytest.mark.parametrize("name,params", SCIPY_CASES, ids=case_ids(SCIPY_CASES))
-    def test_matches_scipy_stats(self, name, params):
-        resolved = _FAMILIES[name].resolve(params)
-        expected = SCIPY_FROZEN[name](resolved).cdf(CDF_GRID)
-        np.testing.assert_array_max_ulp(_FAMILIES[name].cdf(CDF_GRID, resolved), expected, 2)
-        scalars = [_FAMILIES[name].cdf(x, resolved) for x in CDF_GRID]
-        np.testing.assert_array_max_ulp(np.array(scalars), expected, 2)
+class TestFixedCatalogue:
+    @pytest.mark.parametrize("family", SUPPORTED_FAMILIES)
+    def test_constant_is_smallest_float_reaching_target(self, family):
+        mass = scipy_absolute_mass(family)
+        q = RadialDistribution(family).norm_constant
+        assert mass(q) >= TARGET_MASS > mass(np.nextafter(q, 0.0))
 
-    @pytest.mark.parametrize("name,params", MPMATH_CASES, ids=case_ids(MPMATH_CASES))
-    def test_matches_mpmath(self, name, params):
-        resolved = _FAMILIES[name].resolve(params)
-        exact, bounds = mpmath_cdf_and_bounds(name, resolved)
-        assert_within(_FAMILIES[name].cdf(CDF_GRID, resolved), exact, bounds)
-        assert_within([_FAMILIES[name].cdf(x, resolved) for x in CDF_GRID], exact, bounds)
+    @pytest.mark.parametrize("family", SUPPORTED_FAMILIES)
+    def test_constant_equals_bisection_on_scipy_mass(self, family):
+        expected = bisect_for_target(scipy_absolute_mass(family))
+        assert RadialDistribution(family).norm_constant == expected
 
-    @pytest.mark.parametrize("name,params", CASES, ids=CASE_IDS)
-    def test_constant_matches_brentq_on_scipy_mass(self, name, params):
-        frozen = SCIPY_FROZEN[name](_FAMILIES[name].resolve(params))
-
-        def old_mass(q):
-            return frozen.cdf(q) - frozen.cdf(-q)
-
-        hi = 1.0
-        while old_mass(hi) < TARGET_MASS:
-            hi *= 2.0
-        expected = optimize.brentq(lambda x: old_mass(x) - TARGET_MASS, 0.0, hi, xtol=1e-13)
-        assert normalization_constant(name, params) == pytest.approx(expected, rel=1e-12, abs=0)
-
-    @pytest.mark.parametrize("name,params", CASES, ids=CASE_IDS)
-    def test_constant_is_smallest_float_reaching_target(self, name, params):
-        q = normalization_constant(name, params)
-        assert absolute_mass(name, params, q) >= TARGET_MASS
-        assert absolute_mass(name, params, np.nextafter(q, 0.0)) < TARGET_MASS
-
-    @pytest.mark.parametrize("name,params", CASES, ids=CASE_IDS)
-    def test_no_warning_at_left_edge(self, name, params):
-        resolved = _FAMILIES[name].resolve(params)
-        edge = 1.0 if name == "pareto" else 0.0
-        points = [edge, np.nextafter(edge, -1.0), -0.0, -1.0, -30.0]
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            values = _FAMILIES[name].cdf(np.array(points), resolved)
-            for x in points:
-                _FAMILIES[name].cdf(x, resolved)
-        if not _FAMILIES[name].signed:
-            np.testing.assert_array_equal(values, 0.0)
+    def test_unknown_family_rejected(self):
+        with pytest.raises(ValueError, match="unsupported distribution family 'cauchy'"):
+            RadialDistribution("cauchy")
 
 
 def modules_loaded_after(code, *argv):
@@ -225,8 +131,8 @@ def modules_loaded_after(code, *argv):
     fresh interpreter (this test session has imported SciPy itself)."""
     code += (
         "\nimport json, sys"
-        "\nprint(json.dumps(sorted(m for m in sys.modules"
-        " if m.split('.')[0] == 'scipy' or m == 'urllib.request')))"
+        "\nprint(json.dumps(sorted(m for m, module in sys.modules.items() if module"
+        " and (m.split('.')[0] == 'scipy' or m == 'urllib.request'))))"
     )
     src = str(Path(clustergen.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -240,17 +146,13 @@ def modules_loaded_after(code, *argv):
     return json.loads(result.stdout.splitlines()[-1])
 
 
-# generate --distort --wrap with the families in argv[2], then the CDF of each
-GENERATE_CODE = """
-import json, sys
+# cli.main(argv[1:]) where any import of SciPy raises ModuleNotFoundError;
+# the None that blocks it is not a loaded module
+WITHOUT_SCIPY = """
+import sys
+sys.modules["scipy"] = None
 from clustergen import cli
-from clustergen.distributions import normalization_constant
-families = sys.argv[2].split(",")
-spec = {"name": "fresh", "n_clusters": 3, "dim": 3, "n_samples": 30, "distributions": families}
-argv = ["generate", "--inline", json.dumps(spec), "--out-dir", sys.argv[1], "--distort", "--wrap"]
-assert cli.main(argv) == cli.EXIT_OK
-for name in families:
-    normalization_constant(name)
+assert cli.main(sys.argv[1:]) == cli.EXIT_OK
 """
 
 
@@ -258,25 +160,29 @@ def test_package_import_loads_no_scipy_or_http():
     assert modules_loaded_after("import clustergen, clustergen.cli") == []
 
 
-@pytest.mark.parametrize(
-    "families",
-    ["normal", "normal,lognormal,exponential,weibull,gumbel,pareto,uniform"],
-    ids=["normal", "elementary"],
-)
-def test_generate_loads_no_scipy_or_http(tmp_path, families):
-    assert modules_loaded_after(GENERATE_CODE, str(tmp_path), families) == []
-
-
-def test_gamma_family_loads_scipy_special(tmp_path):
-    loaded = modules_loaded_after(GENERATE_CODE, str(tmp_path), "gamma")
-    assert "scipy.special" in loaded
-    assert "urllib.request" not in loaded
+@pytest.mark.parametrize("command", ["generate", "bench", "validate-overlap"])
+def test_runs_without_scipy(tmp_path, command):
+    every_family = {
+        "name": "every_family", "n_clusters": 12, "dim": 2, "n_samples": 240,
+        "distributions": list(SUPPORTED_FAMILIES),
+    }
+    archetype = tmp_path / "every_family.json"
+    archetype.write_text(json.dumps(every_family))
+    argv = {
+        "generate": ["generate", "--archetypes", str(archetype), "--out-dir", str(tmp_path / "out"),
+                     "--distort", "--wrap"],
+        "bench": ["bench", "--archetypes", str(FIXTURES / "benchmark_archetypes.jsonl"),
+                  "--n-datasets", "1", "--out", str(tmp_path / "bench.csv")],
+        "validate-overlap": ["validate-overlap", "--archetype", str(archetype), "--exact",
+                             "--out", str(tmp_path / "overlap.csv")],
+    }[command]
+    assert modules_loaded_after(WITHOUT_SCIPY, *argv) == []
 
 
 class TestQuantileInvariant:
     @pytest.mark.parametrize("family", ["normal", "exponential", "pareto"])
     def test_empirical_682_quantile_near_one(self, family):
-        dist = RadialDistribution.create(family)
+        dist = RadialDistribution(family)
         draws = dist.draw(np.random.default_rng(0), 100_000)
         assert 0.99 <= np.quantile(draws, 0.682) <= 1.01
 
@@ -324,7 +230,7 @@ class TestSampleClusterPoints:
         cluster = make_cluster(family="uniform")
         points = sample_cluster_points(cluster, 100_000, np.random.default_rng(6))
         radii = np.linalg.norm(points, axis=1)
-        assert radii.max() <= 1.0 / normalization_constant("uniform") + 1e-9
+        assert radii.max() <= 1.0 / RadialDistribution("uniform").norm_constant + 1e-9
 
 
 class TestSampleDataset:
@@ -371,7 +277,7 @@ class TestCsvRoundTrip:
         dataset = sample_dataset(model, np.random.default_rng(6))
         path = tmp_path / "data.csv"
         dataset_to_csv(dataset, path)
-        again = dataset_from_csv(path, archetype_name="csv")
+        again = dataset_from_csv(path)
         np.testing.assert_array_equal(again.points, dataset.points)
         np.testing.assert_array_equal(again.labels, dataset.labels)
 
@@ -385,6 +291,8 @@ class TestCsvRoundTrip:
         (b"x1,label\r\n0.5,1.5\r\n", "integers"),
         (b"x1,x2,label\r\n0.5,1\r\n", "fields"),
         (b"", "label"),
+        (b"x1,label\r\n0.5,nan\r\n", "column 'label' has a non-finite value"),
+        (b"x1,x2,label\r\n0.5,-inf,1\r\n", "column 'x2' has a non-finite value"),
     ])
     def test_malformed_rows_rejected(self, tmp_path, body, match):
         path = tmp_path / "bad.csv"
