@@ -6,8 +6,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
+from normal_reference import DIGITS, ulps
 from scipy import stats as sps
 
 import clustergen
@@ -79,6 +81,33 @@ def bisect_for_target(mass):
             hi = mid
 
 
+# P(|X| <= q) in closed form at each family's fixed parameters, evaluated
+# by mpmath to DIGITS digits: an oracle independent of SciPy
+EXACT_ABSOLUTE_MASS = {
+    "normal": lambda q: mpmath.erf(q / mpmath.sqrt(2)),
+    "lognormal": lambda q: mpmath.ncdf(mpmath.log(q) / mpmath.mpf("0.75")),
+    "exponential": lambda q: -mpmath.expm1(-q),
+    "standard_t": lambda q: 1 - mpmath.betainc(2.5, 0.5, 0, 5 / (5 + q**2), regularized=True),
+    "gamma": lambda q: mpmath.gammainc(2, 0, q, regularized=True),
+    "chisquare": lambda q: mpmath.gammainc(2, 0, q / 2, regularized=True),
+    "weibull": lambda q: -mpmath.expm1(-(q**1.5)),
+    "gumbel": lambda q: mpmath.exp(-mpmath.exp(-q)) - mpmath.exp(-mpmath.exp(q)),
+    "f": lambda q: mpmath.betainc(2.5, 5, 0, 5 * q / (5 * q + 10), regularized=True),
+    "pareto": lambda q: 1 - q**-3,
+    "beta": lambda q: 3 * q**2 - 2 * q**3,
+    "uniform": lambda q: q,
+}
+
+
+def other_params(family):
+    """Parameters that differ from the family's fixed ones."""
+    params = RadialDistribution(family).params
+    if not params:
+        return {"scale": 2.0}
+    key = sorted(params)[0]
+    return {**params, key: 2.0 * params[key]}
+
+
 class TestNormalizationConstant:
     def test_normal_close_to_one(self):
         # independent oracle: Phi^-1(0.5 + 0.682/2)
@@ -121,9 +150,71 @@ class TestFixedCatalogue:
         expected = bisect_for_target(scipy_absolute_mass(family))
         assert RadialDistribution(family).norm_constant == expected
 
+    @pytest.mark.parametrize("family", SUPPORTED_FAMILIES)
+    def test_constant_within_conditioning_of_exact_root(self, family):
+        # a mass within 4 ulp of the exact one (the bound `normal_reference`
+        # explains) moves the root by 4 ulp(0.682) / density; rounding the
+        # root up to the first float reaching the target adds 1 ulp
+        q = RadialDistribution(family).norm_constant
+        mass = EXACT_ABSOLUTE_MASS[family]
+        with mpmath.workdps(DIGITS):
+            root = mpmath.findroot(lambda x: mass(x) - mpmath.mpf(TARGET_MASS), mpmath.mpf(q))
+            density = float(mpmath.diff(mass, root))
+        bound = 1.0 + 4.0 * np.spacing(TARGET_MASS) / density / np.spacing(q)
+        assert ulps(q, root) <= bound
+
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError, match="unsupported distribution family 'cauchy'"):
             RadialDistribution("cauchy")
+
+
+class TestRadialDistribution:
+    @pytest.mark.parametrize("family", SUPPORTED_FAMILIES)
+    def test_draws_follow_scipy_law_at_fixed_params(self, family):
+        # the sampler and the written params describe the same distribution
+        dist = RadialDistribution(family)
+        draws = dist.draw(np.random.default_rng(8), 20_000) * dist.norm_constant
+        assert sps.kstest(draws, scipy_absolute_mass(family)).pvalue > 1e-3
+
+    @pytest.mark.parametrize("family", SUPPORTED_FAMILIES)
+    def test_draw_is_reproducible_finite_and_nonnegative(self, family):
+        dist = RadialDistribution(family)
+        draws = dist.draw(np.random.default_rng(9), 1000)
+        assert draws.shape == (1000,)
+        assert np.array_equal(draws, dist.draw(np.random.default_rng(9), 1000))
+        assert np.isfinite(draws).all() and (draws >= 0).all()
+
+    @pytest.mark.parametrize("family", SUPPORTED_FAMILIES)
+    def test_json_round_trip(self, family):
+        dist = RadialDistribution(family)
+        data = json.loads(json.dumps(dist.to_dict()))
+        assert data == {"name": family, "params": dist.params}
+        assert RadialDistribution.from_dict(data) == dist
+
+    @pytest.mark.parametrize("family", SUPPORTED_FAMILIES)
+    def test_written_params_are_floats(self, family):
+        # model JSON writes 5.0, never 5
+        params = RadialDistribution(family).to_dict()["params"]
+        assert all(type(value) is float for value in params.values())
+
+    @pytest.mark.parametrize("family", SUPPORTED_FAMILIES)
+    def test_params_absent_or_equal_accepted(self, family):
+        dist = RadialDistribution(family)
+        integral = {
+            key: int(value) if value.is_integer() else value for key, value in dist.params.items()
+        }
+        for data in (
+            {"name": family},
+            {"name": family, "params": dist.params},
+            {"name": family, "params": integral},
+        ):
+            assert RadialDistribution.from_dict(data) == dist
+
+    @pytest.mark.parametrize("family", SUPPORTED_FAMILIES)
+    def test_other_params_rejected(self, family):
+        data = {"name": family, "params": other_params(family)}
+        with pytest.raises(ValueError, match=f"family '{family}' has the fixed parameters"):
+            RadialDistribution.from_dict(data)
 
 
 def modules_loaded_after(code, *argv):
@@ -214,10 +305,22 @@ class TestSampleClusterPoints:
         eigs = np.sort(np.linalg.eigvalsh(np.cov(points.T)))
         assert eigs[1] / eigs[0] == pytest.approx(3.0**2, rel=0.1)
 
-    def test_points_centered_on_cluster(self):
-        cluster = make_cluster(family="exponential", center=(5.0, -2.0))
+    @pytest.mark.parametrize("family", SUPPORTED_FAMILIES)
+    def test_points_centered_on_cluster(self, family):
+        cluster = make_cluster(family=family, center=(5.0, -2.0))
         points = sample_cluster_points(cluster, 50_000, np.random.default_rng(4))
         np.testing.assert_allclose(points.mean(axis=0), [5.0, -2.0], atol=0.05)
+
+    @pytest.mark.parametrize("family", SUPPORTED_FAMILIES)
+    def test_radii_follow_radial_law(self, family):
+        # rotated unit axes keep the radius; the normal family draws chi(dim)
+        dim = 3
+        axes = np.linalg.qr(np.random.default_rng(10).standard_normal((dim, dim)))[0]
+        cluster = make_cluster(family=family, sigma=np.ones(dim), axes=axes)
+        points = sample_cluster_points(cluster, 20_000, np.random.default_rng(11))
+        radii = np.linalg.norm(points, axis=1) * cluster.radial_distribution.norm_constant
+        law = sps.chi(df=dim).cdf if family == "normal" else scipy_absolute_mass(family)
+        assert sps.kstest(radii, law).pvalue > 1e-3
 
     @pytest.mark.parametrize("family", ["pareto", "standard_t"])
     def test_heavy_tails_make_far_outliers(self, family):
