@@ -165,7 +165,7 @@ def sample_mixture_model(a: arch.Archetype, rng: np.random.Generator) -> Mixture
     Single-cluster archetypes skip placement and sit at the coordinate
     origin.  Otherwise centers are initialized in a density-calibrated ball
     and optimized with `placement.PlacementConfig`'s defaults, except that
-    the SGD's learning rate is `placement.default_learning_rate` times the
+    the placement learning rate is `placement.default_learning_rate` times the
     archetype's scale; on non-convergence the initialization is redrawn up
     to max_restarts times.
     """
@@ -199,7 +199,7 @@ def sample_mixture_model(a: arch.Archetype, rng: np.random.Generator) -> Mixture
         return model
 
     # q is scale-free but its gradient in the centers goes as 1/scale, so
-    # a rate growing as scale^2 runs the same SGD at every scale
+    # a rate growing as scale^2 runs the same descent at every scale
     rate = placement.default_learning_rate(lengths) * a.scale
     config = placement.PlacementConfig(learning_rate=rate)
     bounds = placement.OverlapBounds.from_overlaps(a.max_overlap, a.min_overlap)

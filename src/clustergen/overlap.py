@@ -36,14 +36,13 @@ class PairInverses:
 
     inv[p] = ((S_i + S_j)/2)^{-1} for the pair (i, j) = (iu[p], ju[p]),
     i < j: k(k-1)/2 matrices of d x d, packed row by row, so they take
-    k(k-1)/2 * d^2 floats.  others[i] lists every j != i in increasing
-    order, and pairs[i] the matching entries of inv (both k x (k-1)).
+    k(k-1)/2 * d^2 floats.  pairs[i] lists the entries of inv that hold
+    cluster i, in increasing order of the other cluster (k x (k-1)).
     """
 
     inv: np.ndarray
     iu: np.ndarray
     ju: np.ndarray
-    others: np.ndarray
     pairs: np.ndarray
 
 
@@ -58,13 +57,12 @@ def pair_inverses(covs) -> PairInverses:
     iu, ju = np.triu_indices(k, 1)
     index = np.zeros((k, k), dtype=np.intp)
     index[iu, ju] = index[ju, iu] = np.arange(iu.size)
-    others = np.array([np.delete(np.arange(k), i) for i in range(k)], dtype=np.intp)
-    pairs = np.take_along_axis(index, others, axis=1)
+    pairs = index[~np.eye(k, dtype=bool)].reshape(k, k - 1)
     inv = np.empty((iu.size, dim, dim))
     for i in range(k - 1):
         start = index[i, i + 1]
         inv[start : start + k - 1 - i] = np.linalg.inv(0.5 * (covs[i] + covs[i + 1 :]))
-    return PairInverses(inv, iu, ju, others, pairs)
+    return PairInverses(inv, iu, ju, pairs)
 
 
 def _rowdot(x, y):
@@ -79,7 +77,10 @@ def _oriented_separations(delta, axes, var_i, var_j):
 
 
 def _row_separations(delta, S, others_S, axes):
-    """(q, axes) as in `lda_separations`, along any axes[m]; delta[m] = others_mu[m] - mu."""
+    """(q, oriented scaled axes) of one cluster (S) against m others, along axes[m].
+
+    delta[m] = others_mu[m] - mu.
+    """
     var_i = _rowdot(axes @ S, axes)
     var_j = _rowdot((others_S @ axes[:, :, None])[:, :, 0], axes)
     return _oriented_separations(delta, axes, var_i, var_j)
@@ -99,25 +100,16 @@ def _table_separations(delta, covs, iu, ju, axes):
     return _oriented_separations(delta, axes, var_i, var_j)
 
 
-def lda_separations(mu, S, others_mu, others_S, inv_avg):
-    """LDA separations of one cluster (mu, S) against m others.
-
-    inv_avg[m] is ((S + others_S[m])/2)^{-1}, from `pair_inverses`, so each
-    axis is one matrix-vector product.  Returns (q, axes): q[m] >= 0 is the
-    separation quantile along the LDA axis toward others_mu[m], and axes[m]
-    is that axis oriented from mu toward others_mu[m] and pre-divided by
-    the quantile denominator, so q[m] = axes[m] @ (others_mu[m] - mu),
-    grad_{others_mu[m]} q[m] = axes[m] and grad_{mu} q[m] = -axes[m] with
-    the axis held fixed.  Inputs are not checked; the estimators below
-    check theirs in `_checked`.
-    """
-    delta = others_mu - mu
-    axes = (inv_avg @ delta[:, :, None])[:, :, 0]
-    return _row_separations(delta, S, others_S, axes)
-
-
 def pairwise_separations(centers, covs, inverses: PairInverses):
-    """`lda_separations` of every pair i < j at once, packed like `inverses.inv`."""
+    """LDA separations of every pair i < j at once, packed like `inverses.inv`.
+
+    Returns (q, axes): q[p] >= 0 is the separation quantile of (iu[p],
+    ju[p]) along their LDA axis, and axes[p] is that axis oriented from
+    iu[p] toward ju[p] and pre-divided by the quantile denominator, so
+    q[p] = axes[p] @ (mu_ju - mu_iu), grad_{mu_ju} q[p] = axes[p] and
+    grad_{mu_iu} q[p] = -axes[p] with the axis held fixed.  Inputs are not
+    checked; the estimators below check theirs in `_checked`.
+    """
     iu, ju = inverses.iu, inverses.ju
     delta = centers[ju] - centers[iu]
     axes = (inverses.inv @ delta[:, :, None])[:, :, 0]

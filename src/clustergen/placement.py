@@ -1,8 +1,8 @@
-"""Cluster center initialization and overlap-constrained SGD placement.
+"""Cluster center initialization and overlap-constrained gradient placement.
 
 Centers start uniform inside a ball sized so that the cluster density
-matches a sphere-packing-adjusted target, then move by per-cluster
-stochastic gradient descent on the overlap loss
+matches a sphere-packing-adjusted target, then move by gradient descent
+on the overlap loss
 
     L = (1/k) sum_i [ p((min_j q_ij - q_max)^+) + sum_j p((q_min - q_ij)^+) ]
 
@@ -11,8 +11,15 @@ the LDA axis oriented from i to j, so q_ij = q_ji >= 0.  Gradients freeze
 the axis at the current iterate and differentiate only the explicit center
 dependence; axes and axis lengths never change during placement.
 
-Covariances therefore stay fixed too, so each `optimize_centers` call
-inverts every pair's averaged covariance once, before the first epoch
+Every epoch moves all clusters at once: one pass over the k(k-1)/2 pairs
+gives the loss and the summed gradient of the k cluster losses, and each
+cluster steps down its part of it, the step capped at _STEP_CAP times the
+cluster's radius (the geometric mean of its axis lengths) so that the
+first epochs out of the dense initial ball do not overshoot.  Placement
+draws no random numbers; only the initial centers are random.
+
+Covariances stay fixed too, so each `optimize_centers` call inverts
+every pair's averaged covariance once, before the first epoch
 (`overlap.pair_inverses`), and every separation after that is a
 matrix-vector product.  The inverses take k(k-1)/2 * d^2 floats: 56 MB
 at k=8, d=500.
@@ -26,18 +33,19 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import NonConvergenceError
-from .overlap import PairInverses, lda_separations, pair_inverses, pairwise_separations
+from .overlap import PairInverses, pair_inverses, pairwise_separations
 from .stats import normal_isf
 
 if TYPE_CHECKING:  # pragma: no cover
     from .mixture import MixtureModel
 
 _LOSS_SLACK = 1e-12
+_STEP_CAP = 3.0  # largest step of a cluster per epoch, in its radii
 
 
 @dataclass(frozen=True)
 class PlacementConfig:
-    """Knobs for center initialization and SGD."""
+    """Knobs for center initialization and the gradient epochs."""
 
     rho_2d: float = 0.10
     learning_rate: float | None = None  # None -> default_learning_rate
@@ -118,47 +126,35 @@ def _penalty_slope(x, penalty_mix):
     return penalty_mix + 2.0 * (1.0 - penalty_mix) * x
 
 
-def cluster_loss(
-    centers, covs, inverses: PairInverses, i, bounds: OverlapBounds, penalty_mix: float
+def _loss_and_gradient(
+    centers, covs, inverses: PairInverses, bounds: OverlapBounds, penalty_mix
 ):
-    """Loss on cluster i and its frozen-axis gradient w.r.t. the centers it touches.
+    """Mean of the k cluster losses and the sum of their gradients, from one pass.
 
-    The loss is the isolation penalty on i's nearest separation plus a
-    crowding penalty for every separation below q_min.  `inverses` is
-    `pair_inverses(covs)`.  Returns (loss, rows, grad): grad[r] is the
-    gradient w.r.t. centers[rows[r]]; every other center's gradient is zero.
+    Cluster i's loss is the isolation penalty on its nearest separation,
+    or, when that lies within q_max, a crowding penalty for every
+    separation below q_min.  q_ij = q_ji, so each pair's separation is
+    computed once, along axes[p] oriented from iu[p] to ju[p] and scaled
+    so that grad_{c_ju} q = axes[p] = -grad_{c_iu} q (axis held fixed).
+    Every cluster loss's term on pair p therefore adds w * axes[p] to the
+    gradient of c_iu and -w * axes[p] to that of c_ju: w is the penalty
+    slope for a crowding push and minus it for an isolation pull.
     """
-    others = inverses.others[i]
-    q, axes = lda_separations(
-        centers[i], covs[i], centers.take(others, axis=0), covs.take(others, axis=0),
-        inverses.inv.take(inverses.pairs[i], axis=0),
-    )
-    nearest = int(q.argmin())
-    isolation = float(q[nearest]) - bounds.q_max
-    if isolation > 0:  # then every q_ij > q_max > q_min: no crowding term
-        pull = _penalty_slope(isolation, penalty_mix) * axes[nearest]
-        rows = np.array([i, others[nearest]])
-        return penalty(isolation, penalty_mix), rows, np.stack([-pull, pull])
-    crowded = np.nonzero(q < bounds.q_min)[0]
-    shortfall = bounds.q_min - q[crowded]
-    pushes = _penalty_slope(shortfall, penalty_mix)[:, None] * axes[crowded]
-    rows = np.concatenate([[i], others[crowded]])
-    # rows of pushes are added in order, not by a BLAS dot
-    grad = np.concatenate([pushes.sum(axis=0)[None, :], -pushes])
-    return float(penalty(shortfall, penalty_mix).sum()), rows, grad
-
-
-def _mean_loss(centers, covs, inverses: PairInverses, bounds: OverlapBounds, penalty_mix):
-    """Mean of the k cluster losses from one pass over the k(k-1)/2 pairs.
-
-    q_ij = q_ji, so each pair's separation is computed once.
-    """
-    q, _ = pairwise_separations(centers, covs, inverses)
+    q, axes = pairwise_separations(centers, covs, inverses)
     q_of = q[inverses.pairs]  # row i: q_ij for every j != i
-    isolation = np.maximum(q_of.min(axis=1) - bounds.q_max, 0.0)
+    nearest = q_of.argmin(axis=1)
+    isolation = np.maximum(q_of[np.arange(len(q_of)), nearest] - bounds.q_max, 0.0)
     crowding = np.maximum(bounds.q_min - q_of, 0.0)
     losses = penalty(isolation, penalty_mix) + penalty(crowding, penalty_mix).sum(axis=1)
-    return float(losses.mean())
+    shortfall = bounds.q_min - q
+    # both clusters of a crowded pair push: neither can be isolated
+    weight = np.where(shortfall > 0, 2.0 * _penalty_slope(shortfall, penalty_mix), 0.0)
+    isolated = np.flatnonzero(isolation)
+    pulled = inverses.pairs[isolated, nearest[isolated]]  # mutual nearest pairs repeat
+    np.subtract.at(weight, pulled, _penalty_slope(isolation[isolated], penalty_mix))
+    table = np.zeros((len(centers), len(centers), centers.shape[1]))
+    table[inverses.iu, inverses.ju] = weight[:, None] * axes
+    return float(losses.mean()), table.sum(axis=1) - table.sum(axis=0)
 
 
 def overlap_loss(
@@ -166,13 +162,17 @@ def overlap_loss(
 ) -> float:
     """Average single-cluster loss; zero iff all constraints hold."""
     covs = model.covariances()
-    return _mean_loss(model.centers, covs, pair_inverses(covs), bounds, penalty_mix)
+    return _loss_and_gradient(model.centers, covs, pair_inverses(covs), bounds, penalty_mix)[0]
+
+
+def _radii(lengths: np.ndarray) -> np.ndarray:
+    """Per-cluster geometric-mean axis length, from a k x dim array of axis lengths."""
+    return np.exp(np.mean(np.log(lengths), axis=1))
 
 
 def default_learning_rate(lengths: np.ndarray) -> float:
     """0.1 * the mean cluster radius, from a k x dim array of axis lengths."""
-    radii = np.exp(np.mean(np.log(lengths), axis=1))  # per-cluster geometric mean
-    return 0.1 * float(radii.mean())
+    return 0.1 * float(_radii(lengths).mean())
 
 
 def optimize_centers(
@@ -181,34 +181,35 @@ def optimize_centers(
     config: PlacementConfig,
     rng: np.random.Generator,
 ):
-    """Run SGD epochs until the overlap loss reaches tolerance.
+    """Run gradient epochs until the overlap loss reaches tolerance.
 
-    Each epoch visits the clusters in an order drawn from `rng` and steps
-    each one's centers down its `cluster_loss` gradient.  Returns
-    (converged model, per-epoch loss trace).  Axes and axis lengths are
-    untouched; only centers move.  Raises NonConvergenceError with the
-    final loss and trace when max_epochs is exhausted, or at once when the
-    loss is NaN or infinite.
+    Each epoch moves every cluster at once, down the summed gradient of
+    all k cluster losses taken at the epoch's start (one pass over the
+    pairs), and caps each cluster's step at _STEP_CAP times its radius.
+    The run is deterministic: `rng` is accepted but neither read nor
+    advanced.  Returns (converged model, per-epoch loss trace).  Axes and
+    axis lengths are untouched; only centers move.  Raises
+    NonConvergenceError with the final loss and trace when max_epochs is
+    exhausted, or at once when the loss is NaN or infinite.
     """
     centers = model.centers
     covs = model.covariances()
-    k = centers.shape[0]
     inverses = pair_inverses(covs)
+    lengths = np.stack([c.axis_lengths for c in model.clusters])
     eta = config.learning_rate
     if eta is None:
-        eta = default_learning_rate(np.stack([c.axis_lengths for c in model.clusters]))
+        eta = default_learning_rate(lengths)
+    cap = _STEP_CAP * _radii(lengths)
     stop_at = max(config.loss_tolerance, _LOSS_SLACK)
     trace: list[float] = []
     for epoch in range(config.max_epochs + 1):
-        loss = _mean_loss(centers, covs, inverses, bounds, config.penalty_mix)
+        loss, grad = _loss_and_gradient(centers, covs, inverses, bounds, config.penalty_mix)
         trace.append(loss)
         if loss <= stop_at:
             clusters = [replace(c, center=centers[j]) for j, c in enumerate(model.clusters)]
             return replace(model, clusters=clusters), trace
         if epoch == config.max_epochs or not np.isfinite(loss):
-            raise NonConvergenceError(loss, trace)  # no SGD step recovers from NaN/inf
-        for i in rng.permutation(k):
-            _, rows, grad = cluster_loss(
-                centers, covs, inverses, int(i), bounds, config.penalty_mix
-            )
-            centers[rows] -= eta * grad  # untouched rows: c - eta*0 == c
+            raise NonConvergenceError(loss, trace)  # no step recovers from NaN/inf
+        step = eta * grad
+        length = np.sqrt(np.einsum("ij,ij->i", step, step))
+        centers -= step * (cap / np.maximum(length, cap))[:, None]

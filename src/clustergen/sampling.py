@@ -102,7 +102,7 @@ def dataset_from_csv(path) -> Dataset:
     if not finite.all():
         column = header[np.flatnonzero(~finite)[0]]
         raise ValueError(f"{path}: column {column!r} has a non-finite value")
-    labels = body[:, -1].astype(int)
-    if not np.array_equal(labels, body[:, -1]):
-        raise ValueError(f"{path}: labels must be integers")
-    return Dataset(np.ascontiguousarray(body[:, :-1]), labels, "")
+    labels = body[:, -1]
+    if not np.all((labels == np.floor(labels)) & (labels >= -(2.0**63)) & (labels < 2.0**63)):
+        raise ValueError(f"{path}: labels must be integers within the int64 range")
+    return Dataset(np.ascontiguousarray(body[:, :-1]), labels.astype(int), "")

@@ -337,6 +337,17 @@ class TestPlot:
         assert "column 'x2' has a non-finite value" in capsys.readouterr().err
         assert not svg_path.exists()
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("label", ["1e300", "-1e300"])
+    def test_out_of_range_label_exits_1_without_svg(self, tmp_path, capsys, label):
+        csv_path = tmp_path / "big.csv"
+        csv_path.write_text(f"x1,x2,label\n0.5,1.5,0\n1.0,2.0,{label}\n")
+        svg_path = tmp_path / "big.svg"
+        code = cli.main(["plot", str(csv_path), str(svg_path)])
+        assert code == cli.EXIT_VALIDATION == 1
+        assert "labels must be integers" in capsys.readouterr().err
+        assert not svg_path.exists()
+
     def test_empty_dataset_axes_only(self, tmp_path):
         csv_path = tmp_path / "empty.csv"
         csv_path.write_text("x1,x2,label\n")

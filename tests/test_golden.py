@@ -25,8 +25,8 @@ CASES = [
         {"name": "golden_plain", "n_clusters": 3, "dim": 2, "n_samples": 90},
         0,
         [],
-        "69460c39a80b50c6fadc077b53c8e1d95b2831b1e5dfce60839bcd9915bacb65",
-        "1e3837ef9d6486fca08ff25b639aa72ed6a3f3b7ac398ff897ef8c020c52699f",
+        "e1165833a90c44a8b5166c6c8cc4539b939bd40285811fc7a9bc50c160984e5d",
+        "8993ca9a919d26738837c5c36a1a1136cbe6a354555cc53a420d67db2a3c6ebc",
     ),
     (
         {
@@ -37,22 +37,22 @@ CASES = [
         },
         7,
         [],
-        "b4851edc4ba07be4f7624eeab8696ccfa4be14d244fe5a55a025323be457d134",
-        "4c84c809f3f638b4df68eb8139a5877ff44dcc225a67c9d87c33081f97686b97",
+        "d99df726fce9f1b37dbf44c6d94ba8437100446daf5ac501e4a5b122c5ac1d97",
+        "dd968bda8914e569d1710ea519e818fd8b57d276bc7c0addd4b2c70e1883ca07",
     ),
     (
         {"name": "golden_wide", "n_clusters": 4, "dim": 40, "n_samples": 80, "scale": 2.0},
         3,
         [],
-        "b587b5800ad2022d2110aa19e9b024626b7f7eb9756d27e9f6b41ab049834e23",
-        "1a5ccfb8f74cb242495ce71929a02a20fc6d32246f892500283949bef112930b",
+        "2dd1ea03de4dc9967e71ce6b954a150dc05610f164fc35acb22b7bc298c86b16",
+        "95e2ea29bb563069702802f2ef8af0a60bcf3f2039499e15323fd9228f8e9cc1",
     ),
     (
         {"name": "golden_bent", "n_clusters": 3, "dim": 3, "n_samples": 120},
         11,
         ["--distort", "--wrap"],
-        "564cbd5928f9973c604b6bf01006ee39709224b7c5608a9301dcf5cf05490f30",
-        "2ff98a013d617cbcc829a6cb1bfe5dbdcca7caaa5f529284ab5283dd4bb1cf0c",
+        "6589e5e320dc11356f36c0531895c3dccab7340ddad007cb96deac8272c5f262",
+        "7404286c16a9bbba400fded485a7a42e5c95da266ad30d607ec5a98caa14e3db",
     ),
 ]
 
@@ -79,7 +79,7 @@ def test_golden_outputs(tmp_path, spec, master, flags, model_hash, csv_hash):
 # sha256 of `clustergen bench` stdout over the six benchmark archetypes:
 # pins the K-Means labels (through AMI/ARI) and the silhouette to 6 decimals
 BENCH_FIXTURE = Path(__file__).parent / "fixtures" / "benchmark_archetypes.jsonl"
-BENCH_HASH = "2dfb21e8c6fd8a97973e29be00b4c67e2b6dd977a25a60dc26b0b2aafe6f6a29"
+BENCH_HASH = "94b1400c094adb942e4681d5e2540d55263b316f20c0fe982dcedecd0aa48145"
 
 
 def test_golden_bench_rows(capsys):

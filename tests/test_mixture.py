@@ -191,7 +191,7 @@ class TestSampleMixtureModel:
 
     @pytest.mark.parametrize("scale", [1e-3, 1e-2, 10.0, 1e3])
     def test_placement_is_scale_equivariant(self, scale):
-        # the default learning rate grows as scale^2, so the SGD run at any
+        # the default learning rate grows as scale^2, so the placement run at any
         # scale is the unit-scale run scaled; a rate linear in scale diverged
         # below scale 0.1 and needed hundreds of epochs at scale 100
         base = dict(

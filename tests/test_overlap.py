@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from overlap_reference import c2c_quantile, exact_quantile, lda_axis, separation_quantile
+from placement_reference import separations_of
 
 from clustergen import mixture
 from clustergen.archetype import Archetype
@@ -13,7 +14,6 @@ from clustergen.overlap import (
     c2c_overlap,
     exact_overlap_oracle,
     lda_overlap,
-    lda_separations,
     monte_carlo_overlap,
     overlap_report_rows,
     pair_inverses,
@@ -144,12 +144,8 @@ class TestCachedPairKernel:
             assert q == pytest.approx(q_ref, rel=1e-12)
             assert np.linalg.norm(axis - axis_ref) <= 1e-12 * np.linalg.norm(axis_ref)
 
-        for i in range(k):
-            others = inverses.others[i]
-            q, axes = lda_separations(
-                centers[i], covs[i], centers[others], covs[others],
-                inverses.inv[inverses.pairs[i]],
-            )
+        for i in range(k):  # each row's entries of inverses.pairs
+            others, q, axes = separations_of(centers, covs, i)
             for m, j in enumerate(others):
                 check(q[m], axes[m], i, j)
         q, axes = pairwise_separations(centers, covs, inverses)

@@ -396,6 +396,9 @@ class TestCsvRoundTrip:
         (b"", "label"),
         (b"x1,label\r\n0.5,nan\r\n", "column 'label' has a non-finite value"),
         (b"x1,x2,label\r\n0.5,-inf,1\r\n", "column 'x2' has a non-finite value"),
+        (b"x1,label\r\n0.5,1e300\r\n", "integers within the int64 range"),
+        (b"x1,label\r\n0.5,-1e300\r\n", "integers within the int64 range"),
+        (b"x1,label\r\n0.5,9223372036854775808\r\n", "integers within the int64 range"),
     ])
     def test_malformed_rows_rejected(self, tmp_path, body, match):
         path = tmp_path / "bad.csv"
