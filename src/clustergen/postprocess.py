@@ -1,5 +1,14 @@
 """Non-convexity transforms: random-network distortion and sphere wrapping.
 
+The distortion network is a fixed random map, so it runs in float32: its
+weights are float64 normal draws rounded to float32, and every matmul,
+layer norm and tanh runs on float32 arrays, which halves the memory traffic
+and doubles the SIMD width against float64.  Its output is cast back to
+float64, and `distort` standardizes and unstandardizes in float64.  The
+result lies within 2.5e-5 of each input column's standard deviation of
+the same network run in float64, on inputs up to 6000 x 200 (1e-4 is
+tested).
+
 `DistortNetwork.forward` runs its blocks in two reused n x width buffers
 instead of a new array per operation, and takes each layer norm in place
 in the order `ndarray.mean` and `ndarray.var` use, so its output matches
@@ -16,6 +25,7 @@ import numpy as np
 _LAYER_NORM_EPS = 1e-5
 _WIDTH = 128
 _BLOCKS = 16
+_PROJECTION_COLUMNS = 16
 
 
 @dataclass(frozen=True)
@@ -31,6 +41,7 @@ class DistortNetwork:
     Linear embedding (dim -> width 128), 16 blocks of linear + layer norm +
     tanh at constant width, and a linear projection back to dim whose
     weight is the transpose of the embedding weight (shared storage).
+    Every weight and bias is float32.
     """
 
     embedding_weight: np.ndarray  # (dim, width)
@@ -51,7 +62,7 @@ class DistortNetwork:
         rng = np.random.default_rng(seed)
 
         def linear(fan_in, shape):
-            return rng.normal(0.0, 1.0 / np.sqrt(fan_in), size=shape)
+            return rng.normal(0.0, 1.0 / np.sqrt(fan_in), size=shape).astype(np.float32)
 
         embedding_weight = linear(dim, (dim, _WIDTH))
         embedding_bias = linear(dim, _WIDTH)
@@ -63,17 +74,19 @@ class DistortNetwork:
         return cls(embedding_weight, embedding_bias, blocks, projection_bias)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        """Run the network on an n x dim matrix.
+        """Run the network on an n x dim matrix; returns n x dim float64.
 
-        Each block's matmul reads one n x width buffer and writes the other;
-        the layer norm then squares into the one just read.  The result is
-        bit-identical to `tanh((h - h.mean(1)) / sqrt(h.var(1) + eps))`.
+        The input is cast to float32 once, and the network runs in float32
+        from the embedding to the projection.  Each block's matmul reads one
+        n x width buffer and writes the other; the layer norm then squares
+        into the one just read.  Each block is bit-identical to
+        `tanh((h - h.mean(1)) / sqrt(h.var(1) + eps))` in float32.
         """
         width = self.hidden_width
-        h = x @ self.embedding_weight
+        h = np.asarray(x, dtype=np.float32) @ self.embedding_weight
         h += self.embedding_bias
         out = np.empty_like(h)
-        row = np.empty((h.shape[0], 1))
+        row = np.empty((h.shape[0], 1), dtype=np.float32)
         for block in self.blocks:
             np.matmul(h, block.weight, out=out)
             out += block.bias
@@ -88,7 +101,14 @@ class DistortNetwork:
             out /= row
             np.tanh(out, out=out)
             h, out = out, h
-        return h @ self.projection_weight + self.projection_bias
+        # At an output width that is not a multiple of its kernel's, sgemm
+        # can round the last rows apart from identical earlier rows; zero
+        # columns up to a multiple of 16 keep identical rows identical.
+        dim = self.projection_bias.shape[0]
+        padded = np.pad(self.projection_weight, ((0, 0), (0, -dim % _PROJECTION_COLUMNS)))
+        y = (h @ padded)[:, :dim]
+        y += self.projection_bias
+        return y.astype(np.float64)
 
 
 def distort(X: np.ndarray, seed: int = 0) -> np.ndarray:
@@ -96,13 +116,17 @@ def distort(X: np.ndarray, seed: int = 0) -> np.ndarray:
 
     Columns are standardized before the embedding and the standardization
     is inverted afterwards, so distortion strength does not depend on the
-    dataset's absolute scale.  Output shape equals input shape.
+    dataset's absolute scale.  The standardization and its inversion run
+    in float64 and the network in float32 (see `DistortNetwork.forward`);
+    the output is float64 with the input's shape, empty for no rows.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] < 1:
         raise ValueError(f"expected an n x p matrix, got shape {X.shape}")
     if not np.all(np.isfinite(X)):
         raise ValueError("input contains non-finite values")
+    if X.shape[0] == 0:
+        return np.empty(X.shape)
     mean = X.mean(axis=0)
     std = X.std(axis=0)
     std[std == 0] = 1.0

@@ -17,6 +17,9 @@ import numpy as np
 
 from .mixture import Cluster, MixtureModel
 
+# values per `%` call in `dataset_to_csv`: about 3,000 rows at dim 10
+_CSV_BLOCK_VALUES = 1 << 15
+
 
 @dataclass(frozen=True)
 class Dataset:
@@ -69,18 +72,22 @@ def dataset_to_csv(dataset: Dataset, path) -> None:
 
     The bytes are those of `csv.writer` with its default dialect: `%.17g`
     floats, an integer label, no quoting (no field can hold a comma or a
-    quote) and `\r\n` line ends.  One format string covers a whole row.
+    quote) and `\r\n` line ends.  One `%` call formats a block of rows from
+    a flat tuple of its values; a block holds about `_CSV_BLOCK_VALUES`
+    values, so memory stays bounded at any size.
     """
-    header = [f"x{i + 1}" for i in range(dataset.dim)] + ["label"]
-    row_format = "%.17g," * dataset.dim + "%d\r\n"
+    dim = dataset.dim
+    header = [f"x{i + 1}" for i in range(dim)] + ["label"]
+    row_format = "%.17g," * dim + "%d\r\n"
+    rows = max(1, _CSV_BLOCK_VALUES // (dim + 1))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
-        fh.writelines(
-            [
-                row_format % (*row, label)
-                for row, label in zip(dataset.points.tolist(), dataset.labels.tolist())
-            ]
-        )
+        for start in range(0, dataset.n_samples, rows):
+            labels = dataset.labels[start : start + rows]
+            cells = np.empty((len(labels), dim + 1), dtype=object)  # Python floats and ints
+            cells[:, :dim] = dataset.points[start : start + rows]
+            cells[:, dim] = labels
+            fh.write(row_format * len(labels) % tuple(cells.ravel().tolist()))
 
 
 def dataset_from_csv(path) -> Dataset:

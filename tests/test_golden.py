@@ -52,7 +52,7 @@ CASES = [
         11,
         ["--distort", "--wrap"],
         "6589e5e320dc11356f36c0531895c3dccab7340ddad007cb96deac8272c5f262",
-        "7404286c16a9bbba400fded485a7a42e5c95da266ad30d607ec5a98caa14e3db",
+        "c125fdbd95a1e45fbcad1c42d68e0bbb123ee6142ef29756885d42980c394bca",
     ),
 ]
 

@@ -3,48 +3,93 @@ import pytest
 
 from clustergen.archetype import Archetype
 from clustergen.mixture import sample_mixture_model
-from clustergen.postprocess import _LAYER_NORM_EPS, DistortNetwork, distort, wrap_around_sphere
+from clustergen.postprocess import (
+    _BLOCKS,
+    _LAYER_NORM_EPS,
+    _PROJECTION_COLUMNS,
+    _WIDTH,
+    DistortNetwork,
+    _Block,
+    distort,
+    wrap_around_sphere,
+)
 from clustergen.sampling import sample_dataset
 
 
 def reference_forward(net, x):
-    """The forward pass written as plain NumPy expressions, one new array per op."""
-    h = x @ net.embedding_weight + net.embedding_bias
+    """The forward pass as plain NumPy expressions, one new array per op, in the
+    dtype of the network's weights (float32 for `DistortNetwork.create`)."""
+    h = x.astype(net.embedding_weight.dtype) @ net.embedding_weight + net.embedding_bias
     for block in net.blocks:
         h = h @ block.weight + block.bias
         mean = h.mean(axis=1, keepdims=True)
         var = h.var(axis=1, keepdims=True)
         h = (h - mean) / np.sqrt(var + _LAYER_NORM_EPS)
         h = np.tanh(h)
-    return h @ net.projection_weight + net.projection_bias
+    padded = np.pad(net.projection_weight, ((0, 0), (0, -x.shape[1] % _PROJECTION_COLUMNS)))
+    return ((h @ padded)[:, : x.shape[1]] + net.projection_bias).astype(np.float64)
 
 
-def reference_distort(X, seed):
+def reference_distort(X, net):
     mean = X.mean(axis=0)
     std = X.std(axis=0)
     std[std == 0] = 1.0
-    net = DistortNetwork.create(X.shape[1], seed)
     return reference_forward(net, (X - mean) / std) * std + mean
+
+
+def float64_network(dim, seed):
+    """The normal draws of `DistortNetwork.create`, in its order, kept in float64."""
+    rng = np.random.default_rng(seed)
+
+    def linear(fan_in, shape):
+        return rng.normal(0.0, 1.0 / np.sqrt(fan_in), size=shape)
+
+    embedding_weight = linear(dim, (dim, _WIDTH))
+    embedding_bias = linear(dim, _WIDTH)
+    blocks = tuple(
+        _Block(weight=linear(_WIDTH, (_WIDTH, _WIDTH)), bias=linear(_WIDTH, _WIDTH))
+        for _ in range(_BLOCKS)
+    )
+    return DistortNetwork(embedding_weight, embedding_bias, blocks, linear(_WIDTH, dim))
+
+
+def network_arrays(net):
+    return [net.embedding_weight, net.embedding_bias, net.projection_bias] + [
+        a for block in net.blocks for a in (block.weight, block.bias)
+    ]
 
 
 class TestDistort:
     def test_identical_rows_map_identically(self):
-        rng = np.random.default_rng(0)
-        X = rng.normal(size=(20, 3))
-        X[7] = X[3]
-        out = distort(X, seed=1)
-        np.testing.assert_array_equal(out[7], out[3])
+        # sgemm runs the rows past its last full panel through other kernels,
+        # so copies of one row sit first, in the middle and last
+        for n in (37, 6001):
+            for p in (3, 10):
+                X = np.random.default_rng(n + p).normal(size=(n, p))
+                copies = [0, n // 2, n - 1]
+                X[copies] = X[7]
+                out = distort(X, seed=1)
+                for i in copies:
+                    np.testing.assert_array_equal(out[i], out[7], err_msg=f"row {i} of {n}x{p}")
 
     def test_output_shape_matches_input(self):
         rng = np.random.default_rng(1)
-        for n, p in [(50, 2), (10, 7), (3, 1)]:
-            assert distort(rng.normal(size=(n, p)), seed=0).shape == (n, p)
+        for n, p in [(50, 2), (10, 7), (3, 1), (0, 3)]:
+            out = distort(rng.normal(size=(n, p)), seed=0)
+            assert out.shape == (n, p)
+            assert out.dtype == np.float64
 
     def test_deterministic_per_seed(self):
         rng = np.random.default_rng(2)
         X = rng.normal(size=(30, 4))
         np.testing.assert_array_equal(distort(X, seed=5), distort(X, seed=5))
         assert not np.allclose(distort(X, seed=5), distort(X, seed=6))
+
+    def test_weights_are_float32_roundings_of_float64_draws(self):
+        net = DistortNetwork.create(dim=6, seed=4)
+        for stored, drawn in zip(network_arrays(net), network_arrays(float64_network(6, 4))):
+            assert stored.dtype == np.float32
+            assert np.array_equal(stored, drawn.astype(np.float32))
 
     def test_weight_tying_is_exact(self):
         net = DistortNetwork.create(dim=3, seed=0)
@@ -87,8 +132,27 @@ class TestDistort:
         assert accuracy > 0.75
 
 
+class TestDistortPrecision:
+    """The float32 network stays within 1e-4 of each column's std of the float64 one."""
+
+    SHAPES = [(1, 1), (50, 2), (700, 5), (6000, 10), (3000, 57), (6000, 200)]
+
+    @pytest.mark.parametrize("n,p", SHAPES, ids=[f"{n}x{p}" for n, p in SHAPES])
+    def test_close_to_float64_network(self, n, p):
+        rng = np.random.default_rng(n + p)
+        scale = 10.0 ** rng.uniform(-3.0, 3.0, size=p)
+        offset = rng.uniform(-1e3, 1e3, size=p)
+        X = rng.standard_normal((n, p)) * scale + offset
+        out = distort(X, seed=n)
+        assert out.dtype == np.float64
+        std = X.std(axis=0)
+        std[std == 0] = 1.0
+        deviation = np.abs(out - reference_distort(X, float64_network(p, n))) / std
+        assert deviation.max() <= 1e-4
+
+
 class TestDistortBitIdentity:
-    """The buffer-reusing forward pass moves no bit against plain NumPy."""
+    """The buffer-reusing forward pass moves no bit against plain float32 NumPy."""
 
     SHAPES = [(1, 1), (120, 3), (4000, 2), (6000, 10)]
 
@@ -101,7 +165,8 @@ class TestDistortBitIdentity:
     @pytest.mark.parametrize("n,p", SHAPES, ids=[f"{n}x{p}" for n, p in SHAPES])
     def test_distort_matches_reference(self, n, p):
         X = np.random.default_rng(n * p).uniform(-50.0, 50.0, size=(n, p))
-        assert np.array_equal(distort(X, seed=11), reference_distort(X, 11))
+        net = DistortNetwork.create(p, seed=11)
+        assert np.array_equal(distort(X, seed=11), reference_distort(X, net))
 
 
 class TestWrapAroundSphere:
