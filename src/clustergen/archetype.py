@@ -5,12 +5,17 @@ dataset (cluster count, dimensionality, shape/volume variability, overlap
 bounds, class imbalance, distribution mix).  Concrete per-cluster values
 are drawn by *max-min sampling*: the user fixes a reference value and the
 allowed max/min ratio, and draws come out in conjugate pairs that satisfy
-a location constraint (geometric mean or sum) exactly.
+a location constraint exactly.  `_geometric_pairs` keeps the geometric
+mean (aspect ratios, axis lengths); `_sum_pairs` keeps the sum (group
+sizes, cluster volumes).
+
+Stream contract: each sampler takes one triangular draw per pair, in pair
+order, all from one `rng.triangular` call, and no draw at all when the
+spread is 1, so an archetype with unit ratios leaves `rng` untouched.
 """
 
 from __future__ import annotations
 
-import enum
 import json
 import math
 import re
@@ -134,6 +139,8 @@ def validate_archetype(a: Archetype) -> list[str]:
         v.append(f"dim must be an integer >= 2, got {a.dim!r}")
     if not (isinstance(a.n_samples, int) and not isinstance(a.n_samples, bool)) or a.n_samples < 1:
         v.append(f"n_samples must be a positive integer, got {a.n_samples!r}")
+    elif isinstance(a.n_clusters, int) and a.n_samples < a.n_clusters:
+        v.append(f"n_samples={a.n_samples} cannot cover n_clusters={a.n_clusters}")
     if not _is_number(a.aspect_ref) or not a.aspect_ref >= 1:
         v.append(f"aspect_ref must be >= 1, got {a.aspect_ref!r}")
     if not _is_number(a.aspect_maxmin) or not a.aspect_maxmin >= 1:
@@ -182,95 +189,57 @@ def validate_archetype(a: Archetype) -> list[str]:
     return v
 
 
-class ConstraintKind(enum.Enum):
-    GEOMETRIC_MEAN = "geometric_mean"
-    SUM = "sum"
+def _geometric_pairs(ref: float, ratio: float, count: int, rng: np.random.Generator) -> np.ndarray:
+    """`count` values in pairs (ref*e^u, ref^2/(ref*e^u)), u triangular on ±ln(ratio)/2.
 
-
-@dataclass(frozen=True)
-class MaxMinSpec:
-    """One max-min sampling task: a location constraint plus a spread bound."""
-
-    ref_value: float
-    maxmin_ratio: float
-    constraint_kind: ConstraintKind
-    count: int
-
-    def __post_init__(self):
-        if self.ref_value <= 0:
-            raise ValueError(f"ref_value must be positive, got {self.ref_value}")
-        if self.maxmin_ratio < 1:
-            raise ValueError(f"maxmin_ratio must be >= 1, got {self.maxmin_ratio}")
-        if self.count < 1:
-            raise ValueError(f"count must be >= 1, got {self.count}")
-
-
-def _triangular(rng: np.random.Generator, lo: float, mode: float, hi: float) -> float:
-    if hi <= lo:  # degenerate spread (ratio == 1)
-        return mode
-    return rng.triangular(lo, mode, hi)
-
-
-def maxmin_sample(spec: MaxMinSpec, rng: np.random.Generator) -> np.ndarray:
-    """Draw `count` positive values meeting the location and ratio constraints.
-
-    Values come out in conjugate pairs.  For GEOMETRIC_MEAN each pair is
-    (ref*e^u, ref*e^-u) with u triangular on [-ln(M)/2, ln(M)/2]; for SUM
-    each pair is (s, 2*ref - s) with s triangular on
-    [2*ref/(1+M), 2*ref*M/(1+M)].  Odd counts append the reference itself,
-    so the constraint holds exactly for any count.
+    Every pair has geometric mean ref, so the values do; an odd count ends
+    with ref.  No draw is made when the spread is empty (ratio 1).
     """
-    ref, M, count = spec.ref_value, spec.maxmin_ratio, spec.count
+    half_span = 0.5 * np.log(ratio)
+    n = count // 2
+    u = rng.triangular(-half_span, 0.0, half_span, size=n) if half_span > 0 else np.zeros(n)
+    first = ref * np.exp(u)
     values = np.empty(count)
-    n_pairs = count // 2
-    if spec.constraint_kind is ConstraintKind.GEOMETRIC_MEAN:
-        half_span = 0.5 * np.log(M)
-        for p in range(n_pairs):
-            u = _triangular(rng, -half_span, 0.0, half_span)
-            first = ref * np.exp(u)
-            values[2 * p] = first
-            values[2 * p + 1] = ref * ref / first
-    else:
-        lo = 2.0 * ref / (1.0 + M)
-        hi = 2.0 * ref * M / (1.0 + M)
-        _sum_pairs(rng, ref, lo, hi, values)
-    if count % 2:
-        values[-1] = ref
+    values[0 : 2 * n : 2] = first
+    values[1 : 2 * n : 2] = ref * ref / first
+    values[2 * n :] = ref
     return values
 
 
-def _sum_pairs(rng: np.random.Generator, ref: float, lo: float, hi: float, values) -> None:
-    """Fill `values` with SUM-constrained conjugate pairs (s, 2*ref - s).
+def _sum_pairs(ref: float, lo: float, hi: float, count: int, rng: np.random.Generator) -> np.ndarray:
+    """`count` values in pairs (s, 2*ref - s), s triangular on [lo, hi] with mode ref.
 
-    s is triangular on [lo, hi] with mode ref; an odd last slot is left as is.
+    Every pair sums to 2*ref, so the values average ref; an odd count ends
+    with ref.  No draw is made when hi <= lo.
     """
-    for p in range(len(values) // 2):
-        s = _triangular(rng, lo, ref, hi)
-        values[2 * p] = s
-        values[2 * p + 1] = 2.0 * ref - s
+    n = count // 2
+    s = rng.triangular(lo, ref, hi, size=n) if hi > lo else np.full(n, float(ref))
+    values = np.empty(count)
+    values[0 : 2 * n : 2] = s
+    values[1 : 2 * n : 2] = 2.0 * ref - s
+    values[2 * n :] = ref
+    return values
 
 
 def sample_group_sizes(a: Archetype, rng: np.random.Generator) -> np.ndarray:
     """Integer cluster sizes summing exactly to n_samples.
 
-    Real-valued sizes come from SUM-constrained max-min sampling with the
-    imbalance ratio as spread; flooring plus largest-fractional-part
-    rounding preserves the total with at most one count of distortion.
+    Real-valued sizes are SUM pairs around n/k with the imbalance ratio as
+    spread; flooring plus largest-fractional-part rounding preserves the
+    total with at most one count of distortion.
     """
     k, n = a.n_clusters, a.n_samples
     if n < k:
         raise ValueError(f"n_samples={n} cannot cover n_clusters={k}")
-    spec = MaxMinSpec(n / k, a.imbalance_ratio, ConstraintKind.SUM, k)
-    real = maxmin_sample(spec, rng)
+    ref, M = n / k, a.imbalance_ratio
+    real = _sum_pairs(ref, 2.0 * ref / (1.0 + M), 2.0 * ref * M / (1.0 + M), k, rng)
     sizes = np.floor(real).astype(int)
     fractions = real - sizes
     shortfall = n - int(sizes.sum())
     if shortfall < 0:  # float rounding pushed a floor above its share
-        for idx in np.argsort(-sizes, kind="stable")[: -shortfall]:
-            sizes[idx] -= 1
+        sizes[np.argsort(-sizes, kind="stable")[:-shortfall]] -= 1
     else:
-        for idx in np.argsort(-fractions, kind="stable")[:shortfall]:
-            sizes[idx] += 1
+        sizes[np.argsort(-fractions, kind="stable")[:shortfall]] += 1
     # flooring can zero out a tiny cluster; pull counts from the largest
     while (sizes < 1).any():
         sizes[np.argmin(sizes)] += 1
@@ -282,37 +251,31 @@ def sample_aspect_ratios(a: Archetype, rng: np.random.Generator) -> np.ndarray:
     """Per-cluster aspect ratios with geometric mean aspect_ref, all >= 1.
 
     Pairs around a reference close to 1 can dip below 1 when the spread
-    allows it; those values clamp to 1 with the conjugate partner rescaled
-    so the pair product (and hence the geometric mean) is preserved.
+    allows it; the member below 1 clamps to 1 and its partner becomes the
+    pair product, so the geometric mean is preserved.
     """
-    spec = MaxMinSpec(
-        a.aspect_ref, a.aspect_maxmin, ConstraintKind.GEOMETRIC_MEAN, a.n_clusters
-    )
-    values = maxmin_sample(spec, rng)
-    for p in range(a.n_clusters // 2):
-        i, j = 2 * p, 2 * p + 1
-        if values[i] < 1.0:
-            i, j = j, i
-        if values[j] < 1.0:
-            # the product is aspect_ref**2 >= 1 up to rounding, which at
-            # aspect_ref = 1 can land one ulp below 1
-            values[i] = max(values[i] * values[j], 1.0)
-            values[j] = 1.0
+    values = _geometric_pairs(a.aspect_ref, a.aspect_maxmin, a.n_clusters, rng)
+    pairs = values[: a.n_clusters // 2 * 2].reshape(-1, 2)  # a view into values
+    rows = np.flatnonzero(pairs.min(axis=1) < 1.0)
+    low = pairs[rows].argmin(axis=1)
+    # the product is aspect_ref**2 >= 1 up to rounding, which at
+    # aspect_ref = 1 can land one ulp below 1
+    pairs[rows, 1 - low] = np.maximum(pairs[rows, 0] * pairs[rows, 1], 1.0)
+    pairs[rows, low] = 1.0
     return values
 
 
 def sample_cluster_radii(a: Archetype, rng: np.random.Generator) -> np.ndarray:
     """Per-cluster radii whose dim-th powers (volumes) average to scale^dim.
 
-    Volumes relative to scale^dim are SUM-constrained max-min draws around 1
-    with spread M = radius_maxmin^dim, so they lie in (0, 2).  Their bounds
-    2/(1+M) and 2M/(1+M) are a logistic of t = dim*log(radius_maxmin), and
+    Volumes relative to scale^dim are SUM pairs around 1 with spread
+    M = radius_maxmin^dim, so they lie in (0, 2).  Their bounds 2/(1+M)
+    and 2M/(1+M) are a logistic of t = dim*log(radius_maxmin), and
     radius = scale * volume^(1/dim), so neither M nor scale^dim is formed
     and no dim, scale or ratio overflows or underflows.
     """
     e = math.exp(-a.dim * math.log(a.radius_maxmin))  # 1/M, in (0, 1]
-    volumes = np.ones(a.n_clusters)
-    _sum_pairs(rng, 1.0, 2.0 * e / (1.0 + e), 2.0 / (1.0 + e), volumes)
+    volumes = _sum_pairs(1.0, 2.0 * e / (1.0 + e), 2.0 / (1.0 + e), a.n_clusters, rng)
     return a.scale * volumes ** (1.0 / a.dim)
 
 
@@ -322,8 +285,8 @@ def sample_axis_lengths(
     """Principal-axis lengths: geometric mean = radius, max/min = aspect.
 
     The two extreme axes realize the aspect ratio exactly; any remaining
-    axes fill in between via geometric-mean max-min sampling at the same
-    spread.  Returned sorted descending.
+    axes fill in between as geometric-mean pairs at the same spread.
+    Returned sorted descending.
     """
     if aspect < 1:
         raise ValueError(f"aspect must be >= 1, got {aspect}")
@@ -334,8 +297,7 @@ def sample_axis_lengths(
     lengths[0] = radius * sqrt_aspect
     lengths[1] = radius / sqrt_aspect
     if dim > 2:
-        spec = MaxMinSpec(radius, aspect, ConstraintKind.GEOMETRIC_MEAN, dim - 2)
-        lengths[2:] = maxmin_sample(spec, rng)
+        lengths[2:] = _geometric_pairs(radius, aspect, dim - 2, rng)
     return np.sort(lengths)[::-1]
 
 
@@ -355,15 +317,13 @@ def assign_distributions(a: Archetype, rng: np.random.Generator) -> list[str]:
     ideal = props * k
     counts = np.floor(ideal).astype(int)
     fractions = ideal - counts
-    for idx in np.argsort(-fractions, kind="stable")[: k - int(counts.sum())]:
-        counts[idx] += 1
+    counts[np.argsort(-fractions, kind="stable")[: k - int(counts.sum())]] += 1
     assigned = [name for name, c in zip(names, counts) for _ in range(c)]
     order = rng.permutation(k)
     return [assigned[i] for i in order]
 
 
 _POISSON_HYPERPARAMS = ("n_clusters", "dim", "n_samples")
-_STRUCTURAL_FLOORS = {"n_clusters": 1, "dim": 2, "n_samples": 1}
 _MAX_ATTEMPTS = 10_000  # Poisson draws per hyperparameter before giving up
 
 
@@ -375,8 +335,9 @@ def sample_hyperparams(
 ) -> list[Archetype]:
     """Poisson-resample n_clusters/dim/n_samples around the originals.
 
-    Each hyperparameter is redrawn independently from a Poisson centered
-    on its current value and rejection-sampled into the caller's bounds.
+    Each hyperparameter is redrawn from a Poisson centered on its current
+    value and rejection-sampled into the caller's bounds; n_samples is also
+    kept at or above the variant's n_clusters.
     """
     if bounds is not None and not isinstance(bounds, dict):
         raise ValueError(f"bounds must map hyperparameter names to [min, max], got {bounds!r}")
@@ -398,22 +359,25 @@ def sample_hyperparams(
                 f"{key} bounds [{lo}, {hi}] do not contain the center {center}"
             )
 
-    def draw(key: str) -> int:
+    def draw(key: str, floor: int) -> int:
         center = getattr(a, key)
-        lo, hi = bounds.get(key, (None, None))
-        lo = max(lo if lo is not None else _STRUCTURAL_FLOORS[key], _STRUCTURAL_FLOORS[key])
-        hi = hi if hi is not None else np.inf
+        lo, hi = bounds.get(key, (floor, np.inf))
+        lo = max(lo, floor)
         for _ in range(_MAX_ATTEMPTS):
             value = int(rng.poisson(center))
             if lo <= value <= hi:
                 return value
         raise ValueError(
-            f"rejection sampling for {key} failed after {_MAX_ATTEMPTS} attempts"
+            f"rejection sampling for {key} into [{lo}, {hi}] failed "
+            f"after {_MAX_ATTEMPTS} attempts"
         )
 
     variants = []
     for i in range(n_variants):
-        resampled = {key: draw(key) for key in _POISSON_HYPERPARAMS}
+        resampled = {"n_clusters": draw("n_clusters", 1), "dim": draw("dim", 2)}
+        # drawn last and floored at the drawn n_clusters, so every variant
+        # is valid and one that already covered its clusters is unchanged
+        resampled["n_samples"] = draw("n_samples", resampled["n_clusters"])
         variants.append(replace(a, name=f"{a.name}_v{i + 1}", **resampled))
     return variants
 

@@ -12,8 +12,8 @@ import datetime
 import hashlib
 import json
 import os
+import pathlib
 import sys
-import tempfile
 
 import numpy as np
 
@@ -39,17 +39,24 @@ def derive_seed(master_seed: int, archetype_name: str, index: int) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def _write_atomic(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+def _write_atomic(path: str, write) -> None:
+    """Call `write(tmp)` on a temporary file beside `path`, then rename it to `path`.
+
+    Readers never see a partial file, and a failed write leaves no
+    temporary file behind.
+    """
+    tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        write(tmp)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _write_text(path: str, text: str) -> None:
+    _write_atomic(path, lambda tmp: pathlib.Path(tmp).write_text(text, encoding="utf-8"))
 
 
 def _generate_one(archetype_dict, index, seed, out_dir, do_distort, do_wrap):
@@ -65,14 +72,7 @@ def _generate_one(archetype_dict, index, seed, out_dir, do_distort, do_wrap):
         points = wrap_around_sphere(points)
     dataset = Dataset(points, dataset.labels, dataset.archetype_name)
     path = os.path.join(out_dir, f"{a.name}_{index:03d}.csv")
-    tmp_path = path + f".{os.getpid()}.tmp"
-    try:
-        dataset_to_csv(dataset, tmp_path)
-        os.replace(tmp_path, path)
-    except BaseException:
-        if os.path.exists(tmp_path):
-            os.unlink(tmp_path)
-        raise
+    _write_atomic(path, lambda tmp: dataset_to_csv(dataset, tmp))
     return path
 
 
@@ -145,7 +145,7 @@ def cmd_generate(args) -> int:
                 print(f"error: {a.name}[{index}]: {exc}", file=sys.stderr)
             manifest["entries"].append(entry)
 
-    _write_atomic(
+    _write_text(
         os.path.join(args.out_dir, "manifest.json"),
         json.dumps(manifest, indent=2) + "\n",
     )
@@ -167,7 +167,7 @@ def cmd_validate_overlap(args) -> int:
     rows = overlap_report_rows(reports)
     text = "\n".join(rows) + "\n"
     if args.out:
-        _write_atomic(args.out, text)
+        _write_text(args.out, text)
     else:
         sys.stdout.write(text)
     if not reports:
@@ -240,7 +240,7 @@ def cmd_plot(args) -> int:
                 "dimensionality reduction is out of scope"
             ]
         )
-    _write_atomic(args.out, _svg_scatter(dataset))
+    _write_text(args.out, _svg_scatter(dataset))
     print(f"wrote {args.out}")
     return EXIT_OK
 
@@ -261,7 +261,7 @@ def cmd_bench(args) -> int:
             )
     text = "\n".join(rows) + "\n"
     if args.out:
-        _write_atomic(args.out, text)
+        _write_text(args.out, text)
     else:
         sys.stdout.write(text)
     return EXIT_OK

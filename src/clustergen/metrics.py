@@ -13,7 +13,6 @@ reuses one n×d buffer for seeding, centroids and the WCSS.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,30 +20,6 @@ import numpy as np
 _TILE = 256
 # K-Means restarts; the best WCSS of these wins.
 _N_INIT = 10
-
-
-@dataclass(frozen=True)
-class Labeling:
-    """Integer labels in [0, k) with every class nonempty."""
-
-    labels: np.ndarray
-
-    def __post_init__(self):
-        labels = np.asarray(self.labels, dtype=int)
-        object.__setattr__(self, "labels", labels)
-        if labels.size and (labels.min() < 0 or np.unique(labels).size != labels.max() + 1):
-            raise ValueError("labels must cover [0, k) with every class nonempty")
-
-    @property
-    def k(self) -> int:
-        return int(self.labels.max()) + 1 if self.labels.size else 0
-
-    def __len__(self) -> int:
-        return self.labels.size
-
-
-def _as_labels(x) -> np.ndarray:
-    return np.asarray(getattr(x, "labels", x), dtype=int)
 
 
 def _squared_distances(X, center, work) -> np.ndarray:
@@ -108,14 +83,16 @@ def _lloyd(X, centred, mean, centers, work, max_iter=300, rel_tol=1e-6):
     return centers, assignment, current
 
 
-def kmeans(X, k: int, rng: np.random.Generator | None = None) -> Labeling:
-    """Best of _N_INIT Lloyd runs, each from a k-means++ seeding."""
+def kmeans(X, k: int, rng: np.random.Generator) -> np.ndarray:
+    """Best of _N_INIT Lloyd runs, each from a k-means++ seeding.
+
+    Returns integer labels covering [0, k') with no empty class; k' < k
+    only when a cluster emptied out.
+    """
     X = np.asarray(X, dtype=float)
     n = X.shape[0]
     if k > n:
         raise ValueError(f"k={k} exceeds the number of points n={n}")
-    if rng is None:
-        rng = np.random.default_rng()
     # one n×d buffer serves every seeding pass, Lloyd step and restart
     work = np.empty_like(X)
     mean = X.mean(axis=0)
@@ -127,8 +104,7 @@ def kmeans(X, k: int, rng: np.random.Generator | None = None) -> Labeling:
         if score < best_score:
             best_assignment, best_score = assignment, score
     # compact label ids in case a cluster emptied out
-    _, compact = np.unique(best_assignment, return_inverse=True)
-    return Labeling(compact)
+    return np.unique(best_assignment, return_inverse=True)[1]
 
 
 def _contingency(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -185,7 +161,7 @@ def _expected_mutual_information(table: np.ndarray, n: int) -> float:
 
 def ami(a, b) -> float:
     """Adjusted mutual information, arithmetic-mean normalization."""
-    a, b = _as_labels(a), _as_labels(b)
+    a, b = np.asarray(a, dtype=int), np.asarray(b, dtype=int)
     if a.shape != b.shape:
         raise ValueError(f"labelings differ in length: {a.shape} vs {b.shape}")
     n = a.size
@@ -204,7 +180,7 @@ def ami(a, b) -> float:
 
 def ari(a, b) -> float:
     """Adjusted Rand index via the pair-counting formula."""
-    a, b = _as_labels(a), _as_labels(b)
+    a, b = np.asarray(a, dtype=int), np.asarray(b, dtype=int)
     if a.shape != b.shape:
         raise ValueError(f"labelings differ in length: {a.shape} vs {b.shape}")
     table = _contingency(a, b)
@@ -238,7 +214,7 @@ def silhouette(X, labels) -> float:
     Memory is O(tile² + n·k), never n×n.
     """
     X = np.asarray(X, dtype=float)
-    labels = _as_labels(labels)
+    labels = np.asarray(labels, dtype=int)
     classes, inverse = np.unique(labels, return_inverse=True)
     if classes.size < 2:
         raise ValueError("silhouette requires at least two label classes")

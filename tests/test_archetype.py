@@ -3,10 +3,7 @@ import pytest
 
 from clustergen.archetype import (
     Archetype,
-    ConstraintKind,
-    MaxMinSpec,
     assign_distributions,
-    maxmin_sample,
     sample_aspect_ratios,
     sample_axis_lengths,
     sample_cluster_radii,
@@ -15,10 +12,6 @@ from clustergen.archetype import (
     validate_archetype,
 )
 from clustergen.errors import ArchetypeValidationError
-
-GM = ConstraintKind.GEOMETRIC_MEAN
-SUM = ConstraintKind.SUM
-
 
 def make_archetype(**overrides):
     base = dict(
@@ -67,75 +60,127 @@ class TestValidateArchetype:
         )
         assert violations and "sum" in violations[0]
 
+    def test_fewer_samples_than_clusters_rejected(self):
+        violations = validate_archetype(make_archetype(n_clusters=7, n_samples=5))
+        assert violations == ["n_samples=5 cannot cover n_clusters=7"]
+        assert validate_archetype(make_archetype(n_clusters=7, n_samples=7)) == []
+        with pytest.raises(ArchetypeValidationError, match="cannot cover"):
+            Archetype.from_dict({"name": "x", "n_clusters": 7, "n_samples": 5})
+
     def test_n_samples_defaults_to_100_per_cluster(self):
         a = Archetype(name="defaulted", n_clusters=7)
         assert a.n_samples == 700
         assert validate_archetype(a) == []
 
 
+def unit_spread_archetype(**overrides):
+    return make_archetype(aspect_maxmin=1, radius_maxmin=1, imbalance_ratio=1, **overrides)
+
+
 class TestMaxMinSample:
+    """The max-min draw contract, through the four public samplers.
+
+    Aspect ratios and axis lengths keep a geometric mean, group sizes and
+    cluster volumes a sum; values come in conjugate pairs, one triangular
+    draw per pair, and an odd count ends with the reference.
+    """
+
     def test_unit_ratio_forces_constant(self):
-        spec = MaxMinSpec(2.0, 1.0, GM, 5)
-        values = maxmin_sample(spec, np.random.default_rng(0))
-        np.testing.assert_array_equal(values, np.full(5, 2.0))
+        a = unit_spread_archetype(n_clusters=5, n_samples=500, aspect_ref=2.0, scale=3.0)
+        rng = np.random.default_rng(0)
+        np.testing.assert_array_equal(sample_aspect_ratios(a, rng), np.full(5, 2.0))
+        np.testing.assert_array_equal(sample_cluster_radii(a, rng), np.full(5, 3.0))
+        np.testing.assert_array_equal(sample_group_sizes(a, rng), np.full(5, 100))
+        np.testing.assert_array_equal(sample_axis_lengths(1.0, 2.0, 5, rng), np.full(5, 2.0))
+
+    def test_unit_ratio_draws_nothing(self):
+        # the golden hashes rely on unit spreads leaving the stream untouched
+        for k, dim in ((1, 2), (2, 3), (7, 10), (12, 2)):
+            a = unit_spread_archetype(n_clusters=k, dim=dim, n_samples=100 * k, aspect_ref=1.7)
+            rng = np.random.default_rng(5)
+            before = rng.bit_generator.state
+            sample_aspect_ratios(a, rng)
+            sample_cluster_radii(a, rng)
+            sample_group_sizes(a, rng)
+            sample_axis_lengths(1.0, 1.5, dim, rng)
+            assert rng.bit_generator.state == before
 
     def test_geometric_mean_and_ratio_bound_over_many_draws(self):
-        spec = MaxMinSpec(1.5, 3.0, GM, 4)
+        a = make_archetype(n_clusters=4, aspect_ref=1.5, aspect_maxmin=3.0)
         rng = np.random.default_rng(42)
-        for _ in range(10_000):
-            values = maxmin_sample(spec, rng)
-            gm = np.exp(np.mean(np.log(values)))
-            assert abs(gm - 1.5) <= 1.5e-9 * 1.5
-            assert values.max() / values.min() <= 3.0 + 1e-12
+        for _ in range(2000):
+            for values in (
+                sample_aspect_ratios(a, rng),
+                sample_axis_lengths(3.0, 1.5, 6, rng),
+            ):
+                gm = np.exp(np.mean(np.log(values)))
+                assert abs(gm - 1.5) <= 1e-9 * 1.5
+                assert values.max() / values.min() <= 3.0 * (1 + 1e-12)
 
     def test_sum_pair_endpoints(self):
-        # s_max/s_min = 2 with s_max + s_min = 200 solves to [200/3, 400/3]
-        spec = MaxMinSpec(100.0, 2.0, SUM, 2)
+        # s_max/s_min = 2 with s_max + s_min = 200 solves to [200/3, 400/3];
+        # the sizes are those values floored and rounded to total 200
+        a = make_archetype(n_clusters=2, n_samples=200, imbalance_ratio=2.0)
         rng = np.random.default_rng(7)
         for _ in range(2000):
-            s, partner = maxmin_sample(spec, rng)
-            assert 200.0 / 3.0 - 1e-9 <= s <= 400.0 / 3.0 + 1e-9
-            assert s + partner == pytest.approx(200.0, rel=1e-15)
+            s, partner = sample_group_sizes(a, rng)
+            assert 200 // 3 <= s <= 400 // 3 + 1
+            assert s + partner == 200
+        # volumes s and 2 - s lie in [2/(1+M), 2M/(1+M)] with M = 3**dim
+        b = make_archetype(n_clusters=2, dim=2, radius_maxmin=3.0)
+        for _ in range(2000):
+            volumes = sample_cluster_radii(b, rng) ** 2
+            assert volumes.min() >= 2.0 / 10.0 * (1 - 1e-12)
+            assert volumes.max() <= 18.0 / 10.0 * (1 + 1e-12)
+            assert volumes.sum() == pytest.approx(2.0, rel=1e-15)
 
     def test_conjugate_pairs_hold_exactly(self):
         rng = np.random.default_rng(3)
-        gm_spec = MaxMinSpec(2.5, 4.0, GM, 6)
-        values = maxmin_sample(gm_spec, rng)
+        a = make_archetype(n_clusters=6, dim=2, aspect_ref=2.5, aspect_maxmin=4.0, radius_maxmin=5.0)
+        values = sample_aspect_ratios(a, rng)
         for p in range(3):
             assert values[2 * p] * values[2 * p + 1] == pytest.approx(2.5**2, rel=1e-15)
-        sum_spec = MaxMinSpec(10.0, 5.0, SUM, 6)
-        values = maxmin_sample(sum_spec, rng)
+        volumes = sample_cluster_radii(a, rng) ** 2
         for p in range(3):
-            assert values[2 * p] + values[2 * p + 1] == pytest.approx(20.0, rel=1e-15)
+            assert volumes[2 * p] + volumes[2 * p + 1] == pytest.approx(2.0, rel=1e-15)
 
     def test_odd_count_appends_reference(self):
-        spec = MaxMinSpec(3.0, 2.0, GM, 5)
-        values = maxmin_sample(spec, np.random.default_rng(1))
-        assert values[-1] == 3.0
+        rng = np.random.default_rng(1)
+        a = make_archetype(n_clusters=5, aspect_ref=3.0, aspect_maxmin=2.0, scale=2.0)
+        assert sample_aspect_ratios(a, rng)[-1] == 3.0
+        assert sample_cluster_radii(a, rng)[-1] == 2.0
+        # the five axes between the two extremes end with the radius
+        lengths = sample_axis_lengths(2.0, 1.5, 7, rng)
+        assert 1.5 in lengths
 
     def test_random_specs_property_sweep(self):
-        # location constraint to 1e-9 relative and ratio bound, both kinds
+        # location constraint to 1e-9 relative and ratio bound, all four samplers
         rng = np.random.default_rng(2024)
-        for _ in range(10_000):
-            ref = float(rng.uniform(0.1, 50.0))
+        for _ in range(2000):
+            k = int(rng.integers(1, 9))
+            dim = int(rng.integers(2, 9))
+            ref = float(rng.uniform(1.0, 50.0))
             ratio = float(rng.uniform(1.0, 10.0))
-            count = int(rng.integers(1, 9))
-            kind = GM if rng.random() < 0.5 else SUM
-            values = maxmin_sample(MaxMinSpec(ref, ratio, kind, count), rng)
-            assert values.max() / values.min() <= ratio * (1 + 1e-12)
-            if kind is GM:
-                location = np.exp(np.mean(np.log(values)))
-            else:
-                location = values.sum() / count
-            assert abs(location - ref) <= 1e-9 * ref
-
-    def test_invalid_specs_rejected(self):
-        with pytest.raises(ValueError):
-            MaxMinSpec(1.0, 0.5, GM, 3)
-        with pytest.raises(ValueError):
-            MaxMinSpec(-1.0, 2.0, SUM, 3)
-        with pytest.raises(ValueError):
-            MaxMinSpec(1.0, 2.0, SUM, 0)
+            scale = float(rng.uniform(0.1, 50.0))
+            a = make_archetype(
+                n_clusters=k, dim=dim, n_samples=1000 * k, aspect_ref=ref, aspect_maxmin=ratio,
+                radius_maxmin=ratio, imbalance_ratio=ratio, scale=scale,
+            )
+            aspects = sample_aspect_ratios(a, rng)
+            assert (aspects >= 1.0).all()
+            assert abs(np.exp(np.mean(np.log(aspects))) - ref) <= 1e-9 * ref
+            assert aspects.max() / aspects.min() <= ratio * (1 + 1e-12)
+            lengths = sample_axis_lengths(ratio, scale, dim, rng)
+            assert abs(np.exp(np.mean(np.log(lengths))) - scale) <= 1e-9 * scale
+            assert lengths.max() / lengths.min() <= ratio * (1 + 1e-12)
+            radii = sample_cluster_radii(a, rng)
+            relative_volumes = (radii / scale) ** dim
+            assert abs(relative_volumes.mean() - 1.0) <= 1e-9
+            assert radii.max() / radii.min() <= ratio * (1 + 1e-12)
+            sizes = sample_group_sizes(a, rng)
+            assert sizes.sum() == 1000 * k
+            # each size is within one count of its real-valued draw
+            assert sizes.max() <= ratio * (sizes.min() + 1) + 1
 
 
 class TestGroupSizes:
@@ -313,6 +358,28 @@ class TestSampleHyperparams:
         variants = sample_hyperparams(a, 500, None, np.random.default_rng(2))
         assert min(v.n_clusters for v in variants) >= 1
         assert min(v.dim for v in variants) >= 2
+
+    def test_variants_cover_their_clusters(self):
+        a = make_archetype(n_clusters=5, n_samples=5)
+        variants = sample_hyperparams(a, 500, None, np.random.default_rng(0))
+        assert all(v.n_samples >= v.n_clusters for v in variants)
+        assert all(validate_archetype(v) == [] for v in variants)
+        assert len({v.n_clusters for v in variants}) > 1
+
+    def test_valid_variants_unchanged_by_the_floor(self):
+        # the floor only redraws n_samples, the last draw of a variant, so
+        # variants that already covered their clusters match draws floored
+        # at the structural minimums alone
+        a = make_archetype(n_clusters=4, n_samples=400)
+        rng = np.random.default_rng(3)
+
+        def draw(center, floor):
+            while (value := int(rng.poisson(center))) < floor:
+                pass
+            return value
+
+        for v in sample_hyperparams(a, 50, None, np.random.default_rng(3)):
+            assert [v.n_clusters, v.dim, v.n_samples] == [draw(4, 1), draw(2, 2), draw(400, 1)]
 
     def test_inverted_bounds_rejected(self):
         a = make_archetype()

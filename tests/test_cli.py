@@ -133,6 +133,28 @@ class TestGenerate:
         assert list(out.glob("*.tmp")) == []
         assert list(out.glob("*.csv")) == []
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("fail", [False, True], ids=["ok", "write_failure"])
+    def test_no_temp_file_left(self, tmp_path, monkeypatch, jobs, fail):
+        real_write = cli.dataset_to_csv
+
+        def write_then_fail(dataset, path):
+            real_write(dataset, path)
+            if "_001.csv" in path:
+                raise OSError(28, "No space left on device")
+
+        if fail:
+            monkeypatch.setattr(cli, "dataset_to_csv", write_then_fail)
+        out = tmp_path / "out"
+        code = cli.main(
+            ["generate", "--inline", SMALL, "--n-datasets", "2", "--seed", "2",
+             "--out-dir", str(out), "--jobs", jobs]
+        )
+        assert code == (cli.EXIT_VALIDATION if fail else cli.EXIT_OK)
+        assert list(out.glob("*.tmp")) == []
+        expected = ["cli_small_000.csv", "manifest.json"] + ([] if fail else ["cli_small_001.csv"])
+        assert sorted(p.name for p in out.iterdir()) == sorted(expected)
+
     def test_failed_csv_write_keeps_manifest(self, tmp_path, monkeypatch):
         real_write = cli.dataset_to_csv
 
@@ -390,6 +412,23 @@ class TestHyperparams:
         for line in lines:
             variant = Archetype.from_json(line)
             assert 2 <= variant.n_clusters <= 10
+
+    def test_variants_generate_cleanly(self, tmp_path, capsys):
+        # at n_samples = n_clusters, any variant that draws more clusters
+        # needs its n_samples floored, or generate refuses it
+        arch_path = tmp_path / "h.json"
+        arch_path.write_text('{"name":"h","n_clusters":5,"n_samples":5}')
+        code = cli.main(
+            ["hyperparams", "--archetype", str(arch_path), "--n-variants", "8", "--seed", "0"]
+        )
+        assert code == 0
+        variants_path = tmp_path / "variants.jsonl"
+        variants_path.write_text(capsys.readouterr().out)
+        out = tmp_path / "out"
+        code = cli.main(["generate", "--archetypes", str(variants_path), "--out-dir", str(out)])
+        assert code == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert [e["status"] for e in manifest["entries"]] == ["ok"] * 8
 
     def test_inverted_bounds_exit_1(self, tmp_path, capsys):
         arch_path = tmp_path / "a.json"

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from clustergen import metrics
-from clustergen.metrics import Labeling, ami, ari, kmeans, silhouette
+from clustergen.metrics import ami, ari, kmeans, silhouette
 from clustergen.mixture import sample_mixture_model
 from clustergen.sampling import sample_dataset
 
@@ -177,7 +177,7 @@ def kmeans_reference(X, k, rng, n_init=10):
 def assert_kmeans_matches_reference(X, k, seed):
     rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     np.testing.assert_array_equal(
-        kmeans(X, k, rng=rng).labels, kmeans_reference(X, k, reference_rng)
+        kmeans(X, k, rng=rng), kmeans_reference(X, k, reference_rng)
     )
     assert rng.bit_generator.state == reference_rng.bit_generator.state
 
@@ -195,26 +195,39 @@ class TestKmeans:
     def test_single_cluster(self):
         X = np.random.default_rng(2).normal(size=(30, 3))
         result = kmeans(X, 1, rng=np.random.default_rng(0))
-        assert np.unique(result.labels).size == 1
+        assert np.unique(result).size == 1
 
     def test_k_equals_n_zero_wcss(self):
         rng = np.random.default_rng(3)
         X = rng.normal(size=(8, 2)) * 5
         result = kmeans(X, 8, rng=np.random.default_rng(0))
-        assert np.unique(result.labels).size == 8
-        centers = np.stack([X[result.labels == j].mean(axis=0) for j in range(8)])
-        assert np.sum((X - centers[result.labels]) ** 2) == pytest.approx(0.0, abs=1e-20)
+        assert np.unique(result).size == 8
+        centers = np.stack([X[result == j].mean(axis=0) for j in range(8)])
+        assert np.sum((X - centers[result]) ** 2) == pytest.approx(0.0, abs=1e-20)
 
     def test_k_above_n_rejected(self):
         with pytest.raises(ValueError, match="exceeds"):
-            kmeans(np.zeros((3, 2)), 4)
+            kmeans(np.zeros((3, 2)), 4, rng=np.random.default_rng(0))
 
     def test_deterministic_per_seed(self):
         rng = np.random.default_rng(4)
         X = rng.normal(size=(100, 2))
         r1 = kmeans(X, 3, rng=np.random.default_rng(11))
         r2 = kmeans(X, 3, rng=np.random.default_rng(11))
-        np.testing.assert_array_equal(r1.labels, r2.labels)
+        np.testing.assert_array_equal(r1, r2)
+
+    def test_labels_cover_range_without_empty_class(self):
+        # duplicate points force empty clusters, whose ids are compacted away
+        rng = np.random.default_rng(6)
+        for X, k in (
+            (rng.normal(size=(200, 3)), 7),
+            (np.repeat(rng.normal(size=(3, 2)), 10, axis=0), 6),
+            (np.zeros((5, 2)), 4),
+        ):
+            labels = kmeans(X, k, rng=rng)
+            assert labels.shape == (X.shape[0],) and labels.dtype.kind == "i"
+            assert np.array_equal(np.unique(labels), np.arange(labels.max() + 1))
+            assert labels.max() < k
 
     def test_benchmark_archetypes_match_reference(self, benchmark_archetypes):
         for a in benchmark_archetypes:
@@ -293,10 +306,6 @@ class TestAri:
             a = random_nondegenerate_labels(rng, n, int(rng.integers(2, 5)))
             b = random_nondegenerate_labels(rng, n, int(rng.integers(2, 5)))
             assert ari(a, b) == pytest.approx(ari_bruteforce(a, b), abs=1e-10)
-
-    def test_accepts_labeling_objects(self):
-        a = Labeling(np.array([0, 0, 1, 1]))
-        assert ari(a, a) == pytest.approx(1.0)
 
     def test_single_point_agrees_with_ami(self):
         # one point has no pairs to count; like ami, the labelings agree
@@ -415,12 +424,3 @@ class TestSilhouette:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2**20
-
-
-class TestLabeling:
-    def test_gap_in_labels_rejected(self):
-        with pytest.raises(ValueError):
-            Labeling(np.array([0, 2, 2]))
-
-    def test_k_property(self):
-        assert Labeling(np.array([0, 1, 1, 2])).k == 3

@@ -117,6 +117,11 @@ class TestParseArchetypeJson:
             parse_archetype_json(raw, defaults={"name": "x"})
         assert any("min_overlap" in v for v in excinfo.value.violations)
 
+    def test_fewer_samples_than_clusters_is_validation_error(self):
+        raw = '{"n_clusters": 7, "n_samples": 5}'
+        with pytest.raises(NLValidationError, match="cannot cover"):
+            parse_archetype_json(raw, defaults={"name": "x"})
+
     def test_unknown_keys_rejected(self):
         raw = '{"n_clusters": 3, "volume": 9}'
         with pytest.raises(NLValidationError, match="unknown"):
