@@ -307,6 +307,13 @@ class TestAri:
             b = random_nondegenerate_labels(rng, n, int(rng.integers(2, 5)))
             assert ari(a, b) == pytest.approx(ari_bruteforce(a, b), abs=1e-10)
 
+    def test_accepts_labeling_objects(self):
+        # kmeans labelings and plain lists go in without conversion
+        X = np.array([[0.0, 0.0], [0.1, 0.0], [9.0, 0.0], [9.1, 0.0]])
+        predicted = kmeans(X, 2, rng=np.random.default_rng(0))
+        assert ari(predicted, [0, 0, 1, 1]) == pytest.approx(1.0)
+        assert ari([0, 0, 1, 1], predicted) == pytest.approx(1.0)
+
     def test_single_point_agrees_with_ami(self):
         # one point has no pairs to count; like ami, the labelings agree
         assert ari([0], [0]) == 1.0
