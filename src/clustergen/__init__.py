@@ -22,7 +22,6 @@ from .overlap import (
     c2c_overlap,
     exact_overlap_oracle,
     lda_overlap,
-    monte_carlo_overlap,
     pairwise_overlaps,
 )
 from .placement import OverlapBounds, PlacementConfig, optimize_centers, overlap_loss
@@ -42,7 +41,6 @@ __all__ = [
     "distort",
     "exact_overlap_oracle",
     "lda_overlap",
-    "monte_carlo_overlap",
     "optimize_centers",
     "overlap_loss",
     "pairwise_overlaps",

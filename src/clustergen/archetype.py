@@ -121,8 +121,15 @@ class Archetype:
         return cls.from_dict(json.loads(text))
 
 
+_SCALE_RANGE = (1e-100, 1e100)  # placement's arithmetic stays finite inside it
+
+
 def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_finite(value) -> bool:
+    return _is_number(value) and math.isfinite(value)
 
 
 def validate_archetype(a: Archetype) -> list[str]:
@@ -141,14 +148,15 @@ def validate_archetype(a: Archetype) -> list[str]:
         v.append(f"n_samples must be a positive integer, got {a.n_samples!r}")
     elif isinstance(a.n_clusters, int) and a.n_samples < a.n_clusters:
         v.append(f"n_samples={a.n_samples} cannot cover n_clusters={a.n_clusters}")
-    if not _is_number(a.aspect_ref) or not a.aspect_ref >= 1:
-        v.append(f"aspect_ref must be >= 1, got {a.aspect_ref!r}")
-    if not _is_number(a.aspect_maxmin) or not a.aspect_maxmin >= 1:
-        v.append(f"aspect_maxmin must be >= 1, got {a.aspect_maxmin!r}")
-    if not _is_number(a.radius_maxmin) or not a.radius_maxmin >= 1:
-        v.append(f"radius_maxmin must be >= 1, got {a.radius_maxmin!r}")
-    if not _is_number(a.scale) or not a.scale > 0:
-        v.append(f"scale must be positive, got {a.scale!r}")
+    if not _is_finite(a.aspect_ref) or not a.aspect_ref >= 1:
+        v.append(f"aspect_ref must be finite and >= 1, got {a.aspect_ref!r}")
+    if not _is_finite(a.aspect_maxmin) or not a.aspect_maxmin >= 1:
+        v.append(f"aspect_maxmin must be finite and >= 1, got {a.aspect_maxmin!r}")
+    if not _is_finite(a.radius_maxmin) or not a.radius_maxmin >= 1:
+        v.append(f"radius_maxmin must be finite and >= 1, got {a.radius_maxmin!r}")
+    lo, hi = _SCALE_RANGE
+    if not _is_number(a.scale) or not lo <= a.scale <= hi:
+        v.append(f"scale must lie in [{lo:g}, {hi:g}], got {a.scale!r}")
     if not _is_number(a.max_overlap) or not 0 < a.max_overlap < 1:
         v.append(f"max_overlap must lie in (0, 1), got {a.max_overlap!r}")
     if not _is_number(a.min_overlap) or not 0 < a.min_overlap < 1:
@@ -162,8 +170,8 @@ def validate_archetype(a: Archetype) -> list[str]:
             f"min_overlap must be strictly below max_overlap "
             f"({a.min_overlap!r} >= {a.max_overlap!r})"
         )
-    if not _is_number(a.imbalance_ratio) or not a.imbalance_ratio >= 1:
-        v.append(f"imbalance_ratio must be >= 1, got {a.imbalance_ratio!r}")
+    if not _is_finite(a.imbalance_ratio) or not a.imbalance_ratio >= 1:
+        v.append(f"imbalance_ratio must be finite and >= 1, got {a.imbalance_ratio!r}")
     if not isinstance(a.distributions, (tuple, list)) or not a.distributions:
         v.append("distributions must be a nonempty list of family names")
     else:
@@ -172,8 +180,8 @@ def validate_archetype(a: Archetype) -> list[str]:
                 v.append(f"unsupported distribution {name!r}")
     if a.distribution_proportions is not None:
         props = a.distribution_proportions
-        if not isinstance(props, (tuple, list)) or not all(_is_number(p) for p in props):
-            v.append("distribution_proportions must be a list of numbers")
+        if not isinstance(props, (tuple, list)) or not all(_is_finite(p) for p in props):
+            v.append("distribution_proportions must be a list of finite numbers")
         else:
             if isinstance(a.distributions, (tuple, list)) and len(props) != len(
                 a.distributions
@@ -336,8 +344,9 @@ def sample_hyperparams(
     """Poisson-resample n_clusters/dim/n_samples around the originals.
 
     Each hyperparameter is redrawn from a Poisson centered on its current
-    value and rejection-sampled into the caller's bounds; n_samples is also
-    kept at or above the variant's n_clusters.
+    value and rejection-sampled into the caller's bounds; n_clusters is also
+    kept at or below the n_samples maximum, and n_samples at or above the
+    variant's n_clusters.
     """
     if bounds is not None and not isinstance(bounds, dict):
         raise ValueError(f"bounds must map hyperparameter names to [min, max], got {bounds!r}")
@@ -359,10 +368,10 @@ def sample_hyperparams(
                 f"{key} bounds [{lo}, {hi}] do not contain the center {center}"
             )
 
-    def draw(key: str, floor: int) -> int:
+    def draw(key: str, floor: int, ceiling=np.inf) -> int:
         center = getattr(a, key)
         lo, hi = bounds.get(key, (floor, np.inf))
-        lo = max(lo, floor)
+        lo, hi = max(lo, floor), min(hi, ceiling)
         for _ in range(_MAX_ATTEMPTS):
             value = int(rng.poisson(center))
             if lo <= value <= hi:
@@ -372,9 +381,16 @@ def sample_hyperparams(
             f"after {_MAX_ATTEMPTS} attempts"
         )
 
+    # a variant needs n_samples >= n_clusters, so n_clusters is capped at the
+    # n_samples maximum; the capped range holds the n_clusters center, which
+    # validation keeps at or below the n_samples center
+    most_samples = bounds.get("n_samples", (0, np.inf))[1]
     variants = []
     for i in range(n_variants):
-        resampled = {"n_clusters": draw("n_clusters", 1), "dim": draw("dim", 2)}
+        resampled = {
+            "n_clusters": draw("n_clusters", 1, most_samples),
+            "dim": draw("dim", 2),
+        }
         # drawn last and floored at the drawn n_clusters, so every variant
         # is valid and one that already covered its clusters is unchanged
         resampled["n_samples"] = draw("n_samples", resampled["n_clusters"])

@@ -200,13 +200,16 @@ def cmd_nl(args) -> int:
     return EXIT_OK
 
 
+# plot canvas and the margin around its axes, in SVG pixels
+_SVG_WIDTH, _SVG_HEIGHT, _SVG_MARGIN = 640, 480, 40
 _PALETTE = (
     "#4477aa", "#ee6677", "#228833", "#ccbb44", "#66ccee",
     "#aa3377", "#bbbbbb", "#222255", "#225555", "#552222",
 )
 
 
-def _svg_scatter(dataset: Dataset, width=640, height=480, margin=40) -> str:
+def _svg_scatter(dataset: Dataset) -> str:
+    width, height, margin = _SVG_WIDTH, _SVG_HEIGHT, _SVG_MARGIN
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">',

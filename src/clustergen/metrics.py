@@ -20,6 +20,10 @@ import numpy as np
 _TILE = 256
 # K-Means restarts; the best WCSS of these wins.
 _N_INIT = 10
+# Lloyd stops after this many iterations, or once the WCSS falls by no
+# more than this fraction of itself.
+_MAX_ITER = 300
+_REL_TOL = 1e-6
 
 
 def _squared_distances(X, center, work) -> np.ndarray:
@@ -45,7 +49,7 @@ def _kmeans_pp_seed(X, k, rng, work) -> np.ndarray:
     return centers
 
 
-def _lloyd(X, centred, mean, centers, work, max_iter=300, rel_tol=1e-6):
+def _lloyd(X, centred, mean, centers, work):
     """Lloyd iterations on X, where `centred` is X − `mean`.
 
     The assignment is the argmin of ‖c‖² − 2·x·c over the centred data, so
@@ -55,7 +59,7 @@ def _lloyd(X, centred, mean, centers, work, max_iter=300, rel_tol=1e-6):
     """
     k = centers.shape[0]
     previous = np.inf
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         shifted = centers - mean
         partial = centred @ shifted.T
         partial *= -2.0
@@ -77,7 +81,7 @@ def _lloyd(X, centred, mean, centers, work, max_iter=300, rel_tol=1e-6):
         np.subtract(X, work, out=work)
         np.square(work, out=work)
         current = float(work.sum())
-        if previous - current <= rel_tol * max(previous, 1e-300):
+        if previous - current <= _REL_TOL * max(previous, 1e-300):
             break
         previous = current
     return centers, assignment, current

@@ -164,10 +164,10 @@ def sample_mixture_model(a: arch.Archetype, rng: np.random.Generator) -> Mixture
 
     Single-cluster archetypes skip placement and sit at the coordinate
     origin.  Otherwise centers are initialized in a density-calibrated ball
-    and optimized with `placement.PlacementConfig`'s defaults, except that
-    the placement learning rate is `placement.default_learning_rate` times the
-    archetype's scale; on non-convergence the initialization is redrawn up
-    to max_restarts times.
+    and optimized at a learning rate of `placement.default_learning_rate`
+    times the archetype's scale; on non-convergence the initialization is redrawn up
+    to `placement.MAX_RESTARTS` times, so placement makes at most
+    MAX_RESTARTS + 1 attempts of up to `placement.MAX_EPOCHS` epochs each.
     """
     a.validated()
     k, dim = a.n_clusters, a.dim
@@ -203,7 +203,7 @@ def sample_mixture_model(a: arch.Archetype, rng: np.random.Generator) -> Mixture
     rate = placement.default_learning_rate(lengths) * a.scale
     config = placement.PlacementConfig(learning_rate=rate)
     bounds = placement.OverlapBounds.from_overlaps(a.max_overlap, a.min_overlap)
-    for _ in range(config.max_restarts + 1):
+    for _ in range(placement.MAX_RESTARTS + 1):
         centers = placement.init_centers(k, dim, radii, config, rng)
         start = replace(
             model, clusters=[replace(c, center=centers[j]) for j, c in enumerate(model.clusters)]

@@ -27,6 +27,9 @@ from .errors import (
 
 API_KEY_ENV = "CLUSTERGEN_API_KEY"
 _FALLBACK_KEY_ENV = "OPENAI_API_KEY"
+_TIMEOUT_S = 30.0  # per request
+_ATTEMPTS = 3  # requests per completion, transient failures included
+_BACKOFF_S = 0.5  # sleep before the second attempt, doubling after each retry
 
 
 class TemplateKind(enum.Enum):
@@ -67,9 +70,6 @@ class ClientConfig:
     base_url: str = "https://api.openai.com/v1"
     model: str = "gpt-4o"
     api_key: str | None = None  # None -> environment
-    timeout: float = 30.0
-    max_retries: int = 3
-    backoff_seconds: float = 0.5
 
     def resolve_key(self) -> str:
         key = self.api_key or os.environ.get(API_KEY_ENV) or os.environ.get(_FALLBACK_KEY_ENV)
@@ -105,8 +105,9 @@ def _http_transport(url: str, payload: dict, headers: dict, timeout: float):
 def complete(prompt: str, config: ClientConfig | None = None, transport=None) -> str:
     """Send one chat-completion request and return the assistant text.
 
-    Transient failures (429 and 5xx, network errors) retry with backoff up
-    to config.max_retries attempts; the key is checked before any traffic.
+    Transient failures (429 and 5xx, network errors) retry with doubling
+    backoff, _BACKOFF_S then 2*_BACKOFF_S, up to _ATTEMPTS attempts; the
+    key is checked before any traffic.
     """
     config = config or ClientConfig()
     key = config.resolve_key()
@@ -119,11 +120,11 @@ def complete(prompt: str, config: ClientConfig | None = None, transport=None) ->
     }
     headers = {"Content-Type": "application/json", "Authorization": f"Bearer {key}"}
     retry_trace: list[str] = []
-    for attempt in range(config.max_retries):
+    for attempt in range(_ATTEMPTS):
         if attempt:
-            time.sleep(config.backoff_seconds * 2 ** (attempt - 1))
+            time.sleep(_BACKOFF_S * 2 ** (attempt - 1))
         try:
-            status, body = transport(url, payload, headers, config.timeout)
+            status, body = transport(url, payload, headers, _TIMEOUT_S)
         except OSError as exc:
             retry_trace.append(f"attempt {attempt + 1}: network error: {exc}")
             continue
@@ -141,12 +142,8 @@ def complete(prompt: str, config: ClientConfig | None = None, transport=None) ->
         except (json.JSONDecodeError, KeyError, IndexError, TypeError) as exc:
             raise NLParseError(f"malformed API response: {exc}", body)
     if retry_trace and retry_trace[-1].endswith("HTTP 429"):
-        raise NLRateLimitError(
-            f"rate-limited on all {config.max_retries} attempts", retry_trace
-        )
-    raise NLNetworkError(
-        f"transport failed on all {config.max_retries} attempts: {retry_trace}"
-    )
+        raise NLRateLimitError(f"rate-limited on all {_ATTEMPTS} attempts", retry_trace)
+    raise NLNetworkError(f"transport failed on all {_ATTEMPTS} attempts: {retry_trace}")
 
 
 def _first_json_object(raw: str) -> dict:

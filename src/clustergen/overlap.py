@@ -220,38 +220,6 @@ def exact_overlap_oracle(mu1, mu2, S1, S2) -> float:
 
 
 @dataclass(frozen=True)
-class MonteCarloOverlap:
-    estimate: float
-    std_error: float
-
-
-def monte_carlo_overlap(c1, c2, n: int, rng: np.random.Generator) -> MonteCarloOverlap:
-    """Empirical minimax overlap between two sampled clusters.
-
-    Draws n points per cluster, projects onto the LDA axis of the model
-    covariances, picks the threshold equalizing the two empirical error
-    rates, and returns twice that rate with a binomial standard error.
-    """
-    from .mixture import covariance_of
-    from .sampling import sample_cluster_points
-
-    _, axes = _lda(*_checked([c1.center, c2.center], [covariance_of(c1), covariance_of(c2)]))
-    axis = axes[0]
-    s1 = sample_cluster_points(c1, n, rng) @ axis
-    s2 = sample_cluster_points(c2, n, rng) @ axis
-    if s1.mean() > s2.mean():
-        s1, s2 = s2, s1
-    cands = np.unique(np.concatenate([s1, s2]))
-    err1 = 1.0 - np.searchsorted(np.sort(s1), cands, side="right") / n  # P(s1 > c)
-    err2 = np.searchsorted(np.sort(s2), cands, side="right") / n  # P(s2 <= c)
-    at = int(np.argmin(np.abs(err1 - err2)))
-    rate = 0.5 * (err1[at] + err2[at])
-    estimate = err1[at] + err2[at]
-    std_error = float(np.sqrt(2.0 * rate * (1.0 - rate) / n))
-    return MonteCarloOverlap(float(estimate), std_error)
-
-
-@dataclass(frozen=True)
 class OverlapReport:
     """Separation and overlap measures for one cluster pair."""
 

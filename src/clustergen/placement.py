@@ -39,30 +39,23 @@ from .stats import normal_isf
 if TYPE_CHECKING:  # pragma: no cover
     from .mixture import MixtureModel
 
-_LOSS_SLACK = 1e-12
+_LOSS_SLACK = 1e-12  # the loss at which placement stops
 _STEP_CAP = 3.0  # largest step of a cluster per epoch, in its radii
+_RHO_2D = 0.10  # target cluster density in 2-D, before the sphere-packing adjustment
+_PENALTY_MIX = 0.5  # lambda in p(x) = lambda*x + (1-lambda)*x^2
+MAX_EPOCHS = 1000  # gradient epochs per optimize_centers call
+MAX_RESTARTS = 3  # fresh initializations after the first, in sample_mixture_model
 
 
 @dataclass(frozen=True)
 class PlacementConfig:
-    """Knobs for center initialization and the gradient epochs."""
+    """The learning rate of the gradient epochs; None -> default_learning_rate."""
 
-    rho_2d: float = 0.10
-    learning_rate: float | None = None  # None -> default_learning_rate
-    penalty_mix: float = 0.5  # lambda in p(x) = lambda*x + (1-lambda)*x^2
-    max_epochs: int = 1000
-    loss_tolerance: float = 0.0
-    max_restarts: int = 3
+    learning_rate: float | None = None
 
     def __post_init__(self):
-        if not 0.0 <= self.penalty_mix <= 1.0:
-            raise ValueError(f"penalty_mix must lie in [0, 1], got {self.penalty_mix}")
         if self.learning_rate is not None and self.learning_rate <= 0:
             raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
-        if not 0.0 < self.rho_2d < 1.0:
-            raise ValueError(f"rho_2d must lie in (0, 1), got {self.rho_2d}")
-        if self.loss_tolerance < 0:
-            raise ValueError(f"loss_tolerance must be nonnegative, got {self.loss_tolerance}")
 
 
 @dataclass(frozen=True)
@@ -86,12 +79,12 @@ class OverlapBounds:
         )
 
 
-def log_adjusted_density(dim: int, rho_2d: float) -> float:
-    """Log of the sphere-packing-adjusted target density dim * 2^(1-dim) * rho_2d.
+def log_adjusted_density(dim: int) -> float:
+    """Log of the sphere-packing-adjusted target density dim * 2^(1-dim) * _RHO_2D.
 
     Taken in log space because 2^(1-dim) underflows to 0 from dim ~1080.
     """
-    return float(np.log(dim * rho_2d) + (1 - dim) * np.log(2.0))
+    return float(np.log(dim * _RHO_2D) + (1 - dim) * np.log(2.0))
 
 
 def init_centers(
@@ -105,30 +98,29 @@ def init_centers(
 
     The ball volume V satisfies (sum of cluster volumes) / V = rho_adj; the
     unit-ball constant cancels, and radii and density enter in log space so
-    very high dimensions can neither overflow nor underflow.
+    very high dimensions can neither overflow nor underflow.  `config` is
+    accepted but not read, because `perfbench` passes it by position.
     """
     log_volumes = dim * np.log(np.asarray(cluster_radii, dtype=float))
     shift = log_volumes.max()
     log_total = shift + np.log(np.sum(np.exp(log_volumes - shift)))
-    ball_radius = np.exp((log_total - log_adjusted_density(dim, config.rho_2d)) / dim)
+    ball_radius = np.exp((log_total - log_adjusted_density(dim)) / dim)
     directions = rng.standard_normal((k, dim))
     directions /= np.linalg.norm(directions, axis=1, keepdims=True)
     radial = rng.uniform(0.0, 1.0, size=(k, 1)) ** (1.0 / dim)
     return ball_radius * radial * directions
 
 
-def penalty(x: float, penalty_mix: float) -> float:
-    """p(x) = lambda*x + (1-lambda)*x^2, zero at zero, convex on [0, 1]."""
-    return penalty_mix * x + (1.0 - penalty_mix) * x * x
+def penalty(x: float) -> float:
+    """p(x) = lambda*x + (1-lambda)*x^2, lambda = _PENALTY_MIX; zero at zero, convex."""
+    return _PENALTY_MIX * x + (1.0 - _PENALTY_MIX) * x * x
 
 
-def _penalty_slope(x, penalty_mix):
-    return penalty_mix + 2.0 * (1.0 - penalty_mix) * x
+def _penalty_slope(x):
+    return _PENALTY_MIX + 2.0 * (1.0 - _PENALTY_MIX) * x
 
 
-def _loss_and_gradient(
-    centers, covs, inverses: PairInverses, bounds: OverlapBounds, penalty_mix
-):
+def _loss_and_gradient(centers, covs, inverses: PairInverses, bounds: OverlapBounds):
     """Mean of the k cluster losses and the sum of their gradients, from one pass.
 
     Cluster i's loss is the isolation penalty on its nearest separation,
@@ -145,24 +137,22 @@ def _loss_and_gradient(
     nearest = q_of.argmin(axis=1)
     isolation = np.maximum(q_of[np.arange(len(q_of)), nearest] - bounds.q_max, 0.0)
     crowding = np.maximum(bounds.q_min - q_of, 0.0)
-    losses = penalty(isolation, penalty_mix) + penalty(crowding, penalty_mix).sum(axis=1)
+    losses = penalty(isolation) + penalty(crowding).sum(axis=1)
     shortfall = bounds.q_min - q
     # both clusters of a crowded pair push: neither can be isolated
-    weight = np.where(shortfall > 0, 2.0 * _penalty_slope(shortfall, penalty_mix), 0.0)
+    weight = np.where(shortfall > 0, 2.0 * _penalty_slope(shortfall), 0.0)
     isolated = np.flatnonzero(isolation)
     pulled = inverses.pairs[isolated, nearest[isolated]]  # mutual nearest pairs repeat
-    np.subtract.at(weight, pulled, _penalty_slope(isolation[isolated], penalty_mix))
+    np.subtract.at(weight, pulled, _penalty_slope(isolation[isolated]))
     table = np.zeros((len(centers), len(centers), centers.shape[1]))
     table[inverses.iu, inverses.ju] = weight[:, None] * axes
     return float(losses.mean()), table.sum(axis=1) - table.sum(axis=0)
 
 
-def overlap_loss(
-    model: "MixtureModel", bounds: OverlapBounds, penalty_mix: float = 0.5
-) -> float:
+def overlap_loss(model: "MixtureModel", bounds: OverlapBounds) -> float:
     """Average single-cluster loss; zero iff all constraints hold."""
     covs = model.covariances()
-    return _loss_and_gradient(model.centers, covs, pair_inverses(covs), bounds, penalty_mix)[0]
+    return _loss_and_gradient(model.centers, covs, pair_inverses(covs), bounds)[0]
 
 
 def _radii(lengths: np.ndarray) -> np.ndarray:
@@ -181,16 +171,17 @@ def optimize_centers(
     config: PlacementConfig,
     rng: np.random.Generator,
 ):
-    """Run gradient epochs until the overlap loss reaches tolerance.
+    """Run gradient epochs until the overlap loss is at most _LOSS_SLACK.
 
     Each epoch moves every cluster at once, down the summed gradient of
     all k cluster losses taken at the epoch's start (one pass over the
     pairs), and caps each cluster's step at _STEP_CAP times its radius.
-    The run is deterministic: `rng` is accepted but neither read nor
-    advanced.  Returns (converged model, per-epoch loss trace).  Axes and
-    axis lengths are untouched; only centers move.  Raises
-    NonConvergenceError with the final loss and trace when max_epochs is
-    exhausted, or at once when the loss is NaN or infinite.
+    The run is deterministic: `rng` is accepted, because `perfbench`
+    passes it by position, but neither read nor advanced.  Returns
+    (converged model, per-epoch loss trace).  Axes and axis lengths are
+    untouched; only centers move.  Raises NonConvergenceError with the
+    final loss and trace when MAX_EPOCHS epochs have not converged, or at
+    once when the loss is NaN or infinite.
     """
     centers = model.centers
     covs = model.covariances()
@@ -200,15 +191,14 @@ def optimize_centers(
     if eta is None:
         eta = default_learning_rate(lengths)
     cap = _STEP_CAP * _radii(lengths)
-    stop_at = max(config.loss_tolerance, _LOSS_SLACK)
     trace: list[float] = []
-    for epoch in range(config.max_epochs + 1):
-        loss, grad = _loss_and_gradient(centers, covs, inverses, bounds, config.penalty_mix)
+    for epoch in range(MAX_EPOCHS + 1):
+        loss, grad = _loss_and_gradient(centers, covs, inverses, bounds)
         trace.append(loss)
-        if loss <= stop_at:
+        if loss <= _LOSS_SLACK:
             clusters = [replace(c, center=centers[j]) for j, c in enumerate(model.clusters)]
             return replace(model, clusters=clusters), trace
-        if epoch == config.max_epochs or not np.isfinite(loss):
+        if epoch == MAX_EPOCHS or not np.isfinite(loss):
             raise NonConvergenceError(loss, trace)  # no step recovers from NaN/inf
         step = eta * grad
         length = np.sqrt(np.einsum("ij,ij->i", step, step))

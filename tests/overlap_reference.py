@@ -1,10 +1,17 @@
 """Scalar, one-pair-at-a-time overlap references the batched estimators are checked against.
 
 Each function solves or evaluates one pair with plain NumPy, the direct
-reading of the formulas in `clustergen.overlap`'s docstring.
+reading of the formulas in `clustergen.overlap`'s docstring, except
+`monte_carlo_overlap`, which estimates the overlap from sampled points.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
+
+from clustergen import mixture
+from clustergen.overlap import _checked, _lda
+from clustergen.sampling import sample_cluster_points
 
 _MAX_CONDITION = 1e12
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
@@ -71,3 +78,34 @@ def exact_quantile(mu1, mu2, S1, S2, tol=1e-6) -> float:
             x1 = b - _GOLDEN * (b - a)
             f1 = q_of(x1)
     return max(f1, f2, values[best], q_of(0.5))
+
+
+@dataclass(frozen=True)
+class MonteCarloOverlap:
+    estimate: float
+    std_error: float
+
+
+def monte_carlo_overlap(c1, c2, n: int, rng: np.random.Generator) -> MonteCarloOverlap:
+    """Empirical minimax overlap between two sampled clusters.
+
+    Draws n points per cluster, projects onto the LDA axis of the model
+    covariances (refusing what the package's estimators refuse), picks the
+    threshold equalizing the two empirical error rates, and returns twice
+    that rate with a binomial standard error.
+    """
+    covs = [mixture.covariance_of(c1), mixture.covariance_of(c2)]
+    _, axes = _lda(*_checked([c1.center, c2.center], covs))
+    axis = axes[0]
+    s1 = sample_cluster_points(c1, n, rng) @ axis
+    s2 = sample_cluster_points(c2, n, rng) @ axis
+    if s1.mean() > s2.mean():
+        s1, s2 = s2, s1
+    cands = np.unique(np.concatenate([s1, s2]))
+    err1 = 1.0 - np.searchsorted(np.sort(s1), cands, side="right") / n  # P(s1 > c)
+    err2 = np.searchsorted(np.sort(s2), cands, side="right") / n  # P(s2 <= c)
+    at = int(np.argmin(np.abs(err1 - err2)))
+    rate = 0.5 * (err1[at] + err2[at])
+    estimate = err1[at] + err2[at]
+    std_error = float(np.sqrt(2.0 * rate * (1.0 - rate) / n))
+    return MonteCarloOverlap(float(estimate), std_error)

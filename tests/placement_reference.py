@@ -8,12 +8,14 @@ clusters is the gradient every placement epoch steps down.
 
 import numpy as np
 
+from clustergen import placement
 from clustergen.overlap import pair_inverses
 from clustergen.placement import OverlapBounds, penalty
 
 
-def _penalty_slope(x, penalty_mix):
-    return penalty_mix + 2.0 * (1.0 - penalty_mix) * x
+def _penalty_slope(x):
+    mix = placement._PENALTY_MIX  # read per call, so a monkeypatched mix applies
+    return mix + 2.0 * (1.0 - mix) * x
 
 
 def others_of(k: int) -> np.ndarray:
@@ -50,7 +52,7 @@ def separations_of(centers, covs, i):
     return others, q, axes
 
 
-def cluster_loss(centers, covs, i, bounds: OverlapBounds, penalty_mix: float):
+def cluster_loss(centers, covs, i, bounds: OverlapBounds):
     """Loss on cluster i and its frozen-axis gradient, shaped like centers.
 
     The loss is the isolation penalty on i's nearest separation plus a
@@ -61,13 +63,13 @@ def cluster_loss(centers, covs, i, bounds: OverlapBounds, penalty_mix: float):
     nearest = int(q.argmin())
     isolation = float(q[nearest]) - bounds.q_max
     if isolation > 0:  # then every q_ij > q_max > q_min: no crowding term
-        pull = _penalty_slope(isolation, penalty_mix) * axes[nearest]
+        pull = _penalty_slope(isolation) * axes[nearest]
         grad[i] -= pull
         grad[others[nearest]] += pull
-        return penalty(isolation, penalty_mix), grad
+        return penalty(isolation), grad
     crowded = np.nonzero(q < bounds.q_min)[0]
     shortfall = bounds.q_min - q[crowded]
-    pushes = _penalty_slope(shortfall, penalty_mix)[:, None] * axes[crowded]
+    pushes = _penalty_slope(shortfall)[:, None] * axes[crowded]
     grad[i] += pushes.sum(axis=0)
     grad[others[crowded]] -= pushes
-    return float(penalty(shortfall, penalty_mix).sum()), grad
+    return float(penalty(shortfall).sum()), grad

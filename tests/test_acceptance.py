@@ -8,7 +8,7 @@ per level isolate the overlap effect from geometry noise.
 
 import numpy as np
 import pytest
-from overlap_reference import separation_quantile
+from overlap_reference import monte_carlo_overlap, separation_quantile
 from scipy import stats as sps
 
 from clustergen import archetype as arch_mod
@@ -22,7 +22,6 @@ from clustergen.overlap import (
     c2c_overlap,
     exact_overlap_oracle,
     lda_overlap,
-    monte_carlo_overlap,
 )
 from clustergen.placement import (
     OverlapBounds,

@@ -67,6 +67,29 @@ class TestValidateArchetype:
         with pytest.raises(ArchetypeValidationError, match="cannot cover"):
             Archetype.from_dict({"name": "x", "n_clusters": 7, "n_samples": 5})
 
+    @pytest.mark.parametrize(
+        "field", ["scale", "aspect_ref", "aspect_maxmin", "radius_maxmin", "imbalance_ratio"]
+    )
+    def test_infinity_rejected(self, field):
+        violations = validate_archetype(make_archetype(**{field: float("inf")}))
+        assert len(violations) == 1 and violations[0].startswith(field)
+        with pytest.raises(ArchetypeValidationError, match=field):
+            Archetype.from_json(f'{{"name": "x", "n_clusters": 3, "{field}": Infinity}}')
+
+    def test_nonfinite_proportion_rejected(self):
+        for bad in (float("nan"), float("inf")):
+            violations = validate_archetype(
+                make_archetype(distributions=("normal", "gamma"), distribution_proportions=(bad, 1.0))
+            )
+            assert violations == ["distribution_proportions must be a list of finite numbers"]
+
+    @pytest.mark.parametrize("scale,valid", [
+        (1e-100, True), (1e100, True), (1e-101, False), (1e101, False), (0.0, False),
+    ])
+    def test_scale_range(self, scale, valid):
+        violations = validate_archetype(make_archetype(scale=scale))
+        assert violations == ([] if valid else [f"scale must lie in [1e-100, 1e+100], got {scale!r}"])
+
     def test_n_samples_defaults_to_100_per_cluster(self):
         a = Archetype(name="defaulted", n_clusters=7)
         assert a.n_samples == 700
@@ -380,6 +403,14 @@ class TestSampleHyperparams:
 
         for v in sample_hyperparams(a, 50, None, np.random.default_rng(3)):
             assert [v.n_clusters, v.dim, v.n_samples] == [draw(4, 1), draw(2, 2), draw(400, 1)]
+
+    def test_n_clusters_capped_at_n_samples_maximum(self):
+        # uncapped, a drawn n_clusters above 6 leaves n_samples no value in [k, 6]
+        a = make_archetype(n_clusters=5, n_samples=5)
+        variants = sample_hyperparams(a, 200, {"n_samples": (5, 6)}, np.random.default_rng(0))
+        assert all(v.n_clusters <= v.n_samples <= 6 for v in variants)
+        assert all(validate_archetype(v) == [] for v in variants)
+        assert {v.n_clusters for v in variants} >= {5, 6}
 
     def test_inverted_bounds_rejected(self):
         a = make_archetype()

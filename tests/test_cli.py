@@ -430,6 +430,24 @@ class TestHyperparams:
         manifest = json.loads((out / "manifest.json").read_text())
         assert [e["status"] for e in manifest["entries"]] == ["ok"] * 8
 
+    def test_bounded_variants_generate_cleanly(self, tmp_path, capsys):
+        # a drawn n_clusters above the n_samples maximum of 6 would leave
+        # n_samples no value, so the n_clusters draw is capped there
+        arch_path = tmp_path / "h.json"
+        arch_path.write_text('{"name":"h","n_clusters":5,"n_samples":5}')
+        code = cli.main(
+            ["hyperparams", "--archetype", str(arch_path), "--n-variants", "8",
+             "--bounds", '{"n_samples": [5, 6]}', "--seed", "0"]
+        )
+        assert code == 0
+        variants_path = tmp_path / "variants.jsonl"
+        variants_path.write_text(capsys.readouterr().out)
+        out = tmp_path / "out"
+        code = cli.main(["generate", "--archetypes", str(variants_path), "--out-dir", str(out)])
+        assert code == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert [e["status"] for e in manifest["entries"]] == ["ok"] * 8
+
     def test_inverted_bounds_exit_1(self, tmp_path, capsys):
         arch_path = tmp_path / "a.json"
         arch_path.write_text(SMALL)
@@ -516,8 +534,11 @@ class TestExtremeGeometry:
             {"dim": 1000, "radius_maxmin": 3},
             {"dim": 200, "scale": 1e-3},
             {"dim": 1100},
+            {"n_clusters": 3, "scale": 1e-100},
+            {"n_clusters": 3, "scale": 1e100},
         ],
-        ids=["dim400_scale10", "dim1000_ratio3", "dim200_scale1e-3", "dim1100"],
+        ids=["dim400_scale10", "dim1000_ratio3", "dim200_scale1e-3", "dim1100",
+             "scale_min", "scale_max"],
     )
     def test_generate_succeeds(self, tmp_path, overrides):
         # the first two once overflowed in the radius draw and escaped as a raw
@@ -529,6 +550,15 @@ class TestExtremeGeometry:
         assert code == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert [e["status"] for e in manifest["entries"]] == ["ok"]
+
+    @pytest.mark.parametrize("scale", ["Infinity", "1e101", "1e-101"])
+    def test_scale_out_of_range_exits_1(self, tmp_path, capsys, scale):
+        # outside the range placement can end at a NaN loss (scale Infinity
+        # or 1e160) or a zero learning rate (1e-300)
+        spec = f'{{"name": "extreme", "n_clusters": 3, "scale": {scale}}}'
+        code = cli.main(["generate", "--inline", spec, "--out-dir", str(tmp_path / "out")])
+        assert code == cli.EXIT_VALIDATION
+        assert "scale must lie in [1e-100, 1e+100]" in capsys.readouterr().err
 
 
 class TestExitCodeMapping:

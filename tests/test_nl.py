@@ -67,24 +67,29 @@ class TestComplete:
             complete("prompt", ClientConfig(), transport)
         assert transport.calls == 0
 
-    def test_rate_limit_thrice_surfaces_with_trace(self, fake_transport_factory):
+    def test_rate_limit_thrice_surfaces_with_trace(self, fake_transport_factory, monkeypatch):
+        sleeps = []
+        monkeypatch.setattr(nl.time, "sleep", sleeps.append)
         transport = fake_transport_factory(
             {"params": "x", "identifier": "x"}, statuses=[429, 429, 429]
         )
-        config = ClientConfig(api_key="k", max_retries=3, backoff_seconds=0.0)
         with pytest.raises(NLRateLimitError) as excinfo:
-            complete("prompt", config, transport)
+            complete("prompt", ClientConfig(api_key="k"), transport)
         assert len(excinfo.value.retry_trace) == 3
         assert transport.calls == 3
+        assert sleeps == [0.5, 1.0]  # backoff doubles between the three attempts
 
-    def test_transient_failure_then_success(self, fake_transport_factory):
+    def test_transient_failure_then_success(self, fake_transport_factory, monkeypatch):
+        sleeps = []
+        monkeypatch.setattr(nl.time, "sleep", sleeps.append)
         transport = fake_transport_factory(
             {"params": "recovered", "identifier": "x"}, statuses=[500]
         )
-        config = ClientConfig(api_key="k", backoff_seconds=0.0)
+        config = ClientConfig(api_key="k")
         raw = complete(render_prompt(TemplateKind.PARAMS, "d"), config, transport)
         assert raw == "recovered"
         assert transport.calls == 2
+        assert sleeps == [0.5]
 
 
 class TestParseArchetypeJson:

@@ -3,7 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from overlap_reference import c2c_quantile, exact_quantile, lda_axis, separation_quantile
+from overlap_reference import (
+    c2c_quantile,
+    exact_quantile,
+    lda_axis,
+    monte_carlo_overlap,
+    separation_quantile,
+)
 from placement_reference import separations_of
 
 from clustergen import mixture
@@ -14,7 +20,6 @@ from clustergen.overlap import (
     c2c_overlap,
     exact_overlap_oracle,
     lda_overlap,
-    monte_carlo_overlap,
     overlap_report_rows,
     pair_inverses,
     pairwise_overlaps,

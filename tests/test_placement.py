@@ -7,6 +7,7 @@ from placement_reference import cluster_loss, separations_of
 
 from clustergen.archetype import Archetype
 from clustergen.distributions import RadialDistribution
+from clustergen import placement
 from clustergen.errors import NonConvergenceError
 from clustergen.mixture import (
     Cluster,
@@ -56,9 +57,9 @@ def anisotropic_covs(k, dim, rng):
     return np.stack([(u * l**2) @ u.T for u, l in zip(axes, lengths)])
 
 
-def model_cluster_loss(i, model, bounds, penalty_mix=0.5):
+def model_cluster_loss(i, model, bounds):
     """Reference (loss, grad) of cluster i at the model's centers."""
-    return cluster_loss(model.centers, model.covariances(), i, bounds, penalty_mix)
+    return cluster_loss(model.centers, model.covariances(), i, bounds)
 
 
 def model_at_separation(q, sigma=1.0):
@@ -79,11 +80,11 @@ class TestOverlapBounds:
 
 class TestInitCenters:
     def test_density_adjustment_formula(self):
-        assert log_adjusted_density(2, 0.1) == pytest.approx(np.log(0.1))
-        assert log_adjusted_density(10, 0.1) == pytest.approx(np.log(10 * 2**-9 * 0.1))
-        assert log_adjusted_density(10, 0.1) == pytest.approx(np.log(1.953125e-3))
+        assert log_adjusted_density(2) == pytest.approx(np.log(0.1))
+        assert log_adjusted_density(10) == pytest.approx(np.log(10 * 2**-9 * 0.1))
+        assert log_adjusted_density(10) == pytest.approx(np.log(1.953125e-3))
         # 2^(1-dim) alone underflows here; its log does not
-        assert log_adjusted_density(1100, 0.1) == pytest.approx(
+        assert log_adjusted_density(1100) == pytest.approx(
             np.log(1100 * 0.1) - 1099 * np.log(2.0)
         )
 
@@ -92,7 +93,7 @@ class TestInitCenters:
         radii = np.array([1.0, 2.0, 0.5, 1.5])
         rng = np.random.default_rng(0)
         # ball radius from (sum r^dim) / R^dim = rho_adj
-        expected_radius = (np.sum(radii**3) / np.exp(log_adjusted_density(3, 0.1))) ** (1 / 3)
+        expected_radius = (np.sum(radii**3) / np.exp(log_adjusted_density(3))) ** (1 / 3)
         for _ in range(50):
             centers = init_centers(4, 3, radii, config, rng)
             assert centers.shape == (4, 3)
@@ -111,15 +112,17 @@ class TestInitCenters:
 
 
 class TestPenalty:
-    def test_zero_at_zero(self):
+    def test_zero_at_zero(self, monkeypatch):
         for lam in (0.0, 0.3, 1.0):
-            assert penalty(0.0, lam) == 0.0
+            monkeypatch.setattr(placement, "_PENALTY_MIX", lam)
+            assert penalty(0.0) == 0.0
 
-    def test_linear_case(self):
-        assert penalty(0.3, 1.0) == pytest.approx(0.3)
+    def test_linear_case(self, monkeypatch):
+        monkeypatch.setattr(placement, "_PENALTY_MIX", 1.0)
+        assert penalty(0.3) == pytest.approx(0.3)
 
     def test_mixed_case(self):
-        assert penalty(2.0, 0.5) == pytest.approx(3.0)  # 0.5*2 + 0.5*4
+        assert penalty(2.0) == pytest.approx(3.0)  # 0.5*2 + 0.5*4
 
 
 class TestSingleClusterLoss:
@@ -129,17 +132,15 @@ class TestSingleClusterLoss:
         assert model_cluster_loss(0, model, BOUNDS)[0] == 0.0
         assert model_cluster_loss(1, model, BOUNDS)[0] == 0.0
 
-    def test_isolation_penalty_linear(self):
+    def test_isolation_penalty_linear(self, monkeypatch):
+        monkeypatch.setattr(placement, "_PENALTY_MIX", 1.0)
         model = model_at_separation(BOUNDS.q_max + 0.5)
-        assert model_cluster_loss(0, model, BOUNDS, penalty_mix=1.0)[0] == pytest.approx(
-            0.5, rel=1e-9
-        )
+        assert model_cluster_loss(0, model, BOUNDS)[0] == pytest.approx(0.5, rel=1e-9)
 
-    def test_crowding_penalty_quadratic(self):
+    def test_crowding_penalty_quadratic(self, monkeypatch):
+        monkeypatch.setattr(placement, "_PENALTY_MIX", 0.0)
         model = model_at_separation(BOUNDS.q_min - 0.2)
-        assert model_cluster_loss(0, model, BOUNDS, penalty_mix=0.0)[0] == pytest.approx(
-            0.04, rel=1e-9
-        )
+        assert model_cluster_loss(0, model, BOUNDS)[0] == pytest.approx(0.04, rel=1e-9)
 
     def test_separations_match_overlap_module(self):
         rng = np.random.default_rng(3)
@@ -229,7 +230,7 @@ class TestLossGradient:
                 )
                 isolation = max(margins.min() - BOUNDS.q_max, 0.0)
                 crowding = np.maximum(BOUNDS.q_min - margins, 0.0)
-                return penalty(isolation, 0.5) + sum(penalty(x, 0.5) for x in crowding)
+                return penalty(isolation) + sum(penalty(x) for x in crowding)
 
             base_q = frozen[1]
             margin_gaps = np.concatenate(
@@ -237,7 +238,7 @@ class TestLossGradient:
             )
             if margin_gaps.min() < 1e-3:  # too close to a kink
                 continue
-            analytic = cluster_loss(centers, covs, i, BOUNDS, 0.5)[1].ravel()
+            analytic = cluster_loss(centers, covs, i, BOUNDS)[1].ravel()
             step = 1e-6
             numeric = np.empty_like(analytic)
             flat = centers.ravel().copy()
@@ -265,8 +266,8 @@ class TestBatchedGradient:
     }
 
     def assert_matches_reference(self, centers, covs):
-        loss, grad = _loss_and_gradient(centers, covs, pair_inverses(covs), BOUNDS, 0.5)
-        reference = [cluster_loss(centers, covs, i, BOUNDS, 0.5) for i in range(len(centers))]
+        loss, grad = _loss_and_gradient(centers, covs, pair_inverses(covs), BOUNDS)
+        reference = [cluster_loss(centers, covs, i, BOUNDS) for i in range(len(centers))]
         summed = np.sum([g for _, g in reference], axis=0)
         assert np.abs(summed).max() > 0
         assert np.abs(grad - summed).max() <= 1e-12 * np.abs(summed).max()
@@ -314,7 +315,6 @@ class TestOptimizeCenters:
     def test_benchmark_archetype_converges_fast(self, benchmark_archetypes):
         a = benchmark_archetypes[0]
         bounds = OverlapBounds.from_overlaps(a.max_overlap, a.min_overlap)
-        config = PlacementConfig(max_epochs=500)
         rng = np.random.default_rng(0)
         model = sample_mixture_model(a, rng)  # converged during construction
         assert overlap_loss(model, bounds) <= 1e-12
@@ -372,9 +372,10 @@ class TestOptimizeCenters:
             overlap_loss(shifted, BOUNDS), rel=1e-9, abs=1e-12
         )
 
-    def test_nonconvergence_carries_trace(self):
+    def test_nonconvergence_carries_trace(self, monkeypatch):
+        monkeypatch.setattr(placement, "MAX_EPOCHS", 1)
         model = model_at_separation(BOUNDS.q_min - 1.0)
-        config = PlacementConfig(max_epochs=1, learning_rate=1e-9)
+        config = PlacementConfig(learning_rate=1e-9)
         with pytest.raises(NonConvergenceError) as excinfo:
             optimize_centers(model, BOUNDS, config, np.random.default_rng(0))
         assert excinfo.value.final_loss > 0
