@@ -122,6 +122,9 @@ class Archetype:
 
 
 _SCALE_RANGE = (1e-100, 1e100)  # placement's arithmetic stays finite inside it
+# Largest aspect ratio a cluster may be drawn with: aspect² is its
+# covariance's condition number, which overlap refuses above 1e12.
+_ASPECT_MAX = 1e6
 
 
 def _is_number(value) -> bool:
@@ -152,6 +155,17 @@ def validate_archetype(a: Archetype) -> list[str]:
         v.append(f"aspect_ref must be finite and >= 1, got {a.aspect_ref!r}")
     if not _is_finite(a.aspect_maxmin) or not a.aspect_maxmin >= 1:
         v.append(f"aspect_maxmin must be finite and >= 1, got {a.aspect_maxmin!r}")
+    if (
+        _is_finite(a.aspect_ref)
+        and _is_finite(a.aspect_maxmin)
+        and a.aspect_ref >= 1
+        and a.aspect_maxmin >= 1
+        and a.aspect_ref * math.sqrt(a.aspect_maxmin) > _ASPECT_MAX
+    ):
+        v.append(
+            f"aspect_ref·√aspect_maxmin, the largest aspect ratio drawn, must be at most "
+            f"{_ASPECT_MAX:g}, got {a.aspect_ref * math.sqrt(a.aspect_maxmin)!r}"
+        )
     if not _is_finite(a.radius_maxmin) or not a.radius_maxmin >= 1:
         v.append(f"radius_maxmin must be finite and >= 1, got {a.radius_maxmin!r}")
     lo, hi = _SCALE_RANGE

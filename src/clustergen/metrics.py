@@ -6,8 +6,10 @@ against ground truth, and the silhouette quantifies geometric separation.
 No metric builds an n×n array.  Silhouette computes distances in square
 tiles over the upper triangle only, adding each tile and its mirror to
 per-class sums, in O(tile² + n·k) memory, so `bench` scores 100k-point
-datasets.  K-Means assigns points with one n×k matmul per Lloyd step and
-reuses one n×d buffer for seeding, centroids and the WCSS.
+datasets.  K-Means takes each k-means++ step as one matrix-vector
+product from row norms computed once, and each Lloyd step as two matmuls
+(the assignment and the centroid sums), with no other pass over the n×d
+data; beyond X and its centred copy it holds O(n·k) floats.
 """
 
 from __future__ import annotations
@@ -26,69 +28,86 @@ _MAX_ITER = 300
 _REL_TOL = 1e-6
 
 
-def _squared_distances(X, center, work) -> np.ndarray:
-    """‖x − center‖² per row of X, using the n×d `work` buffer."""
-    np.subtract(X, center, out=work)
-    np.square(work, out=work)
-    return work.sum(axis=1)
+def _distances_to_row(centred, sq, row) -> np.ndarray:
+    """‖x − x_row‖² from every row x of the centred data, one matrix-vector product.
+
+    ‖x‖² + ‖x_row‖² − 2·x·x_row is off by less than (d + 2)·ε·(‖x‖² +
+    ‖x_row‖²), so a distance within that is exactly 0: the row itself and
+    its duplicates never get k-means++ weight, as with exact distances.
+    """
+    norms = sq + sq[row]
+    distances = centred @ (-2.0 * centred[row])
+    distances += norms
+    norms *= (centred.shape[1] + 2) * np.finfo(float).eps
+    np.copyto(distances, 0.0, where=distances <= norms)
+    return distances
 
 
-def _kmeans_pp_seed(X, k, rng, work) -> np.ndarray:
-    n = X.shape[0]
-    centers = np.empty((k, X.shape[1]))
-    centers[0] = X[rng.integers(n)]
-    closest = _squared_distances(X, centers[0], work)
+def _kmeans_pp_seed(centred, sq, k, rng) -> np.ndarray:
+    """Row indices of one k-means++ seeding.
+
+    Step j searches the CDF that `rng.choice(n, p=closest / total)` builds
+    for one rng.random(), so the draws are those of a `rng.choice` loop.
+    Once every row coincides with a centre (fewer than k distinct rows),
+    the rest are rng.integers(n, size=k − j).
+    """
+    n = centred.shape[0]
+    rows = np.empty(k, dtype=np.intp)
+    rows[0] = rng.integers(n)
+    closest = _distances_to_row(centred, sq, rows[0])
     for j in range(1, k):
         total = closest.sum()
         if total <= 0:
-            centers[j:] = X[rng.integers(n, size=k - j)]
+            rows[j:] = rng.integers(n, size=k - j)
             break
-        probs = closest / total
-        centers[j] = X[rng.choice(n, p=probs)]
-        np.minimum(closest, _squared_distances(X, centers[j], work), out=closest)
-    return centers
+        cdf = np.cumsum(closest / total)
+        cdf /= cdf[-1]
+        rows[j] = cdf.searchsorted(rng.random(), side="right")
+        np.minimum(closest, _distances_to_row(centred, sq, rows[j]), out=closest)
+    return rows
 
 
-def _lloyd(X, centred, mean, centers, work):
-    """Lloyd iterations on X, where `centred` is X − `mean`.
+def _lloyd(centred, sq, centers):
+    """Lloyd iterations on centred data with row norms `sq`, from `centers` (updated in place).
 
-    The assignment is the argmin of ‖c‖² − 2·x·c over the centred data, so
-    no n×k×d array is built.  Centroids are means over runs of the rows
-    sorted by cluster, summed in the order X[mask].mean() sums them; the
-    sorted rows and the WCSS terms share the n×d `work` buffer.
+    The assignment is the argmin of ‖c‖² − 2·x·c, one n×k matmul.  The
+    centroid sums are one matmul with the n×k one-hot assignment, and the
+    WCSS is Σ‖x‖² − Σⱼ nⱼ‖cⱼ‖² over the updated centres, so no step makes
+    an n×d pass.  Returns the last assignment and its WCSS.
     """
-    k = centers.shape[0]
+    n, k = centred.shape[0], centers.shape[0]
+    rows = np.arange(n)
+    onehot = np.zeros((n, k))
+    total = sq.sum()
     previous = np.inf
     for _ in range(_MAX_ITER):
-        shifted = centers - mean
-        partial = centred @ shifted.T
+        partial = centred @ centers.T
         partial *= -2.0
-        partial += np.sum(shifted**2, axis=1)
+        partial += np.sum(centers**2, axis=1)
         assignment = np.argmin(partial, axis=1)
         counts = np.bincount(assignment, minlength=k)
-        order = np.argsort(assignment, kind="stable")
-        # the indices are in range; mode "raise" would copy through a temporary
-        np.take(X, order, axis=0, out=work, mode="clip")
-        stop = 0
-        for j, count in enumerate(counts):
-            start, stop = stop, stop + count
-            if count:
-                centers[j] = work[start:stop].mean(axis=0)
-            else:  # reseed empty cluster at the farthest point
-                farthest = partial.min(axis=1) + np.sum(centred**2, axis=1)
-                centers[j] = X[np.argmax(farthest)]
-        np.take(centers, assignment, axis=0, out=work, mode="clip")
-        np.subtract(X, work, out=work)
-        np.square(work, out=work)
-        current = float(work.sum())
+        onehot[rows, assignment] = 1.0
+        sums = onehot.T @ centred
+        onehot[rows, assignment] = 0.0
+        full = counts > 0
+        centers[full] = sums[full] / counts[full, None]
+        if not full.all():  # reseed empty clusters at the farthest point
+            centers[~full] = centred[np.argmax(partial.min(axis=1) + sq)]
+        current = float(total - counts @ np.sum(centers**2, axis=1))
         if previous - current <= _REL_TOL * max(previous, 1e-300):
             break
         previous = current
-    return centers, assignment, current
+    return assignment, current
 
 
 def kmeans(X, k: int, rng: np.random.Generator) -> np.ndarray:
     """Best of _N_INIT Lloyd runs, each from a k-means++ seeding.
+
+    Restarts run in turn on the centred X.  Each draws as a k-means++ loop
+    over `rng.choice` does: rng.integers(n), then one rng.random() per
+    further centre, or rng.integers(n, size=k − j) for the rest once every
+    row coincides with a centre.  The first strictly lowest WCSS wins.
+    Beyond X and its centred copy, memory is O(n·k).
 
     Returns integer labels covering [0, k') with no empty class; k' < k
     only when a cluster emptied out.
@@ -97,14 +116,12 @@ def kmeans(X, k: int, rng: np.random.Generator) -> np.ndarray:
     n = X.shape[0]
     if k > n:
         raise ValueError(f"k={k} exceeds the number of points n={n}")
-    # one n×d buffer serves every seeding pass, Lloyd step and restart
-    work = np.empty_like(X)
-    mean = X.mean(axis=0)
-    centred = X - mean  # ‖c‖² − 2·x·c cancels less near the origin
+    centred = X - X.mean(axis=0)  # ‖c‖² − 2·x·c cancels less near the origin
+    sq = np.einsum("ij,ij->i", centred, centred)
     best_assignment, best_score = None, np.inf
     for _ in range(_N_INIT):
-        centers = _kmeans_pp_seed(X, k, rng, work)
-        _, assignment, score = _lloyd(X, centred, mean, centers, work)
+        centers = centred[_kmeans_pp_seed(centred, sq, k, rng)]
+        assignment, score = _lloyd(centred, sq, centers)
         if score < best_score:
             best_assignment, best_score = assignment, score
     # compact label ids in case a cluster emptied out

@@ -139,18 +139,21 @@ class MixtureModel:
         return cls.from_dict(json.loads(text))
 
 
-def sample_orientation(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Rotation-invariant random orthonormal matrix.
+def sample_orientation(dim: int, rng: np.random.Generator, size: int) -> np.ndarray:
+    """`size` rotation-invariant random orthonormal matrices, stacked as (size, dim, dim).
 
-    QR of a square standard-normal matrix, with column signs fixed by the
+    QR of square standard-normal matrices, with column signs fixed by the
     diagonal of R so the distribution does not depend on the QR convention.
+    One draw and one stacked QR give the same matrices and generator state
+    as `size` stacks of one drawn in turn.
     """
     if dim < 2:
         raise ValueError(f"dim must be >= 2, got {dim}")
-    q, r = np.linalg.qr(rng.standard_normal((dim, dim)))
-    signs = np.sign(np.diag(r))
+    q, r = np.linalg.qr(rng.standard_normal((size, dim, dim)))
+    signs = np.sign(np.diagonal(r, axis1=1, axis2=2))
     signs[signs == 0] = 1.0
-    return q * signs
+    q *= signs[:, None, :]
+    return q
 
 
 def covariance_of(cluster: Cluster) -> np.ndarray:
@@ -177,7 +180,7 @@ def sample_mixture_model(a: arch.Archetype, rng: np.random.Generator) -> Mixture
     lengths = np.stack(
         [arch.sample_axis_lengths(aspects[j], radii[j], dim, rng) for j in range(k)]
     )
-    orientations = [sample_orientation(dim, rng) for _ in range(k)]
+    orientations = sample_orientation(dim, rng, k)
     families = arch.assign_distributions(a, rng)
     group_sizes = arch.sample_group_sizes(a, rng)
 

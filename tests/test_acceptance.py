@@ -36,7 +36,7 @@ from tests.test_metrics import ami_bruteforce, ari_bruteforce, random_nondegener
 
 
 def random_cov(dim, rng, max_aspect=3.0):
-    u = sample_orientation(dim, rng)
+    u = sample_orientation(dim, rng, 1)[0]
     aspect = rng.uniform(1.0, max_aspect)
     radius = rng.uniform(0.5, 2.0)
     logs = rng.uniform(-0.5 * np.log(aspect), 0.5 * np.log(aspect), dim)
@@ -71,7 +71,7 @@ def placement_runs(benchmark_archetypes):
             lengths = np.stack(
                 [arch_mod.sample_axis_lengths(aspects[j], radii[j], dim, rng) for j in range(k)]
             )
-            orientations = [sample_orientation(dim, rng) for _ in range(k)]
+            orientations = sample_orientation(dim, rng, k)
             centers = init_centers(k, dim, radii, config, rng)
             start = MixtureModel(
                 clusters=[

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -89,6 +91,22 @@ class TestValidateArchetype:
     def test_scale_range(self, scale, valid):
         violations = validate_archetype(make_archetype(scale=scale))
         assert violations == ([] if valid else [f"scale must lie in [1e-100, 1e+100], got {scale!r}"])
+
+    @pytest.mark.parametrize("aspect_ref,aspect_maxmin,valid", [
+        (1e6, 1.0, True), (1.0, 1e12, True), (1e3, 1e6, True),
+        (1.000001e6, 1.0, False), (1.0, 1.00001e12, False), (1e3, 1.00001e6, False),
+        (1e20, 1.0, False),
+    ])
+    def test_largest_drawn_aspect_bound(self, aspect_ref, aspect_maxmin, valid):
+        # aspect² is a covariance's condition number, refused above 1e12
+        violations = validate_archetype(
+            make_archetype(aspect_ref=aspect_ref, aspect_maxmin=aspect_maxmin)
+        )
+        largest = aspect_ref * math.sqrt(aspect_maxmin)
+        assert violations == ([] if valid else [
+            "aspect_ref·√aspect_maxmin, the largest aspect ratio drawn, must be at most "
+            f"1e+06, got {largest!r}"
+        ])
 
     def test_n_samples_defaults_to_100_per_cluster(self):
         a = Archetype(name="defaulted", n_clusters=7)

@@ -536,9 +536,10 @@ class TestExtremeGeometry:
             {"dim": 1100},
             {"n_clusters": 3, "scale": 1e-100},
             {"n_clusters": 3, "scale": 1e100},
+            {"n_clusters": 3, "dim": 50, "aspect_ref": 1e3, "aspect_maxmin": 1e6},
         ],
         ids=["dim400_scale10", "dim1000_ratio3", "dim200_scale1e-3", "dim1100",
-             "scale_min", "scale_max"],
+             "scale_min", "scale_max", "aspect_max"],
     )
     def test_generate_succeeds(self, tmp_path, overrides):
         # the first two once overflowed in the radius draw and escaped as a raw
@@ -559,6 +560,15 @@ class TestExtremeGeometry:
         code = cli.main(["generate", "--inline", spec, "--out-dir", str(tmp_path / "out")])
         assert code == cli.EXIT_VALIDATION
         assert "scale must lie in [1e-100, 1e+100]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("dim", [50, 1000])
+    def test_aspect_past_bound_exits_1(self, tmp_path, capsys, dim):
+        # aspect_ref 1e20 drew covariances too ill-conditioned to take a
+        # square root of, a raw traceback under -W error
+        spec = json.dumps({"name": "extreme", "n_clusters": 3, "dim": dim, "aspect_ref": 1e20})
+        code = cli.main(["generate", "--inline", spec, "--out-dir", str(tmp_path / "out")])
+        assert code == cli.EXIT_VALIDATION
+        assert "the largest aspect ratio drawn, must be at most 1e+06" in capsys.readouterr().err
 
 
 class TestExitCodeMapping:

@@ -16,17 +16,32 @@ from clustergen.overlap import pairwise_overlaps
 class TestSampleOrientation:
     @pytest.mark.parametrize("dim", [2, 10, 100])
     def test_columns_orthonormal(self, dim):
-        u = sample_orientation(dim, np.random.default_rng(0))
+        u = sample_orientation(dim, np.random.default_rng(0), 1)[0]
         np.testing.assert_allclose(u.T @ u, np.eye(dim), atol=1e-8)
 
     def test_different_seeds_differ(self):
-        a = sample_orientation(3, np.random.default_rng(0))
-        b = sample_orientation(3, np.random.default_rng(1))
+        a = sample_orientation(3, np.random.default_rng(0), 1)
+        b = sample_orientation(3, np.random.default_rng(1), 1)
         assert not np.allclose(a, b)
 
     def test_dim_floor(self):
         with pytest.raises(ValueError):
-            sample_orientation(1, np.random.default_rng(0))
+            sample_orientation(1, np.random.default_rng(0), 1)
+
+    @pytest.mark.parametrize("k, dim", [(50, 5), (30, 20), (5, 200), (12, 2), (1, 7)])
+    def test_stack_equals_draws_in_turn(self, k, dim):
+        # one QR per matrix, as the orientations were first drawn
+        def one_at_a_time(rng):
+            q, r = np.linalg.qr(rng.standard_normal((dim, dim)))
+            signs = np.sign(np.diag(r))
+            signs[signs == 0] = 1.0
+            return q * signs
+
+        stacked_rng, rng = np.random.default_rng(k * dim), np.random.default_rng(k * dim)
+        stack = sample_orientation(dim, stacked_rng, k)
+        assert stack.shape == (k, dim, dim)
+        np.testing.assert_array_equal(stack, [one_at_a_time(rng) for _ in range(k)])
+        assert stacked_rng.bit_generator.state == rng.bit_generator.state
 
 
 class TestCovarianceOf:
@@ -47,7 +62,7 @@ class TestCovarianceOf:
 
     def test_symmetric_positive_definite(self):
         rng = np.random.default_rng(3)
-        u = sample_orientation(5, rng)
+        u = sample_orientation(5, rng, 1)[0]
         cov = covariance_of(self._cluster(u, rng.uniform(0.5, 2.0, 5)))
         np.testing.assert_allclose(cov, cov.T, atol=1e-12)
         assert np.linalg.eigvalsh(cov).min() > 0
@@ -65,7 +80,7 @@ class TestCovarianceOf:
     def test_eigenvalues_match_lengths(self):
         rng = np.random.default_rng(4)
         lengths = np.sort(rng.uniform(0.5, 3.0, 6))[::-1]
-        cov = covariance_of(self._cluster(sample_orientation(6, rng), lengths))
+        cov = covariance_of(self._cluster(sample_orientation(6, rng, 1)[0], lengths))
         eigs = np.sort(np.linalg.eigvalsh(cov))[::-1]
         np.testing.assert_allclose(eigs, lengths**2, rtol=1e-8)
 

@@ -29,7 +29,7 @@ from clustergen.stats import normal_isf, normal_sf
 
 
 def random_cov(dim, rng, max_aspect=3.0, scale_range=(0.5, 2.0)):
-    u = sample_orientation(dim, rng)
+    u = sample_orientation(dim, rng, 1)[0]
     aspect = rng.uniform(1.0, max_aspect)
     radius = rng.uniform(*scale_range)
     logs = rng.uniform(-0.5 * np.log(aspect), 0.5 * np.log(aspect), dim)
@@ -242,7 +242,7 @@ class TestExactOracle:
     def test_rotation_equivariance(self):
         rng = np.random.default_rng(11)
         mu1, mu2, s1, s2 = random_pair(4, rng)
-        rot = sample_orientation(4, rng)
+        rot = sample_orientation(4, rng, 1)[0]
         originals = (
             lda_overlap(mu1, mu2, s1, s2),
             c2c_overlap(mu1, mu2, s1, s2),
@@ -314,7 +314,7 @@ def random_model(k, dim, rng):
     clusters = [
         Cluster(
             center=rng.standard_normal(dim) * 3.0,
-            axes=sample_orientation(dim, rng),
+            axes=sample_orientation(dim, rng, 1)[0],
             axis_lengths=rng.uniform(0.3, 3.0, dim),
             radial_distribution=RadialDistribution("normal"),
         )

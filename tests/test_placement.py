@@ -53,7 +53,7 @@ def spherical_model(centers, sigma=1.0):
 def anisotropic_covs(k, dim, rng):
     """k random covariances with axis lengths in [0.6, 1.6]."""
     lengths = rng.uniform(0.6, 1.6, size=(k, dim))
-    axes = (sample_orientation(dim, rng) for _ in range(k))  # drawn after lengths
+    axes = sample_orientation(dim, rng, k)  # drawn after lengths
     return np.stack([(u * l**2) @ u.T for u, l in zip(axes, lengths)])
 
 
@@ -419,7 +419,7 @@ class TestOptimizeCenters:
             clusters = [
                 Cluster(
                     center=np.zeros(dim),
-                    axes=sample_orientation(dim, rng),
+                    axes=sample_orientation(dim, rng, 1)[0],
                     axis_lengths=lengths[j],
                     radial_distribution=RadialDistribution("normal"),
                 )
