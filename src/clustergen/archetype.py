@@ -413,14 +413,18 @@ def sample_hyperparams(
 
 
 def load_archetypes_jsonl(path) -> list[Archetype]:
-    """Read one archetype per line; errors carry the offending line number."""
+    """Read one archetype per line; errors carry the offending line number.
+
+    Names must be unique: a dataset's output file is named after its archetype.
+    """
     out = []
+    first_line: dict[str, int] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
-                out.append(Archetype.from_json(line))
+                a = Archetype.from_json(line)
             except json.JSONDecodeError as exc:
                 raise ArchetypeValidationError(
                     [f"{path}:{lineno}: cannot parse archetype JSON ({exc})"]
@@ -429,4 +433,11 @@ def load_archetypes_jsonl(path) -> list[Archetype]:
                 raise ArchetypeValidationError(
                     [f"{path}:{lineno}: {v}" for v in exc.violations]
                 ) from exc
+            if a.name in first_line:
+                taken = first_line[a.name]
+                raise ArchetypeValidationError(
+                    [f"{path}:{lineno}: name {a.name!r} is already taken by line {taken}"]
+                )
+            first_line[a.name] = lineno
+            out.append(a)
     return out

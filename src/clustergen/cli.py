@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import datetime
+import functools
 import hashlib
 import json
 import os
@@ -59,99 +60,77 @@ def _write_text(path: str, text: str) -> None:
     _write_atomic(path, lambda tmp: pathlib.Path(tmp).write_text(text, encoding="utf-8"))
 
 
-def _generate_one(archetype_dict, index, seed, out_dir, do_distort, do_wrap):
-    """Worker: one dataset from one archetype (process-pool friendly)."""
-    a = Archetype.from_dict(archetype_dict)
-    rng = np.random.default_rng(seed)
-    model = sample_mixture_model(a, rng)
-    dataset = sample_dataset(model, rng)
-    points = dataset.points
-    if do_distort:
-        points = distort(points, seed=seed)
-    if do_wrap:
-        points = wrap_around_sphere(points)
-    dataset = Dataset(points, dataset.labels, dataset.archetype_name)
-    path = os.path.join(out_dir, f"{a.name}_{index:03d}.csv")
-    _write_atomic(path, lambda tmp: dataset_to_csv(dataset, tmp))
-    return path
+def _generate_one(a: Archetype, index, seed, out_dir, do_distort, do_wrap):
+    """Worker: one dataset from one archetype, as (manifest entry, exit code).
+
+    Expected failures are recorded in the entry, not raised, so a process
+    pool and a plain `map` give the parent the same records.
+    """
+    entry = {
+        "archetype": a.name,
+        "index": index,
+        "seed": seed,
+        "distort": bool(do_distort),
+        "wrap": bool(do_wrap),
+    }
+    try:
+        rng = np.random.default_rng(seed)
+        model = sample_mixture_model(a, rng)
+        dataset = sample_dataset(model, rng)
+        points = dataset.points
+        if do_distort:
+            points = distort(points, seed=seed)
+        if do_wrap:
+            points = wrap_around_sphere(points)
+        dataset = Dataset(points, dataset.labels, dataset.archetype_name)
+        path = os.path.join(out_dir, f"{a.name}_{index:03d}.csv")
+        _write_atomic(path, lambda tmp: dataset_to_csv(dataset, tmp))
+    except NonConvergenceError as exc:
+        return {**entry, "status": "convergence-failure", "error": str(exc)}, EXIT_CONVERGENCE
+    except OSError as exc:  # the dataset's CSV could not be written
+        return {**entry, "status": "write-failure", "error": str(exc)}, EXIT_VALIDATION
+    except (ArchetypeValidationError, ValueError) as exc:
+        return {**entry, "status": "validation-failure", "error": str(exc)}, EXIT_VALIDATION
+    return {**entry, "path": os.path.basename(path), "status": "ok"}, EXIT_OK
 
 
-class _InProcessExecutor(concurrent.futures.Executor):
-    """Runs each job at submission, in this process; `--jobs 1` uses it."""
-
-    def submit(self, fn, /, *args, **kwargs):
-        future = concurrent.futures.Future()
-        try:
-            future.set_result(fn(*args, **kwargs))
-        except Exception as exc:
-            future.set_exception(exc)
-        return future
-
-
-def _load_archetype_args(args) -> list[Archetype]:
+def _load_jobs(args) -> list[tuple[Archetype, int, int]]:
+    """(archetype, index, derived seed) of every dataset a generate or bench run makes."""
     if args.inline:
-        return [Archetype.from_json(args.inline)]
-    return load_archetypes_jsonl(args.archetypes)
+        archetypes = [Archetype.from_json(args.inline)]
+    else:
+        archetypes = load_archetypes_jsonl(args.archetypes)
+    return [
+        (a, index, derive_seed(args.seed, a.name, index))
+        for a in archetypes
+        for index in range(args.n_datasets)
+    ]
 
 
 def cmd_generate(args) -> int:
-    archetypes = _load_archetype_args(args)
+    jobs = _load_jobs(args)
     os.makedirs(args.out_dir, exist_ok=True)
     manifest = {  # traces every emitted dataset back to (archetype, seed)
         "tool_version": __version__,
         "created_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "master_seed": args.seed,
-        "entries": [],
     }
-    jobs = []
-    for a in archetypes:
-        for index in range(args.n_datasets):
-            seed = derive_seed(args.seed, a.name, index)
-            jobs.append((a, index, seed))
-
-    worst = EXIT_OK
-    pool = (
-        concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs)
-        if args.jobs > 1
-        else _InProcessExecutor()
-    )
-    with pool:
-        futures = [
-            pool.submit(
-                _generate_one, a.to_dict(), index, seed, args.out_dir, args.distort, args.wrap
-            )
-            for a, index, seed in jobs
-        ]
-        for (a, index, seed), future in zip(jobs, futures):
-            entry = {
-                "archetype": a.name,
-                "index": index,
-                "seed": seed,
-                "distort": bool(args.distort),
-                "wrap": bool(args.wrap),
-            }
-            try:
-                entry["path"] = os.path.basename(future.result())
-                entry["status"] = "ok"
-            except (NonConvergenceError, ArchetypeValidationError, ValueError, OSError) as exc:
-                if isinstance(exc, NonConvergenceError):
-                    entry["status"], code = "convergence-failure", EXIT_CONVERGENCE
-                elif isinstance(exc, OSError):  # the dataset's CSV could not be written
-                    entry["status"], code = "write-failure", EXIT_VALIDATION
-                else:
-                    entry["status"], code = "validation-failure", EXIT_VALIDATION
-                entry["error"] = str(exc)
-                worst = max(worst, code)
-                print(f"error: {a.name}[{index}]: {exc}", file=sys.stderr)
-            manifest["entries"].append(entry)
-
-    _write_text(
-        os.path.join(args.out_dir, "manifest.json"),
-        json.dumps(manifest, indent=2) + "\n",
-    )
-    written = sum(1 for e in manifest["entries"] if e["status"] == "ok")
-    print(f"wrote {written}/{len(jobs)} datasets to {args.out_dir}")
-    return worst
+    n = len(jobs)
+    # one list per worker argument; with no jobs, three empty lists map to nothing
+    columns = (*zip(*jobs), [args.out_dir] * n, [args.distort] * n, [args.wrap] * n)
+    if args.jobs > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
+            results = list(pool.map(_generate_one, *columns))
+    else:
+        results = list(map(_generate_one, *columns))
+    manifest["entries"] = [entry for entry, _ in results]
+    for e in manifest["entries"]:
+        if e["status"] != "ok":
+            print(f"error: {e['archetype']}[{e['index']}]: {e['error']}", file=sys.stderr)
+    _write_text(os.path.join(args.out_dir, "manifest.json"), json.dumps(manifest, indent=2) + "\n")
+    written = sum(e["status"] == "ok" for e in manifest["entries"])
+    print(f"wrote {written}/{n} datasets to {args.out_dir}")
+    return max((code for _, code in results), default=EXIT_OK)
 
 
 def cmd_validate_overlap(args) -> int:
@@ -249,19 +228,16 @@ def cmd_plot(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    archetypes = _load_archetype_args(args)
     rows = ["archetype,seed,max_overlap,ami,ari,silhouette"]
-    for a in archetypes:
-        for index in range(args.n_datasets):
-            seed = derive_seed(args.seed, a.name, index)
-            rng = np.random.default_rng(seed)
-            model = sample_mixture_model(a, rng)
-            dataset = sample_dataset(model, rng)
-            scores = evaluate_dataset(dataset.points, dataset.labels, a.n_clusters, rng)
-            rows.append(
-                f"{a.name},{seed},{a.max_overlap!r},"
-                f"{scores['ami']:.6f},{scores['ari']:.6f},{scores['silhouette']:.6f}"
-            )
+    for a, _, seed in _load_jobs(args):
+        rng = np.random.default_rng(seed)
+        model = sample_mixture_model(a, rng)
+        dataset = sample_dataset(model, rng)
+        scores = evaluate_dataset(dataset.points, dataset.labels, a.n_clusters, rng)
+        rows.append(
+            f"{a.name},{seed},{a.max_overlap!r},"
+            f"{scores['ami']:.6f},{scores['ari']:.6f},{scores['silhouette']:.6f}"
+        )
     text = "\n".join(rows) + "\n"
     if args.out:
         _write_text(args.out, text)
@@ -303,7 +279,9 @@ def _positive_int(text: str) -> int:
     raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by later `main` calls."""
     parser = _Parser(
         prog="clustergen",
         description="Synthetic cluster benchmark data from dataset archetypes",

@@ -1,8 +1,8 @@
 """Exception types shared across the package.
 
 Each error whose constructor takes other arguments than its message
-defines `__reduce__`, so it pickles with its attributes: `generate --jobs`
-sends errors back from worker processes.
+defines `__reduce__`, so it pickles with its attributes and can cross
+from a worker to its parent in any caller's process pool.
 """
 
 from __future__ import annotations

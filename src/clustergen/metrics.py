@@ -281,10 +281,13 @@ def silhouette(X, labels) -> float:
 
 
 def evaluate_dataset(X, y_true, k: int, rng: np.random.Generator) -> dict:
-    """K-Means against ground truth: ami/ari/silhouette in one record."""
+    """K-Means against ground truth: ami/ari/silhouette in one record.
+
+    The silhouette is NaN when `y_true` has a single class, where it is undefined.
+    """
     predicted = kmeans(X, k, rng=rng)
     return {
         "ami": ami(y_true, predicted),
         "ari": ari(y_true, predicted),
-        "silhouette": silhouette(X, y_true),
+        "silhouette": silhouette(X, y_true) if np.unique(y_true).size > 1 else float("nan"),
     }

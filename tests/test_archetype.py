@@ -463,3 +463,13 @@ class TestJsonRoundTrip:
         path = tmp_path / "collection.jsonl"
         path.write_text("".join(a.to_json() + "\n" for a in originals), encoding="utf-8")
         assert load_archetypes_jsonl(path) == originals
+
+    def test_jsonl_repeated_name_names_both_lines(self, tmp_path):
+        # two archetypes of one name would write the same CSV files
+        from clustergen.archetype import load_archetypes_jsonl
+
+        path = tmp_path / "dup.jsonl"
+        path.write_text('{"name":"dup","n_clusters":3}\n\n{"name":"dup","n_clusters":4}\n')
+        taken = ":3: name 'dup' is already taken by line 1"
+        with pytest.raises(ArchetypeValidationError, match=taken):
+            load_archetypes_jsonl(path)

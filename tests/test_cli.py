@@ -24,6 +24,13 @@ SMALL = json.dumps(
 )
 
 
+# placement fails for datasets 0 and 2 at --seed 0 and converges for dataset 1
+NONCONVERGING = json.dumps(
+    {"name": "nc", "n_clusters": 3, "dim": 2, "max_overlap": 1e-7,
+     "min_overlap": 9.9e-8, "aspect_ref": 20, "aspect_maxmin": 5}
+)
+
+
 def write_jsonl(path, archetypes):
     path.write_text("\n".join(archetypes) + "\n")
 
@@ -179,12 +186,10 @@ class TestGenerate:
 
     def test_parallel_convergence_failure_keeps_manifest(self, tmp_path):
         # placement cannot hold three elongated clusters in this band for
-        # dataset 0; dataset 1 converges.  Workers send the error back pickled.
-        spec = {"name": "nc", "n_clusters": 3, "dim": 2, "max_overlap": 1e-7,
-                "min_overlap": 9.9e-8, "aspect_ref": 20, "aspect_maxmin": 5}
+        # dataset 0; dataset 1 converges.  Each worker returns its own entry.
         out = tmp_path / "out"
         code = cli.main(
-            ["generate", "--inline", json.dumps(spec), "--n-datasets", "2", "--seed", "0",
+            ["generate", "--inline", NONCONVERGING, "--n-datasets", "2", "--seed", "0",
              "--out-dir", str(out), "--jobs", "2"]
         )
         assert code == cli.EXIT_CONVERGENCE
@@ -193,6 +198,41 @@ class TestGenerate:
         assert statuses == ["convergence-failure", "ok"]
         assert "did not reach tolerance" in manifest["entries"][0]["error"]
         assert sorted(p.name for p in out.glob("*.csv")) == ["nc_001.csv"]
+
+    def test_jobs_give_the_same_manifest_entries(self, tmp_path, capsys):
+        # entries 0 and 2 fail to converge and entry 1 is ok; every key, its
+        # value and the key order match across --jobs
+        runs = []
+        for jobs in ("1", "2"):
+            out = tmp_path / jobs
+            code = cli.main(
+                ["generate", "--inline", NONCONVERGING, "--n-datasets", "3", "--seed", "0",
+                 "--out-dir", str(out), "--jobs", jobs]
+            )
+            assert code == cli.EXIT_CONVERGENCE
+            manifest = json.loads((out / "manifest.json").read_text())
+            del manifest["created_at"]
+            runs.append((json.dumps(manifest), capsys.readouterr().err))
+        assert runs[0] == runs[1]
+        entries = json.loads(runs[0][0])["entries"]
+        assert [e["status"] for e in entries] == ["convergence-failure", "ok",
+                                                  "convergence-failure"]
+        assert list(entries[0]) == ["archetype", "index", "seed", "distort", "wrap",
+                                    "status", "error"]
+        assert list(entries[1]) == ["archetype", "index", "seed", "distort", "wrap",
+                                    "path", "status"]
+        assert runs[0][1].count("error: nc[") == 2
+
+    def test_repeated_archetype_name_exits_1(self, tmp_path, capsys):
+        # the second archetype would overwrite the first one's CSV files
+        src = tmp_path / "dup.jsonl"
+        write_jsonl(src, ['{"name":"dup","n_clusters":3}', '{"name":"dup","n_clusters":4}'])
+        out = tmp_path / "out"
+        for argv in (["generate", "--archetypes", str(src), "--out-dir", str(out)],
+                     ["bench", "--archetypes", str(src)]):
+            assert cli.main(argv) == cli.EXIT_VALIDATION
+            assert "name 'dup' is already taken by line 1" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestValidateOverlap:
@@ -397,6 +437,16 @@ class TestBench:
             assert fields[0] == "cli_small"
             assert 0.0 <= float(fields[3]) <= 1.0
 
+    def test_single_cluster_scores_nan_silhouette(self, capsys):
+        # a valid one-cluster archetype: AMI and ARI are 1, silhouette undefined
+        code = cli.main(["bench", "--inline", '{"name":"one","n_clusters":1,"n_samples":50}',
+                         "--n-datasets", "2"])
+        assert code == cli.EXIT_OK
+        rows = capsys.readouterr().out.strip().splitlines()
+        assert len(rows) == 3
+        for row in rows[1:]:
+            assert row.endswith(",1.000000,1.000000,nan")
+
 
 class TestHyperparams:
     def test_emits_variant_jsonl(self, tmp_path, capsys):
@@ -579,9 +629,6 @@ class TestExitCodeMapping:
             raise NonConvergenceError(1.0, [1.0])
 
         monkeypatch.setattr("clustergen.cli.sample_mixture_model", explode)
-        # patch the worker's import site
-        monkeypatch.setattr("clustergen.cli._generate_one",
-                            lambda *a, **k: (_ for _ in ()).throw(NonConvergenceError(1.0, [1.0])))
         out = tmp_path / "out"
         code = cli.main(["generate", "--inline", SMALL, "--out-dir", str(out)])
         assert code == 2

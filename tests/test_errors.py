@@ -1,7 +1,7 @@
 """Every package error survives pickling with its message and attributes.
 
-`generate --jobs N` runs datasets in worker processes, which pickle any
-error back to the parent; an error that fails to unpickle breaks the pool.
+A caller that runs clustergen in a process pool gets each worker's error
+back pickled; an error that fails to unpickle breaks the pool.
 """
 
 import pickle

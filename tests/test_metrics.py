@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from clustergen import metrics
-from clustergen.metrics import ami, ari, kmeans, silhouette
+from clustergen.metrics import ami, ari, evaluate_dataset, kmeans, silhouette
 from clustergen.mixture import sample_mixture_model
 from clustergen.sampling import sample_dataset
 
@@ -393,6 +393,16 @@ class TestSilhouette:
     def test_single_class_rejected(self):
         with pytest.raises(ValueError, match="two"):
             silhouette(np.zeros((5, 2)), np.zeros(5, dtype=int))
+
+    def test_single_class_dataset_scores_nan(self):
+        # evaluate_dataset reports the undefined silhouette as NaN; K-Means
+        # with k=1 matches the single true class exactly
+        rng = np.random.default_rng(3)
+        X = rng.normal(size=(30, 2))
+        scores = evaluate_dataset(X, np.zeros(30, dtype=int), 1, rng)
+        assert scores["ami"] == 1.0
+        assert scores["ari"] == 1.0
+        assert math.isnan(scores["silhouette"])
 
     def test_singleton_cluster_scores_zero(self):
         X = np.array([[0.0, 0.0], [0.1, 0.0], [10.0, 0.0]])
