@@ -416,6 +416,7 @@ def load_archetypes_jsonl(path) -> list[Archetype]:
     """Read one archetype per line; errors carry the offending line number.
 
     Names must be unique: a dataset's output file is named after its archetype.
+    A file with no archetype (empty or blank lines only) is an error too.
     """
     out = []
     first_line: dict[str, int] = {}
@@ -440,4 +441,6 @@ def load_archetypes_jsonl(path) -> list[Archetype]:
                 )
             first_line[a.name] = lineno
             out.append(a)
+    if not out:
+        raise ArchetypeValidationError([f"{path}: holds no archetype"])
     return out

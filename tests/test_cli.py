@@ -234,6 +234,17 @@ class TestGenerate:
             assert "name 'dup' is already taken by line 1" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("text", ["", "\n  \n"], ids=["empty", "blank"])
+    def test_archetype_file_without_archetypes_exits_1(self, tmp_path, capsys, text):
+        # a broken `hyperparams | generate --archetypes /dev/stdin` pipe feeds no lines
+        src = tmp_path / "none.jsonl"
+        src.write_text(text)
+        out = tmp_path / "out"
+        code = cli.main(["generate", "--archetypes", str(src), "--out-dir", str(out)])
+        assert code == cli.EXIT_VALIDATION
+        assert f"{src}: holds no archetype" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestValidateOverlap:
     def test_archetype_report_respects_bound(self, tmp_path, capsys):
@@ -446,6 +457,14 @@ class TestBench:
         assert len(rows) == 3
         for row in rows[1:]:
             assert row.endswith(",1.000000,1.000000,nan")
+
+    def test_archetype_file_without_archetypes_exits_1(self, tmp_path, capsys):
+        src = tmp_path / "none.jsonl"
+        src.write_text("")
+        assert cli.main(["bench", "--archetypes", str(src)]) == cli.EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""  # not even the header
+        assert f"{src}: holds no archetype" in captured.err
 
 
 class TestHyperparams:

@@ -52,7 +52,7 @@ CASES = [
         11,
         ["--distort", "--wrap"],
         "6589e5e320dc11356f36c0531895c3dccab7340ddad007cb96deac8272c5f262",
-        "c125fdbd95a1e45fbcad1c42d68e0bbb123ee6142ef29756885d42980c394bca",
+        "13f99da34be6be479e705cb5e225052511d735610ba7590a70f169df35cb2311",
     ),
 ]
 

@@ -4,11 +4,15 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
+import tracemalloc
 from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from normal_reference import DIGITS, ulps
 from scipy import stats as sps
 
@@ -17,6 +21,7 @@ from clustergen.archetype import Archetype
 from clustergen.distributions import SUPPORTED_FAMILIES, RadialDistribution
 from clustergen.mixture import Cluster, sample_mixture_model
 from clustergen.sampling import (
+    _CSV_BLOCK_VALUES,
     Dataset,
     dataset_from_csv,
     dataset_to_csv,
@@ -416,9 +421,36 @@ def reference_csv(dataset, path):
             writer.writerow([f"{v:.17g}" for v in row] + [int(label)])
 
 
+def halfway_values(rng, count):
+    """Doubles whose 18th significant digit is an exact 5 followed by zeros.
+
+    (2q+1) / 2**(s+1) times 10**s ends in .5 for every s; q is drawn so the
+    value has its 17 digits at exponent 16-s and is an exact double.
+    """
+    values = []
+    for s in range(1, 21):
+        lo = -(-(10**16 * 2**s) // 10**s)  # ceil(10**(16-s) * 2**s)
+        hi = min(10**17 * 2**s // 10**s, 2**52)
+        q = rng.integers(lo, hi, count)
+        values.append((2 * q + 1) / 2.0 ** (s + 1))
+    return np.concatenate(values)
+
+
+def float_cases(rng):
+    """About 10**6 doubles from the categories the exact fast path has to get right."""
+    bits = rng.integers(0, 2**64, 420_000, dtype=np.uint64).view(np.float64)
+    normals = rng.standard_normal(400_000) * 10.0 ** rng.uniform(-6.0, 20.0, 400_000)
+    powers = np.array([float(f"1e{e}") for e in range(-8, 18)])
+    around = np.concatenate([np.nextafter(powers, 0.0), powers, np.nextafter(powers, np.inf)])
+    special = np.concatenate([around, halfway_values(rng, 5_000), [0.0]])
+    return np.concatenate([bits[np.isfinite(bits)], normals, special, -special])
+
+
 class TestCsvBytes:
     """`dataset_to_csv` writes exactly the bytes of the csv.writer reference."""
 
+    # enough rows at dim 10 that the dataset crosses two write blocks
+    BLOCKS_ROWS = 2 * (_CSV_BLOCK_VALUES // 11) + 100
     CASES = {
         "edge_values": Dataset(
             np.array([[-0.0, 5e-324, 1e300], [-1e-300, 0.0, 1.5], [0.1, -2.5e-308, 1e16]]),
@@ -436,6 +468,33 @@ class TestCsvBytes:
             np.random.default_rng(2).standard_normal((500, 6)) * 1e3,
             np.random.default_rng(3).integers(0, 5, 500),
             "random",
+        ),
+        "wide_labels": Dataset(
+            np.full((8, 1), 0.5),
+            np.array([-1, -10_000, 9_999, 10_000, 99_999, 123_456_789, 2**62, -(2**63)]),
+            "wide_labels",
+        ),
+        "near_bounds": Dataset(
+            np.array([
+                [np.nextafter(1e-4, 0.0), 1e-4, np.nextafter(1e-4, 1.0)],
+                [np.nextafter(1e17, 0.0), 1e17, np.nextafter(1e17, np.inf)],
+                [-np.nextafter(1e-4, 0.0), -1e-4, -np.nextafter(1e-4, 1.0)],
+                [-np.nextafter(1e17, 0.0), -1e17, -np.nextafter(1e17, np.inf)],
+            ]),
+            np.array([0, 1, 2, 3]),
+            "near_bounds",
+        ),
+        "halfway": Dataset(
+            halfway_values(np.random.default_rng(4), 6).reshape(-1, 4)
+            * np.array([1.0, -1.0, 1.0, -1.0]),
+            np.arange(30),
+            "halfway",
+        ),
+        "blocks": Dataset(
+            np.random.default_rng(5).standard_normal((BLOCKS_ROWS, 10))
+            * 10.0 ** np.random.default_rng(6).uniform(-6.0, 20.0, (BLOCKS_ROWS, 10)),
+            np.random.default_rng(7).integers(-3, 20_000, BLOCKS_ROWS),
+            "blocks",
         ),
     }
 
@@ -455,3 +514,38 @@ class TestCsvBytes:
         # compare bit patterns, so -0.0 and 0.0 count as different
         assert np.array_equal(again.points.view(np.uint64), dataset.points.view(np.uint64))
         np.testing.assert_array_equal(again.labels, dataset.labels)
+
+    def test_a_million_floats_match_percent_17g(self, tmp_path):
+        values = float_cases(np.random.default_rng(8))
+        assert values.size >= 10**6
+        values = np.concatenate([values, np.zeros(-values.size % 8)])
+        dataset = Dataset(values.reshape(-1, 8), np.zeros(values.size // 8, dtype=int), "floats")
+        dataset_to_csv(dataset, tmp_path / "floats.csv")
+        rows = (tmp_path / "floats.csv").read_bytes().decode().split("\r\n")[1:-1]
+        fields = [field for row in rows for field in row.split(",")[:-1]]
+        assert len(fields) == values.size
+        wrong = [(v, f) for v, f in zip(values.tolist(), fields) if f != "%.17g" % v]
+        assert not wrong[:5]
+
+    @settings(deadline=None, derandomize=True, database=None, max_examples=200)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40))
+    def test_any_finite_float_matches_percent_17g(self, values):
+        dataset = Dataset(np.array(values)[:, None], np.zeros(len(values), dtype=int), "floats")
+        with tempfile.TemporaryDirectory() as tmp:
+            dataset_to_csv(dataset, Path(tmp) / "floats.csv")
+            text = (Path(tmp) / "floats.csv").read_bytes().decode()
+        assert text == "x1,label\r\n" + "".join("%.17g,0\r\n" % v for v in values)
+
+    @pytest.mark.parametrize("n,dim", [(200_000, 10), (20_000, 200)])
+    def test_peak_memory_is_bounded(self, tmp_path, n, dim):
+        # the writer formats one block at a time, whatever the dataset's size
+        dataset = Dataset(
+            np.random.default_rng(dim).standard_normal((n, dim)), np.zeros(n, dtype=int), "big"
+        )
+        tracemalloc.start()
+        try:
+            dataset_to_csv(dataset, tmp_path / "big.csv")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
