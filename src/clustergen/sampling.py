@@ -271,9 +271,9 @@ def _significand(magnitude: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     hi, lo = _scaled(magnitude, k)
     while True:
         near = np.flatnonzero((hi <= 1e16) | (hi >= 1e17))
-        h, l = hi[near], lo[near]
-        step = ((h > 1e17) | ((h == 1e17) & (l >= 0))).astype(np.int64)
-        step -= (h < 1e16) | ((h == 1e16) & (l < 0))
+        high, low = hi[near], lo[near]
+        step = ((high > 1e17) | ((high == 1e17) & (low >= 0))).astype(np.int64)
+        step -= (high < 1e16) | ((high == 1e16) & (low < 0))
         near, step = near[step != 0], step[step != 0]
         if not near.size:
             break
