@@ -20,8 +20,9 @@ draws no random numbers; only the initial centers are random.
 
 Covariances stay fixed too, so each `optimize_centers` call inverts
 every pair's averaged covariance once, before the first epoch
-(`overlap.pair_inverses`), and every separation after that is a
-matrix-vector product.  The inverses take k(k-1)/2 * d^2 floats: 56 MB
+(`overlap.pair_inverses`: LU up to d = 32, a Cholesky factor and its
+recursive triangular inverse above), and every separation after that is
+a matrix-vector product.  The inverses take k(k-1)/2 * d^2 floats: 56 MB
 at k=8, d=500.
 """
 

@@ -7,7 +7,8 @@ import pytest
 
 from clustergen import cli
 from clustergen.archetype import Archetype
-from clustergen.mixture import sample_mixture_model
+from clustergen.distributions import RadialDistribution
+from clustergen.mixture import Cluster, MixtureModel, sample_mixture_model, sample_orientation
 from clustergen.sampling import dataset_from_csv
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -289,6 +290,23 @@ class TestValidateOverlap:
         model_path.write_text(model.to_json())
         code = cli.main(["validate-overlap", "--model", str(model_path)])
         assert code == 0
+
+    @pytest.mark.parametrize("cond,code", [(0.99e12, cli.EXIT_OK), (1.01e12, cli.EXIT_VALIDATION)])
+    def test_model_condition_bound_at_dim_40(self, tmp_path, capsys, cond, code):
+        # both clusters share an orientation, so their averaged covariance
+        # has condition number cond; its inverse takes the Cholesky route
+        rng = np.random.default_rng(40)
+        axes = sample_orientation(40, rng, 1)[0]
+        lengths = np.sqrt(np.geomspace(1.0, cond, 40))
+        clusters = [
+            Cluster(center, axes, scale * lengths, RadialDistribution("normal"))
+            for center, scale in ((np.zeros(40), 1.0), (np.full(40, 1e3), 2.0))
+        ]
+        model_path = tmp_path / "model.json"
+        model_path.write_text(MixtureModel(clusters, np.array([10, 10]), "ill").to_json())
+        assert cli.main(["validate-overlap", "--model", str(model_path)]) == code
+        if code == cli.EXIT_VALIDATION:
+            assert "numerically singular" in capsys.readouterr().err
 
     @pytest.mark.parametrize("edit,message", [
         (lambda m: {"clusters": []}, "missing key 'archetype_name'"),

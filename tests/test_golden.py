@@ -44,8 +44,19 @@ CASES = [
         {"name": "golden_wide", "n_clusters": 4, "dim": 40, "n_samples": 80, "scale": 2.0},
         3,
         [],
-        "2dd1ea03de4dc9967e71ce6b954a150dc05610f164fc35acb22b7bc298c86b16",
-        "95e2ea29bb563069702802f2ef8af0a60bcf3f2039499e15323fd9228f8e9cc1",
+        "1c555e1d926c1289b66514ec93d5f0e26deb7cbe36eb914b3e0e2a9dd70ce363",
+        "c42669b10f0b9f4c397967bb3ea8386012f9f6bf6a1266b9c099b536324875d7",
+    ),
+    (
+        # dim 200: the Cholesky pair inverses, through 4 placement epochs
+        {
+            "name": "golden_high", "n_clusters": 5, "dim": 200, "n_samples": 100,
+            "aspect_ref": 2.0, "aspect_maxmin": 2.0, "radius_maxmin": 2.0,
+        },
+        0,
+        [],
+        "619109b7b01fc8f8dde0ffe94512bff1f0ada5a2de5c5f83b51ed3c25f228aa4",
+        "fd798fbee5ad37d3765e2a6f76905d6818d53a05df85318f08bf5370dd2ab3b8",
     ),
     (
         {"name": "golden_bent", "n_clusters": 3, "dim": 3, "n_samples": 120},

@@ -12,7 +12,7 @@ from overlap_reference import (
 )
 from placement_reference import separations_of
 
-from clustergen import mixture
+from clustergen import mixture, overlap
 from clustergen.archetype import Archetype
 from clustergen.distributions import RadialDistribution
 from clustergen.mixture import Cluster, MixtureModel, sample_mixture_model, sample_orientation
@@ -135,8 +135,48 @@ def reference_separation(mu1, mu2, s1, s2):
     return abs(q), np.sign(q) * scaled
 
 
+class TestPairInverses:
+    @pytest.mark.parametrize("dim", [2, 5, 17, 32])
+    def test_lu_up_to_dim_32(self, dim):
+        rng = np.random.default_rng(dim)
+        covs = np.stack([random_cov(dim, rng, max_aspect=10.0) for _ in range(5)])
+        inverses = pair_inverses(covs)
+        mean = 0.5 * (covs[inverses.iu] + covs[inverses.ju])
+        assert np.array_equal(inverses.inv, np.linalg.inv(mean))
+
+    @pytest.mark.parametrize("cond", [10.0, 1e3, 1e6, 1e9, 1e12])
+    @pytest.mark.parametrize("dim", [33, 40, 64, 100, 200])
+    def test_cholesky_above_dim_32_as_accurate_as_lu(self, dim, cond):
+        # clusters 0-2 share an orientation, so their pairs' averages have
+        # condition number cond; cluster 3's pairs are less ill-conditioned
+        rng = np.random.default_rng(dim)
+        u = sample_orientation(dim, rng, 2)
+        spectrum = np.geomspace(1.0, cond, dim)
+        covs = np.stack([
+            (u[j // 3] * (r * spectrum)) @ u[j // 3].T
+            for j, r in enumerate(rng.uniform(0.25, 4.0, 4))
+        ])
+        inverses = pair_inverses(covs)
+        inv = inverses.inv
+        mean = 0.5 * (covs[inverses.iu] + covs[inverses.ju])
+        assert np.array_equal(inv, inv.transpose(0, 2, 1))
+        # Frobenius norms over the whole stack of pairs
+        residual = np.linalg.norm(mean @ inv - np.eye(dim))
+        assert residual <= 10.0 * np.linalg.norm(mean @ np.linalg.inv(mean) - np.eye(dim))
+
+    def test_triangular_inverse_is_exactly_lower(self):
+        # unequal variances make L[i, j] outweigh L[j, j], so the leaves' LU pivots
+        rng = np.random.default_rng(0)
+        spread = np.exp(rng.uniform(-3.0, 3.0, (3, 50, 1)))
+        low = np.linalg.cholesky(spread * random_cov(50, rng) * spread.transpose(0, 2, 1))
+        inv = low.copy()
+        overlap._invert_lower(inv)
+        assert np.array_equal(inv, np.tril(inv))
+        np.testing.assert_allclose(inv @ low, np.broadcast_to(np.eye(50), low.shape), atol=1e-10)
+
+
 class TestCachedPairKernel:
-    @pytest.mark.parametrize("dim", [2, 5, 20, 200])
+    @pytest.mark.parametrize("dim", [2, 5, 20, 40, 100, 200])
     def test_matches_lda_axis_reference(self, dim):
         rng = np.random.default_rng(dim)
         k = 4
