@@ -24,7 +24,7 @@ from .overlap import (
     lda_overlap,
     pairwise_overlaps,
 )
-from .placement import OverlapBounds, PlacementConfig, optimize_centers, overlap_loss
+from .placement import OverlapBounds, optimize_centers, overlap_loss
 from .postprocess import distort, wrap_around_sphere
 from .sampling import sample_dataset
 
@@ -36,7 +36,6 @@ __all__ = [
     "NLError",
     "NonConvergenceError",
     "OverlapBounds",
-    "PlacementConfig",
     "c2c_overlap",
     "distort",
     "exact_overlap_oracle",

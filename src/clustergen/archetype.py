@@ -25,6 +25,7 @@ import numpy as np
 
 from .distributions import SUPPORTED_FAMILIES
 from .errors import ArchetypeValidationError
+from .overlap import _MAX_CONDITION
 
 _IDENTIFIER_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
@@ -124,7 +125,7 @@ class Archetype:
 _SCALE_RANGE = (1e-100, 1e100)  # placement's arithmetic stays finite inside it
 # Largest aspect ratio a cluster may be drawn with: aspect² is its
 # covariance's condition number, which overlap refuses above 1e12.
-_ASPECT_MAX = 1e6
+_ASPECT_MAX = math.sqrt(_MAX_CONDITION)  # exactly 1e6
 
 
 def _is_number(value) -> bool:

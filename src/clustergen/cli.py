@@ -229,9 +229,15 @@ def cmd_plot(args) -> int:
 
 def cmd_bench(args) -> int:
     rows = ["archetype,seed,max_overlap,ami,ari,silhouette"]
-    for a, _, seed in _load_jobs(args):
+    code = EXIT_OK
+    for a, index, seed in _load_jobs(args):
         rng = np.random.default_rng(seed)
-        model = sample_mixture_model(a, rng)
+        try:
+            model = sample_mixture_model(a, rng)
+        except NonConvergenceError as exc:  # the other datasets keep their rows
+            print(f"error: {a.name}[{index}]: {exc}", file=sys.stderr)
+            code = EXIT_CONVERGENCE
+            continue
         dataset = sample_dataset(model, rng)
         scores = evaluate_dataset(dataset.points, dataset.labels, a.n_clusters, rng)
         rows.append(
@@ -243,7 +249,7 @@ def cmd_bench(args) -> int:
         _write_text(args.out, text)
     else:
         sys.stdout.write(text)
-    return EXIT_OK
+    return code
 
 
 def cmd_hyperparams(args) -> int:

@@ -204,15 +204,14 @@ def sample_mixture_model(a: arch.Archetype, rng: np.random.Generator) -> Mixture
     # q is scale-free but its gradient in the centers goes as 1/scale, so
     # a rate growing as scale^2 runs the same descent at every scale
     rate = placement.default_learning_rate(lengths) * a.scale
-    config = placement.PlacementConfig(learning_rate=rate)
     bounds = placement.OverlapBounds.from_overlaps(a.max_overlap, a.min_overlap)
     for _ in range(placement.MAX_RESTARTS + 1):
-        centers = placement.init_centers(k, dim, radii, config, rng)
+        centers = placement.init_centers(k, dim, radii, rate, rng)
         start = replace(
             model, clusters=[replace(c, center=centers[j]) for j, c in enumerate(model.clusters)]
         )
         try:
-            model, _ = placement.optimize_centers(start, bounds, config, rng)
+            model, _ = placement.optimize_centers(start, bounds, rate, rng)
             return model
         except NonConvergenceError as exc:
             last_error = exc

@@ -147,33 +147,14 @@ def complete(prompt: str, config: ClientConfig | None = None, transport=None) ->
 
 
 def _first_json_object(raw: str) -> dict:
-    """Extract the first balanced top-level {...} block, ignoring strings."""
+    """Decode the first "{" of `raw` at which a JSON object starts; text around it is ignored."""
+    decoder = json.JSONDecoder()
     start = raw.find("{")
     while start != -1:
-        depth = 0
-        in_string = False
-        escaped = False
-        for pos in range(start, len(raw)):
-            ch = raw[pos]
-            if in_string:
-                if escaped:
-                    escaped = False
-                elif ch == "\\":
-                    escaped = True
-                elif ch == '"':
-                    in_string = False
-            elif ch == '"':
-                in_string = True
-            elif ch == "{":
-                depth += 1
-            elif ch == "}":
-                depth -= 1
-                if depth == 0:
-                    try:
-                        return json.loads(raw[start : pos + 1])
-                    except json.JSONDecodeError:
-                        break
-        start = raw.find("{", start + 1)
+        try:
+            return decoder.raw_decode(raw, start)[0]
+        except json.JSONDecodeError:
+            start = raw.find("{", start + 1)
     raise NLParseError("no JSON object found in response", raw)
 
 

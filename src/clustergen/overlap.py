@@ -6,14 +6,16 @@ separation quantile is
 
     q(a) = a'(mu2 - mu1) / (sqrt(a'S1 a) + sqrt(a'S2 a))
 
-and the induced overlap is 2*(1 - Phi(q)).  Three estimators are provided,
-each one batched pair kernel evaluated along its own axis: the LDA
-approximation (axis ((S1+S2)/2)^{-1} (mu2 - mu1)), the cheaper
-center-to-center approximation (axis mu2 - mu1), and an exact oracle for
-Gaussian pairs that maximizes q over the one-parameter axis family
-a(t) = (t*S1 + (1-t)*S2)^{-1} (mu2 - mu1), t in (0, 1).  All three run
-over every pair at once, the single-pair functions being the k = 2 case,
-and all refuse the same inputs (`_checked`, `_finite`).
+and the induced overlap is 2*(1 - Phi(q)).  Three estimators are provided.
+The LDA approximation (axis ((S1+S2)/2)^{-1} (mu2 - mu1)) and the cheaper
+center-to-center approximation (axis mu2 - mu1) evaluate one batched pair
+kernel along their own axes (`_table_separations`).  The exact oracle for
+Gaussian pairs maximizes q over the one-parameter axis family
+a(t) = (t*S1 + (1-t)*S2)^{-1} (mu2 - mu1), t in (0, 1): it factors each
+pair once, into a basis that diagonalizes both covariances, and there
+every q(t) of its search is a sum of d terms.  All three run over every
+pair at once, the single-pair functions being the k = 2 case, and all
+refuse the same inputs (`_checked`, `_finite`).
 """
 
 from __future__ import annotations
@@ -68,6 +70,16 @@ def _invert_lower(low):
     np.matmul(low[:, h:, h:], t, out=low[:, h:, :h])
 
 
+def _whitening(covs, i):
+    """W = L^{-1} for the average A = (S_i + S_j)/2 = LL' of each pair (i, j > i).
+
+    W A W' = I.  Every A must be positive definite, or LinAlgError is raised.
+    """
+    w = np.linalg.cholesky(0.5 * (covs[i] + covs[i + 1 :]))
+    _invert_lower(w)
+    return w
+
+
 def pair_inverses(covs) -> PairInverses:
     """Invert every averaged covariance once; covariances are not checked.
 
@@ -91,36 +103,17 @@ def pair_inverses(covs) -> PairInverses:
     for i in range(k - 1):
         start = index[i, i + 1]
         row = inv[start : start + k - 1 - i]
-        a = 0.5 * (covs[i] + covs[i + 1 :])
         if dim <= _LU_MAX_DIM:
-            row[...] = np.linalg.inv(a)
+            row[...] = np.linalg.inv(0.5 * (covs[i] + covs[i + 1 :]))
         else:
-            a = np.linalg.cholesky(a)  # L replaces the average A = LL'
-            _invert_lower(a)  # and W = L^{-1} replaces L
-            np.matmul(a.transpose(0, 2, 1), a, out=row)
-        del a  # before the next row's: one stack of k-1 matrices at a time
+            w = _whitening(covs, i)
+            np.matmul(w.transpose(0, 2, 1), w, out=row)
+            del w  # before the next row's: one stack of k-1 matrices at a time
     return PairInverses(inv, iu, ju, pairs)
 
 
 def _rowdot(x, y):
     return np.einsum("mp,mp->m", x, y)
-
-
-def _oriented_separations(delta, axes, var_i, var_j):
-    """(q, oriented scaled axes) from axes and both clusters' variances along them."""
-    denom = np.sqrt(var_i) + np.sqrt(var_j)
-    margin = _rowdot(axes, delta)
-    return np.abs(margin) / denom, axes * np.copysign(1.0 / denom, margin)[:, None]
-
-
-def _row_separations(delta, S, others_S, axes):
-    """(q, oriented scaled axes) of one cluster (S) against m others, along axes[m].
-
-    delta[m] = others_mu[m] - mu.
-    """
-    var_i = _rowdot(axes @ S, axes)
-    var_j = _rowdot((others_S @ axes[:, :, None])[:, :, 0], axes)
-    return _oriented_separations(delta, axes, var_i, var_j)
 
 
 def _table_separations(delta, covs, iu, ju, axes):
@@ -134,7 +127,9 @@ def _table_separations(delta, covs, iu, ju, axes):
     table[iu, ju] = axes  # table[i, j] @ covs[i] is a_ij' S_i
     var_i = _rowdot((table @ covs)[iu, ju], axes)
     var_j = _rowdot((table.transpose(1, 0, 2) @ covs)[ju, iu], axes)
-    return _oriented_separations(delta, axes, var_i, var_j)
+    denom = np.sqrt(var_i) + np.sqrt(var_j)
+    margin = _rowdot(axes, delta)
+    return np.abs(margin) / denom, axes * np.copysign(1.0 / denom, margin)[:, None]
 
 
 def pairwise_separations(centers, covs, inverses: PairInverses):
@@ -196,41 +191,50 @@ def _c2c(centers, covs):
 def _exact(centers, covs, q_lda):
     """Largest q over the axis family a(t) of every checked pair i < j.
 
-    Row i's pairs (i, j > i) are searched in lockstep: the 64-point grid
-    brackets each pair's maximum, and golden-section search narrows every
-    bracket to _EXACT_TOL, solving again only for the pairs whose bracket
-    is still wider.  No temporary is larger than k-1 matrices.  The LDA
-    axis is the t = 1/2 member, so no q falls below q_lda.
+    Each pair is factored once, a row of k-1 pairs at a time: with W from
+    `_whitening`, W S_i W' = V diag(m) V', and so W S_j W' = V diag(2 - m) V'
+    as W (S_i + S_j) W' = 2I.  Then, with g = V'W(mu_j - mu_i) and
+    D = t*m + (1-t)*(2 - m), a(t)'delta = sum g^2/D, a(t)'S_i a(t) =
+    sum m g^2/D^2 and a(t)'S_j a(t) = sum (2 - m) g^2/D^2, so each q(t)
+    is a sum of d terms.  All pairs are searched in lockstep, on 2d floats
+    per pair: the 64-point grid brackets each pair's maximum (keeping
+    only the best point so far), and golden-section search narrows every
+    bracket to _EXACT_TOL, evaluating again only the pairs whose bracket
+    is still wider.  The LDA axis is the t = 1/2 member, so no q falls
+    below q_lda.
     """
-    q = [q_lda[:0]]  # an empty row keeps k = 1 concatenable
-    for i in range(centers.shape[0] - 1):
-        S, others_S = covs[i], covs[i + 1 :]
-        delta = centers[i + 1 :] - centers[i]
+    bases = [np.empty((2, 0, centers.shape[1]))]  # an empty row keeps k = 1 concatenable
+    for i in range(len(centers) - 1):
+        w = _whitening(covs, i)
+        m, v = np.linalg.eigh(w @ covs[i] @ w.transpose(0, 2, 1))
+        g = (centers[i + 1 :] - centers[i])[:, None, :] @ w.transpose(0, 2, 1) @ v
+        bases.append(np.stack([m, g[:, 0] ** 2]))
+    m, g2 = np.concatenate(bases, axis=1)
 
-        def q_at(t, rows=slice(None)):
-            sub = others_S[rows]
-            mix = (1.0 - t)[:, None, None] * sub
-            mix += t[:, None, None] * S  # t*S + (1-t)*S_j, one temporary fewer
-            axes = np.linalg.solve(mix, delta[rows, :, None])[:, :, 0]
-            return _row_separations(delta[rows], S, sub, axes)[0]
+    def q_at(t, rows=slice(None)):
+        mi, mj = m[rows], 2.0 - m[rows]
+        d = t[:, None] * mi + (1.0 - t)[:, None] * mj
+        h = g2[rows] / d
+        return h.sum(axis=1) / (np.sqrt(_rowdot(h, mi / d)) + np.sqrt(_rowdot(h, mj / d)))
 
-        values = _finite(np.stack([q_at(np.full(len(delta), t)) for t in _EXACT_GRID]))
-        best = values.argmax(axis=0)
-        a = _EXACT_GRID[np.maximum(best - 1, 0)]
-        b = _EXACT_GRID[np.minimum(best + 1, _EXACT_GRID.size - 1)]
-        x1, x2 = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
-        f1, f2 = q_at(x1), q_at(x2)
-        while (rows := np.flatnonzero(b - a > _EXACT_TOL)).size:
-            up = f1[rows] < f2[rows]  # the maximum lies above x1
-            lo, hi = rows[up], rows[~up]
-            a[lo], x1[lo], f1[lo] = x1[lo], x2[lo], f2[lo]
-            b[hi], x2[hi], f2[hi] = x2[hi], x1[hi], f1[hi]
-            x2[lo] = a[lo] + _GOLDEN * (b[lo] - a[lo])
-            x1[hi] = b[hi] - _GOLDEN * (b[hi] - a[hi])
-            f = q_at(np.where(up, x2[rows], x1[rows]), rows)
-            f2[lo], f1[hi] = f[up], f[~up]
-        q.append(np.maximum.reduce([f1, f2, values.max(axis=0)]))
-    return _finite(np.maximum(np.concatenate(q), q_lda))
+    best, at = np.full(q_lda.size, -np.inf), np.zeros(q_lda.size, dtype=np.intp)
+    for step, t in enumerate(_EXACT_GRID):
+        value = _finite(q_at(np.full(q_lda.size, t)))
+        at[value > best] = step  # the first of equal values, as argmax picks
+        best = np.maximum(best, value)
+    a, b = _EXACT_GRID[np.clip([at - 1, at + 1], 0, _EXACT_GRID.size - 1)]
+    x1, x2 = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
+    f1, f2 = q_at(x1), q_at(x2)
+    while (rows := np.flatnonzero(b - a > _EXACT_TOL)).size:
+        up = f1[rows] < f2[rows]  # the maximum lies above x1
+        lo, hi = rows[up], rows[~up]
+        a[lo], x1[lo], f1[lo] = x1[lo], x2[lo], f2[lo]
+        b[hi], x2[hi], f2[hi] = x2[hi], x1[hi], f1[hi]
+        x2[lo] = a[lo] + _GOLDEN * (b[lo] - a[lo])
+        x1[hi] = b[hi] - _GOLDEN * (b[hi] - a[hi])
+        f = q_at(np.where(up, x2[rows], x1[rows]), rows)
+        f2[lo], f1[hi] = f[up], f[~up]
+    return _finite(np.maximum.reduce([f1, f2, best, q_lda]))
 
 
 def lda_overlap(mu1, mu2, S1, S2) -> float:

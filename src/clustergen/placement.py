@@ -49,17 +49,6 @@ MAX_RESTARTS = 3  # fresh initializations after the first, in sample_mixture_mod
 
 
 @dataclass(frozen=True)
-class PlacementConfig:
-    """The learning rate of the gradient epochs; None -> default_learning_rate."""
-
-    learning_rate: float | None = None
-
-    def __post_init__(self):
-        if self.learning_rate is not None and self.learning_rate <= 0:
-            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
-
-
-@dataclass(frozen=True)
 class OverlapBounds:
     """Separation band [q_min, q_max] implied by the overlap constraints."""
 
@@ -92,15 +81,16 @@ def init_centers(
     k: int,
     dim: int,
     cluster_radii,
-    config: PlacementConfig,
+    learning_rate: float | None,
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Centers i.i.d. uniform in a ball matching the adjusted density.
 
     The ball volume V satisfies (sum of cluster volumes) / V = rho_adj; the
     unit-ball constant cancels, and radii and density enter in log space so
-    very high dimensions can neither overflow nor underflow.  `config` is
-    accepted but not read, because `perfbench` passes it by position.
+    very high dimensions can neither overflow nor underflow.
+    `learning_rate` is accepted but not read: `perfbench` records each
+    call's arguments and replays `optimize_centers` with this rate.
     """
     log_volumes = dim * np.log(np.asarray(cluster_radii, dtype=float))
     shift = log_volumes.max()
@@ -169,28 +159,30 @@ def default_learning_rate(lengths: np.ndarray) -> float:
 def optimize_centers(
     model: "MixtureModel",
     bounds: OverlapBounds,
-    config: PlacementConfig,
+    learning_rate: float | None,
     rng: np.random.Generator,
 ):
     """Run gradient epochs until the overlap loss is at most _LOSS_SLACK.
 
     Each epoch moves every cluster at once, down the summed gradient of
     all k cluster losses taken at the epoch's start (one pass over the
-    pairs), and caps each cluster's step at _STEP_CAP times its radius.
-    The run is deterministic: `rng` is accepted, because `perfbench`
-    passes it by position, but neither read nor advanced.  Returns
-    (converged model, per-epoch loss trace).  Axes and axis lengths are
-    untouched; only centers move.  Raises NonConvergenceError with the
-    final loss and trace when MAX_EPOCHS epochs have not converged, or at
-    once when the loss is NaN or infinite.
+    pairs) times `learning_rate` (None -> default_learning_rate), and caps
+    each cluster's step at _STEP_CAP times its radius.  A rate that is not
+    positive and finite raises ValueError.  The run is deterministic:
+    `rng` is accepted, because `perfbench` passes it by position, but
+    neither read nor advanced.  Returns (converged model, per-epoch loss
+    trace).  Axes and axis lengths are untouched; only centers move.
+    Raises NonConvergenceError with the final loss and trace when
+    MAX_EPOCHS epochs have not converged, or at once when the loss is NaN
+    or infinite.
     """
+    if learning_rate is not None and not 0 < learning_rate < np.inf:
+        raise ValueError(f"learning_rate must be positive and finite, got {learning_rate!r}")
     centers = model.centers
     covs = model.covariances()
     inverses = pair_inverses(covs)
     lengths = np.stack([c.axis_lengths for c in model.clusters])
-    eta = config.learning_rate
-    if eta is None:
-        eta = default_learning_rate(lengths)
+    eta = default_learning_rate(lengths) if learning_rate is None else learning_rate
     cap = _STEP_CAP * _radii(lengths)
     trace: list[float] = []
     for epoch in range(MAX_EPOCHS + 1):

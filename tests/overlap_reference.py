@@ -2,11 +2,13 @@
 
 Each function solves or evaluates one pair with plain NumPy, the direct
 reading of the formulas in `clustergen.overlap`'s docstring, except
+`exact_quantile_mp`, which runs the same search in 40-digit mpmath, and
 `monte_carlo_overlap`, which estimates the overlap from sampled points.
 """
 
 from dataclasses import dataclass
 
+import mpmath
 import numpy as np
 
 from clustergen import mixture
@@ -78,6 +80,41 @@ def exact_quantile(mu1, mu2, S1, S2, tol=1e-6) -> float:
             x1 = b - _GOLDEN * (b - a)
             f1 = q_of(x1)
     return max(f1, f2, values[best], q_of(0.5))
+
+
+def exact_quantile_mp(mu1, mu2, S1, S2, digits=40, tol=1e-12) -> float:
+    """`exact_quantile` of the float inputs, each step solved to `digits` digits.
+
+    The grid brackets the maximum as there, and golden-section search
+    narrows the bracket to `tol`.
+    """
+    with mpmath.workdps(digits):
+        delta = mpmath.matrix((_as_vector(mu2) - _as_vector(mu1)).tolist())
+        S1, S2 = mpmath.matrix(np.asarray(S1).tolist()), mpmath.matrix(np.asarray(S2).tolist())
+
+        def q_of(t):
+            axis = mpmath.lu_solve(t * S1 + (1 - t) * S2, delta)
+            var1 = (axis.T * S1 * axis)[0]
+            var2 = (axis.T * S2 * axis)[0]
+            return (axis.T * delta)[0] / (mpmath.sqrt(var1) + mpmath.sqrt(var2))
+
+        grid = [1 / (1 + mpmath.exp(-x)) for x in mpmath.linspace(-12, 12, 64)]
+        values = [q_of(t) for t in grid]
+        best = max(range(len(grid)), key=values.__getitem__)
+        a, b = grid[max(best - 1, 0)], grid[min(best + 1, len(grid) - 1)]
+        golden = (mpmath.sqrt(5) - 1) / 2
+        x1, x2 = b - golden * (b - a), a + golden * (b - a)
+        f1, f2 = q_of(x1), q_of(x2)
+        while b - a > tol:
+            if f1 < f2:
+                a, x1, f1 = x1, x2, f2
+                x2 = a + golden * (b - a)
+                f2 = q_of(x2)
+            else:
+                b, x2, f2 = x2, x1, f1
+                x1 = b - golden * (b - a)
+                f1 = q_of(x1)
+        return float(max(f1, f2, values[best]))
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,6 @@ from clustergen.overlap import (
 )
 from clustergen.placement import (
     OverlapBounds,
-    PlacementConfig,
     init_centers,
     optimize_centers,
 )
@@ -61,7 +60,6 @@ def placement_runs(benchmark_archetypes):
     runs = {}
     for a in benchmark_archetypes:
         bounds = OverlapBounds.from_overlaps(a.max_overlap, a.min_overlap)
-        config = PlacementConfig()
         entries = []
         for seed in range(20):
             rng = np.random.default_rng(seed)
@@ -72,7 +70,7 @@ def placement_runs(benchmark_archetypes):
                 [arch_mod.sample_axis_lengths(aspects[j], radii[j], dim, rng) for j in range(k)]
             )
             orientations = sample_orientation(dim, rng, k)
-            centers = init_centers(k, dim, radii, config, rng)
+            centers = init_centers(k, dim, radii, None, rng)
             start = MixtureModel(
                 clusters=[
                     Cluster(
@@ -85,7 +83,7 @@ def placement_runs(benchmark_archetypes):
             )
             covs = start.covariances()
             try:
-                model, trace = optimize_centers(start, bounds, config, rng)
+                model, trace = optimize_centers(start, bounds, None, rng)
                 centers = model.centers
                 converged = True
             except NonConvergenceError as exc:

@@ -476,6 +476,22 @@ class TestBench:
         for row in rows[1:]:
             assert row.endswith(",1.000000,1.000000,nan")
 
+    def test_convergence_failure_keeps_the_other_rows(self, tmp_path, capsys):
+        # datasets 0 and 2 do not converge: each is named on stderr, dataset
+        # 1's row is written, and the run exits 2
+        out = tmp_path / "b.csv"
+        code = cli.main(["bench", "--inline", NONCONVERGING, "--n-datasets", "3",
+                         "--seed", "0", "--out", str(out)])
+        assert code == cli.EXIT_CONVERGENCE
+        rows = out.read_text().strip().splitlines()
+        assert rows[0] == "archetype,seed,max_overlap,ami,ari,silhouette"
+        assert [row.split(",")[:2] for row in rows[1:]] == [
+            ["nc", str(cli.derive_seed(0, "nc", 1))]
+        ]
+        err = capsys.readouterr().err
+        assert err.count("error: nc[0]: ") == err.count("error: nc[2]: ") == 1
+        assert "nc[1]" not in err
+
     def test_archetype_file_without_archetypes_exits_1(self, tmp_path, capsys):
         src = tmp_path / "none.jsonl"
         src.write_text("")

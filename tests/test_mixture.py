@@ -148,11 +148,11 @@ class TestSampleMixtureModel:
         real = placement.optimize_centers
         attempts = []
 
-        def flaky(model, bounds, config, rng):
+        def flaky(model, bounds, rate, rng):
             attempts.append(1)
             if len(attempts) < 3:
                 raise NonConvergenceError(1.0, [1.0])
-            return real(model, bounds, config, rng)
+            return real(model, bounds, rate, rng)
 
         monkeypatch.setattr(placement, "optimize_centers", flaky)
         a = Archetype(name="retry", n_clusters=3, n_samples=90)
@@ -183,9 +183,9 @@ class TestSampleMixtureModel:
         real = placement.init_centers
         draws = []
 
-        def recording(k, dim, radii, config, rng):
-            centers = real(k, dim, radii, config, rng)
-            draws.append((centers.copy(), rng.bit_generator.state, config))
+        def recording(k, dim, radii, rate, rng):
+            centers = real(k, dim, radii, rate, rng)
+            draws.append((centers.copy(), rng.bit_generator.state, rate))
             return centers
 
         monkeypatch.setattr(placement, "init_centers", recording)
@@ -194,14 +194,14 @@ class TestSampleMixtureModel:
             aspect_ref=2.0, aspect_maxmin=2.0, radius_maxmin=2.0,
         )
         model = sample_mixture_model(a, np.random.default_rng(4))
-        init, state, config = draws[-1]
+        init, state, rate = draws[-1]
         rng = np.random.default_rng()
         rng.bit_generator.state = state
         start = replace(
             model, clusters=[replace(c, center=init[j]) for j, c in enumerate(model.clusters)]
         )
         bounds = placement.OverlapBounds.from_overlaps(a.max_overlap, a.min_overlap)
-        replayed, _ = placement.optimize_centers(start, bounds, config, rng)
+        replayed, _ = placement.optimize_centers(start, bounds, rate, rng)
         np.testing.assert_array_equal(replayed.centers, model.centers)
 
     @pytest.mark.parametrize("scale", [1e-3, 1e-2, 10.0, 1e3])

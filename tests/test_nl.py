@@ -133,6 +133,34 @@ class TestParseArchetypeJson:
             parse_archetype_json(raw, defaults={"name": "x"})
 
 
+# (response text, the object it holds as JSON text, or None when it holds none)
+FIRST_OBJECT_CASES = [
+    ('{"note": "a } and { inside", "n": 1}', '{"note": "a } and { inside", "n": 1}'),
+    ('prose "{" then {"n": 2}', '{"n": 2}'),
+    ('{"s": "say \\"}\\" now", "n": 3}', '{"s": "say \\"}\\" now", "n": 3}'),
+    ('{not json} {"n": 4}', '{"n": 4}'),
+    ('{"outer": oops, "inner": {"n": 5}}', '{"n": 5}'),
+    ('{"n": 6', None),
+    ('{"a": {"n": 7}', '{"n": 7}'),
+    ('{"n": 8,}', None),
+    ('{"n": 8,} {"n": 9}', '{"n": 9}'),
+    ("{'n': 10}", None),
+    ('{"x": NaN}', '{"x": NaN}'),
+    ('```json\n{"n": 12}\n```', '{"n": 12}'),
+    ('{"a": {"b": {"c": 13}}}', '{"a": {"b": {"c": 13}}}'),
+    ('Here: {"n": 14} and {"m": 0}', '{"n": 14}'),
+]
+
+
+@pytest.mark.parametrize("raw, expected", FIRST_OBJECT_CASES)
+def test_first_json_object(raw, expected):
+    if expected is None:
+        with pytest.raises(NLParseError, match="no JSON object"):
+            nl._first_json_object(raw)
+    else:
+        assert json.dumps(nl._first_json_object(raw)) == expected
+
+
 class TestParseIdentifier:
     def test_accepts_snake_case(self):
         assert parse_identifier("ten_very_different_shapes") == "ten_very_different_shapes"

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from overlap_reference import (
     c2c_quantile,
     exact_quantile,
+    exact_quantile_mp,
     lda_axis,
     monte_carlo_overlap,
     separation_quantile,
@@ -294,6 +296,51 @@ class TestExactOracle:
             exact_overlap_oracle(rot @ mu1, rot @ mu2, rot @ s1 @ rot.T, rot @ s2 @ rot.T),
         )
         np.testing.assert_allclose(rotated, originals, atol=1e-10)
+
+
+    @staticmethod
+    def exact_q(mu1, mu2, S1, S2):
+        centers, covs = overlap._checked([mu1, mu2], [S1, S2])
+        return overlap._exact(centers, covs, overlap._lda(centers, covs)[0])[0]
+
+    def test_singular_covariances_with_regular_average(self):
+        # each pair is whitened by its average, which is regular, not by
+        # S2, which has no Cholesky factor here
+        pair = (np.zeros(2), np.array([1.0, 2.0]), np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
+        assert self.exact_q(*pair) == pytest.approx(exact_quantile(*pair), rel=1e-12)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_matches_40_digit_search_at_condition_near_1e12(self, seed):
+        # S1 = L B L' and S2 = L (2I - B) L' average to LL', of condition
+        # 0.99e12.  L is diagonal, so the pair is ill-conditioned by the scale
+        # of its coordinates and the float inputs fix q to near full
+        # precision; under a rotated L, a float search (the solve-based one
+        # included) can be off by eps times the condition number.
+        rng = np.random.default_rng(seed)
+        dim = 12
+        low = np.diag(np.sqrt(np.geomspace(1.0, 1.0 / 0.99e12, dim)))
+        v = sample_orientation(dim, rng, 1)[0]
+        b = (v * rng.uniform(0.01, 1.99, dim)) @ v.T
+        s1, s2 = (low @ c @ low for c in (b, 2.0 * np.eye(dim) - b))
+        s1, s2 = 0.5 * (s1 + s1.T), 0.5 * (s2 + s2.T)
+        mu1 = rng.standard_normal(dim)
+        mu2 = mu1 + 2.0 * low @ rng.standard_normal(dim)
+        q = self.exact_q(mu1, mu2, s1, s2)
+        assert q == pytest.approx(exact_quantile_mp(mu1, mu2, s1, s2), rel=1e-9)
+
+    def test_search_keeps_no_grid_of_every_pair(self):
+        # a running maximum over the grid: 64 values of every pair would
+        # take more than the whole search may
+        model = random_model(400, 2, np.random.default_rng(400))
+        centers, covs = overlap._checked(model.centers, model.covariances())
+        q_lda = overlap._lda(centers, covs)[0]
+        tracemalloc.start()
+        try:
+            overlap._exact(centers, covs, q_lda)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < overlap._EXACT_GRID.size * q_lda.nbytes
 
 
 def spherical_cluster(center, sigma, dim, family="normal"):

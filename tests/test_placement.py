@@ -18,7 +18,6 @@ from clustergen.mixture import (
 from clustergen.overlap import pair_inverses
 from clustergen.placement import (
     OverlapBounds,
-    PlacementConfig,
     _loss_and_gradient,
     log_adjusted_density,
     init_centers,
@@ -89,24 +88,22 @@ class TestInitCenters:
         )
 
     def test_centers_inside_calibrated_ball(self):
-        config = PlacementConfig()
         radii = np.array([1.0, 2.0, 0.5, 1.5])
         rng = np.random.default_rng(0)
         # ball radius from (sum r^dim) / R^dim = rho_adj
         expected_radius = (np.sum(radii**3) / np.exp(log_adjusted_density(3))) ** (1 / 3)
         for _ in range(50):
-            centers = init_centers(4, 3, radii, config, rng)
+            centers = init_centers(4, 3, radii, None, rng)
             assert centers.shape == (4, 3)
             assert (np.linalg.norm(centers, axis=1) <= expected_radius + 1e-12).all()
 
     def test_no_overflow_in_100d(self):
-        config = PlacementConfig()
-        centers = init_centers(4, 100, np.full(4, 1.2), config, np.random.default_rng(1))
+        centers = init_centers(4, 100, np.full(4, 1.2), None, np.random.default_rng(1))
         assert np.isfinite(centers).all()
 
     @pytest.mark.parametrize("dim", [1100, 5000])
     def test_finite_past_density_underflow(self, dim):
-        centers = init_centers(2, dim, np.ones(2), PlacementConfig(), np.random.default_rng(0))
+        centers = init_centers(2, dim, np.ones(2), None, np.random.default_rng(0))
         assert np.isfinite(centers).all()
         assert (np.linalg.norm(centers, axis=1) > 0).all()
 
@@ -307,7 +304,7 @@ class TestOptimizeCenters:
     def test_already_satisfied_returns_immediately(self):
         model = model_at_separation(0.5 * (BOUNDS.q_min + BOUNDS.q_max))
         converged, trace = optimize_centers(
-            model, BOUNDS, PlacementConfig(), np.random.default_rng(0)
+            model, BOUNDS, None, np.random.default_rng(0)
         )
         assert trace == [0.0]
         np.testing.assert_array_equal(converged.centers, model.centers)
@@ -340,9 +337,9 @@ class TestOptimizeCenters:
         for seed in range(5):
             init_rng = np.random.default_rng(seed)
             radii = np.ones(8)
-            centers = init_centers(8, 2, radii, PlacementConfig(), init_rng)
+            centers = init_centers(8, 2, radii, None, init_rng)
             _, trace = optimize_centers(
-                spherical_model(centers), bounds, PlacementConfig(), init_rng
+                spherical_model(centers), bounds, None, init_rng
             )
             positive = [t for t in trace if t > 0]
             diffs = np.diff(positive)
@@ -352,12 +349,12 @@ class TestOptimizeCenters:
 
     def test_rng_neither_read_nor_advanced(self):
         bounds = OverlapBounds.from_overlaps(0.02, 0.002)
-        centers = init_centers(8, 2, np.ones(8), PlacementConfig(), np.random.default_rng(3))
+        centers = init_centers(8, 2, np.ones(8), None, np.random.default_rng(3))
         start = spherical_model(centers)
         rngs = [np.random.default_rng(0), np.random.default_rng(1)]
         states = [r.bit_generator.state for r in rngs]
         (first, first_trace), (second, second_trace) = (
-            optimize_centers(start, bounds, PlacementConfig(), r) for r in rngs
+            optimize_centers(start, bounds, None, r) for r in rngs
         )
         assert len(first_trace) > 2
         assert first_trace == second_trace
@@ -375,23 +372,28 @@ class TestOptimizeCenters:
     def test_nonconvergence_carries_trace(self, monkeypatch):
         monkeypatch.setattr(placement, "MAX_EPOCHS", 1)
         model = model_at_separation(BOUNDS.q_min - 1.0)
-        config = PlacementConfig(learning_rate=1e-9)
         with pytest.raises(NonConvergenceError) as excinfo:
-            optimize_centers(model, BOUNDS, config, np.random.default_rng(0))
+            optimize_centers(model, BOUNDS, 1e-9, np.random.default_rng(0))
         assert excinfo.value.final_loss > 0
         assert len(excinfo.value.trace) == 2  # initial epoch + final evaluation
+
+    @pytest.mark.parametrize("rate", [0.0, -1.0, np.nan, np.inf])
+    def test_rate_not_positive_and_finite_rejected(self, rate):
+        model = model_at_separation(BOUNDS.q_min - 1.0)
+        with pytest.raises(ValueError, match="learning_rate must be positive and finite"):
+            optimize_centers(model, BOUNDS, rate, np.random.default_rng(0))
 
     def test_nonfinite_loss_fails_at_first_epoch(self):
         model = spherical_model([[0.0, 0.0], [np.nan, 1.0], [3.0, 0.0]])
         with pytest.raises(NonConvergenceError) as excinfo:
-            optimize_centers(model, BOUNDS, PlacementConfig(), np.random.default_rng(0))
+            optimize_centers(model, BOUNDS, None, np.random.default_rng(0))
         assert len(excinfo.value.trace) == 1
         assert not np.isfinite(excinfo.value.final_loss)
 
     def test_axes_and_lengths_untouched(self):
         model = model_at_separation(BOUNDS.q_min - 0.4)
         converged, _ = optimize_centers(
-            model, BOUNDS, PlacementConfig(), np.random.default_rng(0)
+            model, BOUNDS, None, np.random.default_rng(0)
         )
         for before, after in zip(model.clusters, converged.clusters):
             np.testing.assert_array_equal(before.axes, after.axes)
@@ -425,13 +427,13 @@ class TestOptimizeCenters:
                 )
                 for j in range(k)
             ]
-            centers = init_centers(k, dim, radii, PlacementConfig(), rng)
+            centers = init_centers(k, dim, radii, None, rng)
             start = MixtureModel(
                 clusters=[replace(c, center=centers[j]) for j, c in enumerate(clusters)],
                 group_sizes=np.full(k, 100),
                 archetype_name="wide",
             )
-            _, trace = optimize_centers(start, bounds, PlacementConfig(), rng)
+            _, trace = optimize_centers(start, bounds, None, rng)
             assert trace[-1] <= 1e-12
             return len(trace)
 
