@@ -167,10 +167,11 @@ def sample_mixture_model(a: arch.Archetype, rng: np.random.Generator) -> Mixture
 
     Single-cluster archetypes skip placement and sit at the coordinate
     origin.  Otherwise centers are initialized in a density-calibrated ball
-    and optimized at a learning rate of `placement.default_learning_rate`
-    times the archetype's scale; on non-convergence the initialization is redrawn up
-    to `placement.MAX_RESTARTS` times, so placement makes at most
-    MAX_RESTARTS + 1 attempts of up to `placement.MAX_EPOCHS` epochs each.
+    and optimized at `placement.optimize_centers`' default learning rate,
+    which follows the archetype's scale; on non-convergence the
+    initialization is redrawn up to `placement.MAX_RESTARTS` times, so
+    placement makes at most MAX_RESTARTS + 1 attempts of up to
+    `placement.MAX_EPOCHS` epochs each.
     """
     a.validated()
     k, dim = a.n_clusters, a.dim
@@ -201,17 +202,14 @@ def sample_mixture_model(a: arch.Archetype, rng: np.random.Generator) -> Mixture
     if k == 1:
         return model
 
-    # q is scale-free but its gradient in the centers goes as 1/scale, so
-    # a rate growing as scale^2 runs the same descent at every scale
-    rate = placement.default_learning_rate(lengths) * a.scale
     bounds = placement.OverlapBounds.from_overlaps(a.max_overlap, a.min_overlap)
     for _ in range(placement.MAX_RESTARTS + 1):
-        centers = placement.init_centers(k, dim, radii, rate, rng)
+        centers = placement.init_centers(k, dim, radii, None, rng)
         start = replace(
             model, clusters=[replace(c, center=centers[j]) for j, c in enumerate(model.clusters)]
         )
         try:
-            model, _ = placement.optimize_centers(start, bounds, rate, rng)
+            model, _ = placement.optimize_centers(start, bounds, None, rng)
             return model
         except NonConvergenceError as exc:
             last_error = exc

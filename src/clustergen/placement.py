@@ -77,6 +77,16 @@ def log_adjusted_density(dim: int) -> float:
     return float(np.log(dim * _RHO_2D) + (1 - dim) * np.log(2.0))
 
 
+def _log_total_volume(log_radii: np.ndarray, dim: int) -> float:
+    """log of sum_i r_i^dim, from the log radii.
+
+    Taken relative to the largest term, so no dim or scale overflows or underflows.
+    """
+    log_volumes = dim * log_radii
+    shift = log_volumes.max()
+    return shift + np.log(np.sum(np.exp(log_volumes - shift)))
+
+
 def init_centers(
     k: int,
     dim: int,
@@ -90,11 +100,10 @@ def init_centers(
     unit-ball constant cancels, and radii and density enter in log space so
     very high dimensions can neither overflow nor underflow.
     `learning_rate` is accepted but not read: `perfbench` records each
-    call's arguments and replays `optimize_centers` with this rate.
+    call's arguments and replays `optimize_centers` with this rate, which
+    `sample_mixture_model` leaves as None (the default rule).
     """
-    log_volumes = dim * np.log(np.asarray(cluster_radii, dtype=float))
-    shift = log_volumes.max()
-    log_total = shift + np.log(np.sum(np.exp(log_volumes - shift)))
+    log_total = _log_total_volume(np.log(np.asarray(cluster_radii, dtype=float)), dim)
     ball_radius = np.exp((log_total - log_adjusted_density(dim)) / dim)
     directions = rng.standard_normal((k, dim))
     directions /= np.linalg.norm(directions, axis=1, keepdims=True)
@@ -146,44 +155,42 @@ def overlap_loss(model: "MixtureModel", bounds: OverlapBounds) -> float:
     return _loss_and_gradient(model.centers, covs, pair_inverses(covs), bounds)[0]
 
 
-def _radii(lengths: np.ndarray) -> np.ndarray:
-    """Per-cluster geometric-mean axis length, from a k x dim array of axis lengths."""
-    return np.exp(np.mean(np.log(lengths), axis=1))
-
-
-def default_learning_rate(lengths: np.ndarray) -> float:
-    """0.1 * the mean cluster radius, from a k x dim array of axis lengths."""
-    return 0.1 * float(_radii(lengths).mean())
-
-
 def optimize_centers(
     model: "MixtureModel",
     bounds: OverlapBounds,
-    learning_rate: float | None,
-    rng: np.random.Generator,
+    learning_rate: float | None = None,
+    rng: np.random.Generator | None = None,
 ):
     """Run gradient epochs until the overlap loss is at most _LOSS_SLACK.
 
     Each epoch moves every cluster at once, down the summed gradient of
     all k cluster losses taken at the epoch's start (one pass over the
-    pairs) times `learning_rate` (None -> default_learning_rate), and caps
-    each cluster's step at _STEP_CAP times its radius.  A rate that is not
-    positive and finite raises ValueError.  The run is deterministic:
-    `rng` is accepted, because `perfbench` passes it by position, but
-    neither read nor advanced.  Returns (converged model, per-epoch loss
-    trace).  Axes and axis lengths are untouched; only centers move.
-    Raises NonConvergenceError with the final loss and trace when
-    MAX_EPOCHS epochs have not converged, or at once when the loss is NaN
-    or infinite.
+    pairs) times `learning_rate`, and caps each cluster's step at
+    _STEP_CAP times its radius.  The default rate is 0.1 * the mean
+    cluster radius * s, where s is the dim-th power mean of the radii:
+    the archetype's `scale`, up to rounding, for a sampled model, since
+    its cluster volumes average scale^dim.  q is scale-free but its gradient in the centers
+    goes as 1/s, so a rate growing as s^2 runs the same descent at every
+    scale.  A rate that is not positive and finite raises ValueError.
+    The run is deterministic: `rng` is accepted, because `perfbench`
+    passes it by position, but neither read nor advanced.  Returns
+    (converged model, per-epoch loss trace).  Axes and axis lengths are
+    untouched; only centers move.  Raises NonConvergenceError with the
+    final loss and trace when MAX_EPOCHS epochs have not converged, or at
+    once when the loss is NaN or infinite.
     """
     if learning_rate is not None and not 0 < learning_rate < np.inf:
         raise ValueError(f"learning_rate must be positive and finite, got {learning_rate!r}")
     centers = model.centers
     covs = model.covariances()
     inverses = pair_inverses(covs)
-    lengths = np.stack([c.axis_lengths for c in model.clusters])
-    eta = default_learning_rate(lengths) if learning_rate is None else learning_rate
-    cap = _STEP_CAP * _radii(lengths)
+    # a cluster's radius is the geometric mean of its axis lengths
+    log_radii = np.mean(np.log(np.stack([c.axis_lengths for c in model.clusters])), axis=1)
+    radii = np.exp(log_radii)
+    if learning_rate is None:
+        log_s = (_log_total_volume(log_radii, model.dim) - np.log(len(radii))) / model.dim
+        learning_rate = 0.1 * radii.mean() * np.exp(log_s)
+    cap = _STEP_CAP * radii
     trace: list[float] = []
     for epoch in range(MAX_EPOCHS + 1):
         loss, grad = _loss_and_gradient(centers, covs, inverses, bounds)
@@ -193,6 +200,6 @@ def optimize_centers(
             return replace(model, clusters=clusters), trace
         if epoch == MAX_EPOCHS or not np.isfinite(loss):
             raise NonConvergenceError(loss, trace)  # no step recovers from NaN/inf
-        step = eta * grad
+        step = learning_rate * grad
         length = np.sqrt(np.einsum("ij,ij->i", step, step))
         centers -= step * (cap / np.maximum(length, cap))[:, None]

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -108,6 +109,24 @@ class TestValidateArchetype:
             f"1e+06, got {largest!r}"
         ])
 
+    @pytest.mark.parametrize("overrides,violation", [
+        ({"n_clusters": 2.5}, "n_clusters must be a positive integer, got 2.5"),
+        ({"n_clusters": 0}, "n_clusters must be a positive integer, got 0"),
+        ({"dim": 2.0}, "dim must be an integer >= 2, got 2.0"),
+        ({"dim": 1}, "dim must be an integer >= 2, got 1"),
+        ({"n_samples": 1200.0}, "n_samples must be a positive integer, got 1200.0"),
+        ({"n_samples": 0}, "n_samples must be a positive integer, got 0"),
+        ({"max_overlap": 1.0}, "max_overlap must lie in (0, 1), got 1.0"),
+        ({"min_overlap": 0.0}, "min_overlap must lie in (0, 1), got 0.0"),
+        ({"distributions": ()}, "distributions must be a nonempty list of family names"),
+        ({"distribution_proportions": (0.5, 0.5)},
+         "distribution_proportions has 2 entries for 5 distributions"),
+        ({"distributions": ("normal", "gamma"), "distribution_proportions": (1.5, -0.5)},
+         "distribution_proportions entries must be nonnegative"),
+    ])
+    def test_refusal_names_the_field(self, overrides, violation):
+        assert validate_archetype(make_archetype(**overrides)) == [violation]
+
     def test_n_samples_defaults_to_100_per_cluster(self):
         a = Archetype(name="defaulted", n_clusters=7)
         assert a.n_samples == 700
@@ -193,6 +212,15 @@ class TestMaxMinSample:
         # the five axes between the two extremes end with the radius
         lengths = sample_axis_lengths(2.0, 1.5, 7, rng)
         assert 1.5 in lengths
+
+    @pytest.mark.parametrize("aspect,radius,message", [
+        (0.5, 1.0, "aspect must be >= 1, got 0.5"),
+        (2.0, 0.0, "radius must be positive, got 0.0"),
+        (2.0, -1.0, "radius must be positive, got -1.0"),
+    ])
+    def test_axis_lengths_refuse_bad_aspect_or_radius(self, aspect, radius, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            sample_axis_lengths(aspect, radius, 3, np.random.default_rng(0))
 
     def test_random_specs_property_sweep(self):
         # location constraint to 1e-9 relative and ratio bound, all four samplers

@@ -283,6 +283,16 @@ class TestValidateOverlap:
         for row in out.read_text().strip().splitlines()[1:]:
             assert row.split(",")[5] != ""
 
+    def test_convergence_failure_exits_2(self, tmp_path, capsys):
+        # NONCONVERGING fails at --seed 1 and converges at --seed 0
+        arch_path = tmp_path / "nc.json"
+        arch_path.write_text(NONCONVERGING)
+        code = cli.main(["validate-overlap", "--archetype", str(arch_path), "--seed", "1"])
+        assert code == cli.EXIT_CONVERGENCE
+        err = capsys.readouterr().err
+        assert err.startswith("error: overlap loss ") and " after 1001 epochs did not reach " in err
+        assert cli.main(["validate-overlap", "--archetype", str(arch_path)]) == cli.EXIT_OK
+
     def test_model_json_input(self, tmp_path):
         a = Archetype.from_json(SMALL)
         model = sample_mixture_model(a, np.random.default_rng(0))
@@ -322,6 +332,7 @@ class TestValidateOverlap:
         (lambda m: edit_cluster(m, 0, {**m["clusters"][0], "distribution": "normal"}),
          "'distribution' must be a dict"),
         (lambda m: [], "must be a JSON object"),
+        (lambda m: edit_cluster(m, 1, [1.0]), "error: model cluster 1 must be a JSON object, got list"),
     ])
     def test_malformed_model_json_exits_1(self, tmp_path, capsys, edit, message):
         model = sample_mixture_model(Archetype.from_json(SMALL), np.random.default_rng(0))

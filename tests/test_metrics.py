@@ -267,6 +267,19 @@ class TestKmeans:
         for seed in range(5):
             assert_kmeans_matches_reference(X, 5, seed)
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="_lloyd stops after one step: its first stop test, previous = inf, is inf <= inf",
+    )
+    def test_lloyd_iterates_to_the_two_blob_partition(self):
+        # seeded with two rows of one blob, the first step splits that blob
+        rng = np.random.default_rng(0)
+        X = np.vstack([rng.normal(size=(50, 2)), rng.normal(size=(50, 2)) + [20, 0]])
+        centred = X - X.mean(axis=0)
+        centers = centred[[0, 1]].copy()
+        assignment, _ = metrics._lloyd(centred, np.sum(centred**2, axis=1), centers)
+        assert same_partition(assignment, np.repeat([0, 1], 50))
+
     def test_draws_integers_then_randoms_per_restart(self):
         # with m distinct rows, a restart draws integers(n) and random(min(m, k) − 1),
         # then integers(n, size=k − m) once every row coincides with a centre
@@ -336,6 +349,10 @@ class TestAmi:
 
 
 class TestAri:
+    def test_length_mismatch_rejected(self):
+        with pytest.raises(ValueError, match=r"^labelings differ in length: \(2,\) vs \(3,\)$"):
+            ari(np.array([0, 1]), np.array([0, 1, 0]))
+
     def test_identical_labelings(self):
         labels = np.array([0, 1, 0, 1, 2])
         assert ari(labels, labels) == pytest.approx(1.0)

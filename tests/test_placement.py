@@ -5,6 +5,7 @@ import pytest
 from overlap_reference import lda_axis, separation_quantile
 from placement_reference import cluster_loss, separations_of
 
+import clustergen.archetype as arch
 from clustergen.archetype import Archetype
 from clustergen.distributions import RadialDistribution
 from clustergen import placement
@@ -54,6 +55,20 @@ def anisotropic_covs(k, dim, rng):
     lengths = rng.uniform(0.6, 1.6, size=(k, dim))
     axes = sample_orientation(dim, rng, k)  # drawn after lengths
     return np.stack([(u * l**2) @ u.T for u, l in zip(axes, lengths)])
+
+
+def start_model(a, rng):
+    """A model with `a`'s geometry, drawn in `sample_mixture_model`'s order, at initial centers."""
+    k, dim = a.n_clusters, a.dim
+    aspects = arch.sample_aspect_ratios(a, rng)
+    radii = arch.sample_cluster_radii(a, rng)
+    lengths = [arch.sample_axis_lengths(aspects[j], radii[j], dim, rng) for j in range(k)]
+    axes = sample_orientation(dim, rng, k)
+    centers = init_centers(k, dim, radii, None, rng)
+    clusters = [
+        Cluster(centers[j], axes[j], lengths[j], RadialDistribution("normal")) for j in range(k)
+    ]
+    return MixtureModel(clusters, group_sizes=np.full(k, a.n_samples // k), archetype_name=a.name)
 
 
 def model_cluster_loss(i, model, bounds):
@@ -369,6 +384,24 @@ class TestOptimizeCenters:
             overlap_loss(shifted, BOUNDS), rel=1e-9, abs=1e-12
         )
 
+    @pytest.mark.parametrize("scale", [1e-2, 1e2, 1e4])
+    def test_default_rate_is_scale_free(self, scale):
+        # the same start at another scale takes the same descent, scaled
+        a = Archetype(
+            name="scaled", n_clusters=10, dim=5, n_samples=100,
+            aspect_ref=2.0, aspect_maxmin=2.0, radius_maxmin=2.0,
+        )
+        unit = start_model(a, np.random.default_rng(0))
+        scaled = replace(unit, clusters=[
+            replace(c, center=c.center * scale, axis_lengths=c.axis_lengths * scale)
+            for c in unit.clusters
+        ])
+        placed, trace = optimize_centers(unit, BOUNDS)
+        placed_scaled, scaled_trace = optimize_centers(scaled, BOUNDS)
+        assert len(scaled_trace) == len(trace)
+        atol = 1e-12 * np.abs(placed.centers).max()
+        np.testing.assert_allclose(placed_scaled.centers / scale, placed.centers, rtol=0, atol=atol)
+
     def test_nonconvergence_carries_trace(self, monkeypatch):
         monkeypatch.setattr(placement, "MAX_EPOCHS", 1)
         model = model_at_separation(BOUNDS.q_min - 1.0)
@@ -402,8 +435,6 @@ class TestOptimizeCenters:
 
     def test_high_dim_epoch_count_comparable_to_2d(self):
         # dimensionality raises the epoch count only mildly
-        import clustergen.archetype as arch
-
         def epochs_for(dim, seed):
             k = 12
             a = Archetype(
@@ -412,28 +443,7 @@ class TestOptimizeCenters:
                 max_overlap=0.05, min_overlap=0.001,
             )
             bounds = OverlapBounds.from_overlaps(a.max_overlap, a.min_overlap)
-            rng = np.random.default_rng(seed)
-            aspects = arch.sample_aspect_ratios(a, rng)
-            radii = arch.sample_cluster_radii(a, rng)
-            lengths = np.stack(
-                [arch.sample_axis_lengths(aspects[j], radii[j], dim, rng) for j in range(k)]
-            )
-            clusters = [
-                Cluster(
-                    center=np.zeros(dim),
-                    axes=sample_orientation(dim, rng, 1)[0],
-                    axis_lengths=lengths[j],
-                    radial_distribution=RadialDistribution("normal"),
-                )
-                for j in range(k)
-            ]
-            centers = init_centers(k, dim, radii, None, rng)
-            start = MixtureModel(
-                clusters=[replace(c, center=centers[j]) for j, c in enumerate(clusters)],
-                group_sizes=np.full(k, 100),
-                archetype_name="wide",
-            )
-            _, trace = optimize_centers(start, bounds, None, rng)
+            _, trace = optimize_centers(start_model(a, np.random.default_rng(seed)), bounds)
             assert trace[-1] <= 1e-12
             return len(trace)
 

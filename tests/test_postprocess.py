@@ -134,6 +134,10 @@ class TestDistort:
         with pytest.raises(ValueError, match="finite"):
             distort(X, seed=0)
 
+    def test_one_dimensional_input_rejected(self):
+        with pytest.raises(ValueError, match=r"^expected an n x p matrix, got shape \(3,\)$"):
+            distort(np.zeros(3), seed=0)
+
     def test_separated_clusters_stay_separable(self):
         # nearest-centroid accuracy on distorted well-separated data
         a = Archetype(
@@ -193,6 +197,14 @@ class TestDistortBitIdentity:
 
 
 class TestWrapAroundSphere:
+    def test_one_dimensional_input_rejected(self):
+        with pytest.raises(ValueError, match=r"^expected an n x p matrix, got shape \(3,\)$"):
+            wrap_around_sphere(np.zeros(3))
+
+    def test_nan_input_rejected(self):
+        with pytest.raises(ValueError, match="^input contains non-finite values$"):
+            wrap_around_sphere(np.array([[1.0, np.nan], [0.0, 1.0]]))
+
     def test_origin_maps_to_pole(self):
         # symmetric data keeps the zero row at the origin after centering
         X = np.array([[0.0, 0.0], [1.0, 2.0], [-1.0, -2.0]])

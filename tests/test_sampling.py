@@ -515,6 +515,11 @@ class TestCsvBytes:
         assert np.array_equal(again.points.view(np.uint64), dataset.points.view(np.uint64))
         np.testing.assert_array_equal(again.labels, dataset.labels)
 
+    def test_label_wider_than_its_cell_rejected(self, tmp_path):
+        dataset = Dataset(np.zeros((1, 2)), np.array([1e300]), "wide")
+        with pytest.raises(ValueError, match="^a CSV field does not fit in 24 bytes$"):
+            dataset_to_csv(dataset, tmp_path / "wide.csv")
+
     def test_a_million_floats_match_percent_17g(self, tmp_path):
         values = float_cases(np.random.default_rng(8))
         assert values.size >= 10**6
