@@ -27,8 +27,8 @@ import numpy as np
 from .stats import normal_sf
 
 _MAX_CONDITION = 1e12
-_LU_MAX_DIM = 32  # pair averages up to this dim are inverted by LU, above by Cholesky
-_LEAF_DIM = 16  # diagonal blocks of a triangular inverse this small are inverted whole
+_BATCH_FLOATS = 1 << 17  # floats of pair averages formed at once, unless k-1 pairs take more
+_LEAF_DIM = 16  # diagonal blocks of a triangular inverse this small: forward substitution
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 _EXACT_GRID = 1.0 / (1.0 + np.exp(-np.linspace(-12.0, 12.0, 64)))  # log-symmetric in t-odds
 _EXACT_TOL = 1e-6
@@ -40,9 +40,9 @@ class PairInverses:
 
     inv[p] = ((S_i + S_j)/2)^{-1} for the pair (i, j) = (iu[p], ju[p]),
     i < j: k(k-1)/2 matrices of d x d, packed row by row, so they take
-    k(k-1)/2 * d^2 floats, each exactly symmetric above d = 32 (see
-    `pair_inverses`).  pairs[i] lists the entries of inv that hold
-    cluster i, in increasing order of the other cluster (k x (k-1)).
+    k(k-1)/2 * d^2 floats, each exactly symmetric (see `pair_inverses`).
+    pairs[i] lists the entries of inv that hold cluster i, in increasing
+    order of the other cluster (k x (k-1)).
     """
 
     inv: np.ndarray
@@ -51,47 +51,68 @@ class PairInverses:
     pairs: np.ndarray
 
 
+def _pair_averages(covs):
+    """Yield (i, j, A) over the pairs i < j in `np.triu_indices` order, a batch at a time.
+
+    A[m] = (S_{i[m]} + S_{j[m]})/2.  A batch holds at most
+    max(k-1, 2^17 / d^2) pairs, so no stack of averages is larger than one
+    row of pairs (i, j > i) or 2^17 floats (1 MiB).  Every pair average is
+    formed here.
+    """
+    k, dim = covs.shape[0], covs.shape[-1]
+    iu, ju = np.triu_indices(k, 1)
+    step = max(1, k - 1, _BATCH_FLOATS // max(dim, 1) ** 2)
+    for start in range(0, iu.size, step):
+        i, j = iu[start : start + step], ju[start : start + step]
+        mean = covs[i]
+        mean += covs[j]
+        mean *= 0.5
+        yield i, j, mean
+
+
 def _invert_lower(low):
-    """Overwrite a stack of lower-triangular matrices with their inverses.
+    """Overwrite a stack (any leading axes) of lower-triangular matrices with their inverses.
 
     inv([[L11, 0], [L21, L22]]) = [[X11, 0], [-X22 L21 X11, X22]] with
-    X11 = L11^{-1} and X22 = L22^{-1}.  A leaf's LU may pivot, so its upper
-    part is cleared to keep the zeros above the diagonal exact.
+    X11 = L11^{-1} and X22 = L22^{-1}.  Halves of equal size are inverted
+    as one stack, a view with one more leading axis, so a level of the
+    recursion costs one call.  Blocks of at most _LEAF_DIM rows are
+    inverted by forward substitution, a row of the whole stack at a time:
+    X[r, :r] = -(L[r, :r] X[:r, :r]) / L[r, r] and X[r, r] = 1/L[r, r].
+    Nothing above the diagonal is written, so its zeros stay exact, and
+    each matrix's inverse is the same in a stack of any size.
     """
     n = low.shape[-1]
     if n <= _LEAF_DIM:
-        low[...] = np.tril(np.linalg.inv(low))
+        for r in range(n):
+            row = low[..., r, None, :r] @ low[..., :r, :r]
+            low[..., r, :r] = -row[..., 0, :] / low[..., r, r, None]
+            low[..., r, r] = 1.0 / low[..., r, r]
         return
     h = n // 2
-    _invert_lower(low[:, :h, :h])
-    _invert_lower(low[:, h:, h:])
-    t = low[:, h:, :h] @ low[:, :h, :h]
+    if n == 2 * h:
+        *lead, down, right = low.strides
+        shape, strides = (*low.shape[:-2], 2, h, h), (*lead, h * (down + right), down, right)
+        _invert_lower(np.lib.stride_tricks.as_strided(low, shape, strides))
+    else:
+        _invert_lower(low[..., :h, :h])
+        _invert_lower(low[..., h:, h:])
+    t = low[..., h:, :h] @ low[..., :h, :h]
     np.negative(t, out=t)
-    np.matmul(low[:, h:, h:], t, out=low[:, h:, :h])
-
-
-def _whitening(covs, i):
-    """W = L^{-1} for the average A = (S_i + S_j)/2 = LL' of each pair (i, j > i).
-
-    W A W' = I.  Every A must be positive definite, or LinAlgError is raised.
-    """
-    w = np.linalg.cholesky(0.5 * (covs[i] + covs[i + 1 :]))
-    _invert_lower(w)
-    return w
+    np.matmul(low[..., h:, h:], t, out=low[..., h:, :h])
 
 
 def pair_inverses(covs) -> PairInverses:
     """Invert every averaged covariance once; covariances are not checked.
 
-    Up to d = 32 by LU, which is faster there.  Above, A = LL'
-    (`np.linalg.cholesky`) and A^{-1} = W'W with W = L^{-1}
-    (`_invert_lower`): as accurate as LU, and about 2x faster at d = 200.
-    So every averaged covariance A must be positive definite, or
-    LinAlgError (a ValueError) is raised; callers meet this, as `_checked`
-    refuses a condition number above 1e12 and validated geometry (aspect
-    ratios at most 1e6) keeps every pair below it.  Row i's pairs
-    (i, j > i) are inverted in one batch, so no temporary is larger than
-    k-1 matrices.
+    Each average is factored as A = LL' (`np.linalg.cholesky`), and
+    A^{-1} = W'W with W = L^{-1} (`_invert_lower`), at every d: as
+    accurate as LU, and exactly symmetric.  So every averaged
+    covariance A must be positive definite, or LinAlgError (a ValueError)
+    is raised; callers meet this, as `_checked` refuses a condition number
+    above 1e12 and validated geometry (aspect ratios at most 1e6) keeps
+    every pair below it.  The pairs go a batch of `_pair_averages` at a
+    time, and a pair's inverse does not depend on the batch it lands in.
     """
     covs = np.asarray(covs, dtype=float)
     k, dim = covs.shape[0], covs.shape[-1]
@@ -100,15 +121,13 @@ def pair_inverses(covs) -> PairInverses:
     index[iu, ju] = index[ju, iu] = np.arange(iu.size)
     pairs = index[~np.eye(k, dtype=bool)].reshape(k, k - 1)
     inv = np.empty((iu.size, dim, dim))
-    for i in range(k - 1):
-        start = index[i, i + 1]
-        row = inv[start : start + k - 1 - i]
-        if dim <= _LU_MAX_DIM:
-            row[...] = np.linalg.inv(0.5 * (covs[i] + covs[i + 1 :]))
-        else:
-            w = _whitening(covs, i)
-            np.matmul(w.transpose(0, 2, 1), w, out=row)
-            del w  # before the next row's: one stack of k-1 matrices at a time
+    start = 0
+    for i, _, mean in _pair_averages(covs):
+        w = np.linalg.cholesky(mean)
+        _invert_lower(w)
+        np.matmul(w.transpose(0, 2, 1), w, out=inv[start : start + i.size])
+        start += i.size
+        del w  # before the next batch's averages are formed
     return PairInverses(inv, iu, ju, pairs)
 
 
@@ -151,15 +170,18 @@ def pairwise_separations(centers, covs, inverses: PairInverses):
 def _checked(centers, covs):
     """centers and covs as k x d and k x d x d float arrays, refusing inseparable pairs.
 
-    Raises ValueError when two centers coincide or when some pair's
-    averaged covariance has a condition number above 1e12 (or NaN).
+    Raises ValueError when a center is not finite, when two centers
+    coincide, or when some pair's averaged covariance has a condition
+    number above 1e12 (or NaN).
     """
     centers = np.asarray(centers, dtype=float).reshape(len(centers), -1)
     covs = np.asarray(covs, dtype=float).reshape(-1, centers.shape[1], centers.shape[1])
-    for i in range(centers.shape[0] - 1):
-        if not np.all(np.any(centers[i + 1 :] - centers[i], axis=1)):
+    if not np.all(np.isfinite(centers)):
+        raise ValueError("cluster centers must be finite")
+    for i, j, mean in _pair_averages(covs):
+        if not np.all(np.any(centers[j] - centers[i], axis=1)):
             raise ValueError("cluster centers coincide; no separating axis exists")
-        eig = np.linalg.eigvalsh(0.5 * (covs[i] + covs[i + 1 :]))  # ascending
+        eig = np.linalg.eigvalsh(mean)  # ascending
         if not np.all(eig[:, 0] * _MAX_CONDITION >= eig[:, -1]):
             raise ValueError("averaged covariance is numerically singular")
     return centers, covs
@@ -191,9 +213,10 @@ def _c2c(centers, covs):
 def _exact(centers, covs, q_lda):
     """Largest q over the axis family a(t) of every checked pair i < j.
 
-    Each pair is factored once, a row of k-1 pairs at a time: with W from
-    `_whitening`, W S_i W' = V diag(m) V', and so W S_j W' = V diag(2 - m) V'
-    as W (S_i + S_j) W' = 2I.  Then, with g = V'W(mu_j - mu_i) and
+    Each pair is factored once, a batch of `_pair_averages` at a time:
+    with W = L^{-1} for the average (S_i + S_j)/2 = LL',
+    W S_i W' = V diag(m) V', and so W S_j W' = V diag(2 - m) V' as
+    W (S_i + S_j) W' = 2I.  Then, with g = V'W(mu_j - mu_i) and
     D = t*m + (1-t)*(2 - m), a(t)'delta = sum g^2/D, a(t)'S_i a(t) =
     sum m g^2/D^2 and a(t)'S_j a(t) = sum (2 - m) g^2/D^2, so each q(t)
     is a sum of d terms.  All pairs are searched in lockstep, on 2d floats
@@ -203,11 +226,12 @@ def _exact(centers, covs, q_lda):
     is still wider.  The LDA axis is the t = 1/2 member, so no q falls
     below q_lda.
     """
-    bases = [np.empty((2, 0, centers.shape[1]))]  # an empty row keeps k = 1 concatenable
-    for i in range(len(centers) - 1):
-        w = _whitening(covs, i)
+    bases = [np.empty((2, 0, centers.shape[1]))]  # an empty batch keeps k = 1 concatenable
+    for i, j, mean in _pair_averages(covs):
+        w = np.linalg.cholesky(mean)
+        _invert_lower(w)
         m, v = np.linalg.eigh(w @ covs[i] @ w.transpose(0, 2, 1))
-        g = (centers[i + 1 :] - centers[i])[:, None, :] @ w.transpose(0, 2, 1) @ v
+        g = (centers[j] - centers[i])[:, None, :] @ w.transpose(0, 2, 1) @ v
         bases.append(np.stack([m, g[:, 0] ** 2]))
     m, g2 = np.concatenate(bases, axis=1)
 

@@ -20,10 +20,11 @@ draws no random numbers; only the initial centers are random.
 
 Covariances stay fixed too, so each `optimize_centers` call inverts
 every pair's averaged covariance once, before the first epoch
-(`overlap.pair_inverses`: LU up to d = 32, a Cholesky factor and its
-recursive triangular inverse above), and every separation after that is
-a matrix-vector product.  The inverses take k(k-1)/2 * d^2 floats: 56 MB
-at k=8, d=500.
+(`overlap.pair_inverses`: a Cholesky factor and its recursive triangular
+inverse at every d, a batch of pairs at a time), and every separation
+after that is a matrix-vector product.  The inverses take k(k-1)/2 * d^2
+floats: 56 MB at k=8, d=500.  A single cluster has no pairs, so its loss
+is 0 and `optimize_centers` returns it as it is.
 """
 
 from __future__ import annotations
@@ -133,6 +134,8 @@ def _loss_and_gradient(centers, covs, inverses: PairInverses, bounds: OverlapBou
     slope for a crowding push and minus it for an isolation pull.
     """
     q, axes = pairwise_separations(centers, covs, inverses)
+    if not q.size:  # one cluster: no pair, no constraint
+        return 0.0, np.zeros_like(centers)
     q_of = q[inverses.pairs]  # row i: q_ij for every j != i
     nearest = q_of.argmin(axis=1)
     isolation = np.maximum(q_of[np.arange(len(q_of)), nearest] - bounds.q_max, 0.0)

@@ -37,8 +37,8 @@ CASES = [
         },
         7,
         [],
-        "d99df726fce9f1b37dbf44c6d94ba8437100446daf5ac501e4a5b122c5ac1d97",
-        "dd968bda8914e569d1710ea519e818fd8b57d276bc7c0addd4b2c70e1883ca07",
+        "69c947a42d56a6f91366640a725eaec8e319fe662f159eee4105a530b094bf5b",
+        "1dfca7d309b8e04819d5850b819c51cef0cc6e35312c905f92ea8971fa279ad5",
     ),
     (
         {"name": "golden_wide", "n_clusters": 4, "dim": 40, "n_samples": 80, "scale": 2.0},
@@ -48,21 +48,21 @@ CASES = [
         "c42669b10f0b9f4c397967bb3ea8386012f9f6bf6a1266b9c099b536324875d7",
     ),
     (
-        # dim 200: the Cholesky pair inverses, through 4 placement epochs
+        # dim 200: pair inverses from a four-level triangular inverse, through 4 placement epochs
         {
             "name": "golden_high", "n_clusters": 5, "dim": 200, "n_samples": 100,
             "aspect_ref": 2.0, "aspect_maxmin": 2.0, "radius_maxmin": 2.0,
         },
         0,
         [],
-        "619109b7b01fc8f8dde0ffe94512bff1f0ada5a2de5c5f83b51ed3c25f228aa4",
-        "fd798fbee5ad37d3765e2a6f76905d6818d53a05df85318f08bf5370dd2ab3b8",
+        "d22578280f08a5f25250d2f5035dd63b9075b9c55fcad243f62fff09fb27d71c",
+        "58604980590085dd313ef2eae71be5e6982677cd3118602788f3ff778b724a52",
     ),
     (
         {"name": "golden_bent", "n_clusters": 3, "dim": 3, "n_samples": 120},
         11,
         ["--distort", "--wrap"],
-        "6589e5e320dc11356f36c0531895c3dccab7340ddad007cb96deac8272c5f262",
+        "34c805362ac3280b9112e65c8fb5116c910861e2b778236fa76ea99ce1cdfb22",
         "13f99da34be6be479e705cb5e225052511d735610ba7590a70f169df35cb2311",
     ),
 ]

@@ -137,37 +137,47 @@ def reference_separation(mu1, mu2, s1, s2):
     return abs(q), np.sign(q) * scaled
 
 
+def assert_as_accurate_as_lu(dim, cond):
+    # clusters 0-2 share an orientation, so their pairs' averages have
+    # condition number cond; cluster 3's pairs are less ill-conditioned
+    rng = np.random.default_rng(dim)
+    u = sample_orientation(dim, rng, 2)
+    spectrum = np.geomspace(1.0, cond, dim)
+    covs = np.stack([
+        (u[j // 3] * (r * spectrum)) @ u[j // 3].T
+        for j, r in enumerate(rng.uniform(0.25, 4.0, 4))
+    ])
+    inverses = pair_inverses(covs)
+    inv = inverses.inv
+    mean = 0.5 * (covs[inverses.iu] + covs[inverses.ju])
+    assert np.array_equal(inv, inv.transpose(0, 2, 1))
+    # Frobenius norms over the whole stack of pairs
+    residual = np.linalg.norm(mean @ inv - np.eye(dim))
+    assert residual <= 10.0 * np.linalg.norm(mean @ np.linalg.inv(mean) - np.eye(dim))
+
+
+def lower_factors(dim, rng, count=3):
+    """Cholesky factors whose rows differ in scale by up to e^6."""
+    g = rng.standard_normal((count, dim, dim))
+    spread = np.exp(rng.uniform(-3.0, 3.0, (count, dim, 1)))
+    return np.linalg.cholesky(spread * (g @ g.transpose(0, 2, 1) / dim + np.eye(dim))
+                              * spread.transpose(0, 2, 1))
+
+
 class TestPairInverses:
+    @pytest.mark.parametrize("cond", [10.0, 1e3, 1e6, 1e9, 1e12])
     @pytest.mark.parametrize("dim", [2, 5, 17, 32])
-    def test_lu_up_to_dim_32(self, dim):
-        rng = np.random.default_rng(dim)
-        covs = np.stack([random_cov(dim, rng, max_aspect=10.0) for _ in range(5)])
-        inverses = pair_inverses(covs)
-        mean = 0.5 * (covs[inverses.iu] + covs[inverses.ju])
-        assert np.array_equal(inverses.inv, np.linalg.inv(mean))
+    def test_cholesky_up_to_dim_32_as_accurate_as_lu(self, dim, cond):
+        assert_as_accurate_as_lu(dim, cond)
 
     @pytest.mark.parametrize("cond", [10.0, 1e3, 1e6, 1e9, 1e12])
     @pytest.mark.parametrize("dim", [33, 40, 64, 100, 200])
     def test_cholesky_above_dim_32_as_accurate_as_lu(self, dim, cond):
-        # clusters 0-2 share an orientation, so their pairs' averages have
-        # condition number cond; cluster 3's pairs are less ill-conditioned
-        rng = np.random.default_rng(dim)
-        u = sample_orientation(dim, rng, 2)
-        spectrum = np.geomspace(1.0, cond, dim)
-        covs = np.stack([
-            (u[j // 3] * (r * spectrum)) @ u[j // 3].T
-            for j, r in enumerate(rng.uniform(0.25, 4.0, 4))
-        ])
-        inverses = pair_inverses(covs)
-        inv = inverses.inv
-        mean = 0.5 * (covs[inverses.iu] + covs[inverses.ju])
-        assert np.array_equal(inv, inv.transpose(0, 2, 1))
-        # Frobenius norms over the whole stack of pairs
-        residual = np.linalg.norm(mean @ inv - np.eye(dim))
-        assert residual <= 10.0 * np.linalg.norm(mean @ np.linalg.inv(mean) - np.eye(dim))
+        assert_as_accurate_as_lu(dim, cond)
 
     def test_triangular_inverse_is_exactly_lower(self):
-        # unequal variances make L[i, j] outweigh L[j, j], so the leaves' LU pivots
+        # unequal variances make L[i, j] outweigh L[j, j], so an elimination
+        # that pivoted would fill the upper part
         rng = np.random.default_rng(0)
         spread = np.exp(rng.uniform(-3.0, 3.0, (3, 50, 1)))
         low = np.linalg.cholesky(spread * random_cov(50, rng) * spread.transpose(0, 2, 1))
@@ -175,6 +185,54 @@ class TestPairInverses:
         overlap._invert_lower(inv)
         assert np.array_equal(inv, np.tril(inv))
         np.testing.assert_allclose(inv @ low, np.broadcast_to(np.eye(50), low.shape), atol=1e-10)
+
+    @pytest.mark.parametrize("dim", [1, 2, 15, 16, 17, 31, 33, 200])
+    def test_triangular_inverse_around_leaf_sizes(self, dim):
+        # 16 rows is the largest leaf; 17, 31 and 33 split into leaves of
+        # unequal size, 200 recurses four levels
+        low = lower_factors(dim, np.random.default_rng(dim))
+        inv = low.copy()
+        overlap._invert_lower(inv)
+        assert np.array_equal(inv, np.tril(inv))
+        np.testing.assert_allclose(inv @ low, np.broadcast_to(np.eye(dim), low.shape), atol=1e-10)
+
+    @pytest.mark.parametrize("dim", [5, 64])
+    def test_inverse_does_not_depend_on_the_batch(self, monkeypatch, dim):
+        # at dim 64 a batch holds 32 pairs, so k = 12's 66 pairs take three
+        rng = np.random.default_rng(dim)
+        covs = np.stack([random_cov(dim, rng, max_aspect=10.0) for _ in range(12)])
+        whole = pair_inverses(covs)
+        half = pair_inverses(covs[:6])
+        in_half = {(i, j): p for p, (i, j) in enumerate(zip(half.iu, half.ju))}
+        for p, (i, j) in enumerate(zip(whole.iu, whole.ju)):
+            assert np.array_equal(pair_inverses(covs[[i, j]]).inv[0], whole.inv[p])
+            if (i, j) in in_half:
+                assert np.array_equal(half.inv[in_half[i, j]], whole.inv[p])
+        monkeypatch.setattr(overlap, "_BATCH_FLOATS", 1)  # batches of k-1 = 11 pairs, across rows
+        assert np.array_equal(pair_inverses(covs).inv, whole.inv)
+
+    def test_single_cluster_gives_empty_stacks(self):
+        inverses = pair_inverses(np.eye(3)[None])
+        assert inverses.inv.shape == (0, 3, 3)
+        assert inverses.iu.size == inverses.ju.size == 0
+        assert inverses.pairs.shape == (1, 0)
+        assert list(overlap._pair_averages(np.eye(3)[None])) == []
+
+    def test_temporaries_stay_within_a_few_batches(self):
+        # k = 40 at dim 64: 780 pairs in batches of k-1 = 39, about 1.2 MiB each
+        k, dim = 40, 64
+        rng = np.random.default_rng(40)
+        covs = np.stack([random_cov(dim, rng) for _ in range(k)])
+        tracemalloc.start()
+        try:
+            inv = pair_inverses(covs).inv
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one batch's averages and factor, and the next batch's averages as
+        # they are formed: three stacks of a batch, against 20 for all pairs
+        batch_bytes = (k - 1) * dim * dim * 8
+        assert peak - inv.nbytes < 4 * batch_bytes
 
 
 class TestCachedPairKernel:
@@ -480,8 +538,11 @@ class TestRefusals:
             (([0, 0], [1, 0], np.diag([1.0, 0.0]), np.diag([1.0, 0.0])), "singular"),
             (([0, 0], [1, 0], CONDITION_2E12, CONDITION_2E12), "singular"),
             (([0, 0], [0, 1], np.diag([1.0, -0.5]), np.eye(2)), "positive definite"),
+            (([0, np.nan], [1, 1], np.eye(2), np.eye(2)), "centers must be finite"),
+            (([0, 0], [np.inf, 1], np.eye(2), np.eye(2)), "centers must be finite"),
         ],
-        ids=["coincident", "singular", "condition-2e12", "indefinite"],
+        ids=["coincident", "singular", "condition-2e12", "indefinite", "nan-center",
+             "inf-center"],
     )
     def test_refused(self, name, pair, match):
         with pytest.raises(ValueError, match=match):

@@ -180,6 +180,10 @@ class TestOverlapLoss:
         assert l0 == pytest.approx(l1, rel=1e-12)
         assert overlap_loss(model, BOUNDS) == pytest.approx(l0, rel=1e-12)
 
+    def test_single_cluster_has_zero_loss(self):
+        a = Archetype.from_dict({"name": "one", "n_clusters": 1, "dim": 3})
+        assert overlap_loss(start_model(a, np.random.default_rng(0)), BOUNDS) == 0.0
+
     def test_nonnegative(self):
         rng = np.random.default_rng(4)
         for _ in range(20):
@@ -321,6 +325,13 @@ class TestOptimizeCenters:
         converged, trace = optimize_centers(
             model, BOUNDS, None, np.random.default_rng(0)
         )
+        assert trace == [0.0]
+        np.testing.assert_array_equal(converged.centers, model.centers)
+
+    def test_single_cluster_returns_at_once(self):
+        a = Archetype.from_dict({"name": "one", "n_clusters": 1, "dim": 3})
+        model = start_model(a, np.random.default_rng(0))
+        converged, trace = optimize_centers(model, BOUNDS)
         assert trace == [0.0]
         np.testing.assert_array_equal(converged.centers, model.centers)
 
