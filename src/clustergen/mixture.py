@@ -167,11 +167,12 @@ def sample_mixture_model(a: arch.Archetype, rng: np.random.Generator) -> Mixture
 
     Single-cluster archetypes skip placement and sit at the coordinate
     origin.  Otherwise centers are initialized in a density-calibrated ball
-    and optimized at `placement.optimize_centers`' default learning rate,
-    which follows the archetype's scale; on non-convergence the
-    initialization is redrawn up to `placement.MAX_RESTARTS` times, so
-    placement makes at most MAX_RESTARTS + 1 attempts of up to
-    `placement.MAX_EPOCHS` epochs each.
+    and optimized from `placement.optimize_centers`' default learning rate,
+    which follows the archetype's scale and halves after every 20 epochs
+    without a new best loss; on non-convergence the initialization is
+    redrawn up to `placement.MAX_RESTARTS` times, so placement makes at
+    most MAX_RESTARTS + 1 attempts of up to `placement.MAX_EPOCHS` epochs
+    each.
     """
     a.validated()
     k, dim = a.n_clusters, a.dim

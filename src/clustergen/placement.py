@@ -15,8 +15,11 @@ Every epoch moves all clusters at once: one pass over the k(k-1)/2 pairs
 gives the loss and the summed gradient of the k cluster losses, and each
 cluster steps down its part of it, the step capped at _STEP_CAP times the
 cluster's radius (the geometric mean of its axis lengths) so that the
-first epochs out of the dense initial ball do not overshoot.  Placement
-draws no random numbers; only the initial centers are random.
+first epochs out of the dense initial ball do not overshoot.  The rate
+starts bold, at _RATE_FACTOR * the mean radius * s, and halves after
+every _STALL_EPOCHS epochs without a new best loss, so a descent that
+jumps across a narrow band and back settles into it.  Placement draws no
+random numbers; only the initial centers are random.
 
 Covariances stay fixed too, so each `optimize_centers` call inverts
 every pair's averaged covariance once, before the first epoch
@@ -43,6 +46,8 @@ if TYPE_CHECKING:  # pragma: no cover
 
 _LOSS_SLACK = 1e-12  # the loss at which placement stops
 _STEP_CAP = 3.0  # largest step of a cluster per epoch, in its radii
+_RATE_FACTOR = 0.2  # default starting rate, in mean radius * s (see optimize_centers)
+_STALL_EPOCHS = 20  # epochs without a new best loss after which the rate halves
 _RHO_2D = 0.10  # target cluster density in 2-D, before the sphere-packing adjustment
 _PENALTY_MIX = 0.5  # lambda in p(x) = lambda*x + (1-lambda)*x^2
 MAX_EPOCHS = 1000  # gradient epochs per optimize_centers call
@@ -124,6 +129,9 @@ def _penalty_slope(x):
 def _loss_and_gradient(centers, covs, inverses: PairInverses, bounds: OverlapBounds):
     """Mean of the k cluster losses and the sum of their gradients, from one pass.
 
+    The gradient is None once the loss is at most _LOSS_SLACK, where
+    placement stops and takes no step.
+
     Cluster i's loss is the isolation penalty on its nearest separation,
     or, when that lies within q_max, a crowding penalty for every
     separation below q_min.  q_ij = q_ji, so each pair's separation is
@@ -135,12 +143,14 @@ def _loss_and_gradient(centers, covs, inverses: PairInverses, bounds: OverlapBou
     """
     q, axes = pairwise_separations(centers, covs, inverses)
     if not q.size:  # one cluster: no pair, no constraint
-        return 0.0, np.zeros_like(centers)
+        return 0.0, None
     q_of = q[inverses.pairs]  # row i: q_ij for every j != i
     nearest = q_of.argmin(axis=1)
     isolation = np.maximum(q_of[np.arange(len(q_of)), nearest] - bounds.q_max, 0.0)
     crowding = np.maximum(bounds.q_min - q_of, 0.0)
-    losses = penalty(isolation) + penalty(crowding).sum(axis=1)
+    loss = float((penalty(isolation) + penalty(crowding).sum(axis=1)).mean())
+    if loss <= _LOSS_SLACK:  # converged: placement takes no step
+        return loss, None
     shortfall = bounds.q_min - q
     # both clusters of a crowded pair push: neither can be isolated
     weight = np.where(shortfall > 0, 2.0 * _penalty_slope(shortfall), 0.0)
@@ -149,7 +159,7 @@ def _loss_and_gradient(centers, covs, inverses: PairInverses, bounds: OverlapBou
     np.subtract.at(weight, pulled, _penalty_slope(isolation[isolated]))
     table = np.zeros((len(centers), len(centers), centers.shape[1]))
     table[inverses.iu, inverses.ju] = weight[:, None] * axes
-    return float(losses.mean()), table.sum(axis=1) - table.sum(axis=0)
+    return loss, table.sum(axis=1) - table.sum(axis=0)
 
 
 def overlap_loss(model: "MixtureModel", bounds: OverlapBounds) -> float:
@@ -168,13 +178,15 @@ def optimize_centers(
 
     Each epoch moves every cluster at once, down the summed gradient of
     all k cluster losses taken at the epoch's start (one pass over the
-    pairs) times `learning_rate`, and caps each cluster's step at
-    _STEP_CAP times its radius.  The default rate is 0.1 * the mean
-    cluster radius * s, where s is the dim-th power mean of the radii:
-    the archetype's `scale`, up to rounding, for a sampled model, since
-    its cluster volumes average scale^dim.  q is scale-free but its gradient in the centers
-    goes as 1/s, so a rate growing as s^2 runs the same descent at every
-    scale.  A rate that is not positive and finite raises ValueError.
+    pairs) times the rate, and caps each cluster's step at _STEP_CAP
+    times its radius.  The rate starts at `learning_rate`, by default
+    _RATE_FACTOR (0.2) * the mean cluster radius * s, where s is the
+    dim-th power mean of the radii: the archetype's `scale`, up to
+    rounding, for a sampled model, since its cluster volumes average
+    scale^dim.  q is scale-free but its gradient in the centers goes as
+    1/s, so a rate growing as s^2 runs the same descent at every scale.
+    Either start halves after every _STALL_EPOCHS (20) epochs without a
+    new best loss.  A rate that is not positive and finite raises ValueError.
     The run is deterministic: `rng` is accepted, because `perfbench`
     passes it by position, but neither read nor advanced.  Returns
     (converged model, per-epoch loss trace).  Axes and axis lengths are
@@ -192,9 +204,10 @@ def optimize_centers(
     radii = np.exp(log_radii)
     if learning_rate is None:
         log_s = (_log_total_volume(log_radii, model.dim) - np.log(len(radii))) / model.dim
-        learning_rate = 0.1 * radii.mean() * np.exp(log_s)
+        learning_rate = _RATE_FACTOR * radii.mean() * np.exp(log_s)
     cap = _STEP_CAP * radii
     trace: list[float] = []
+    best, stalled = np.inf, 0
     for epoch in range(MAX_EPOCHS + 1):
         loss, grad = _loss_and_gradient(centers, covs, inverses, bounds)
         trace.append(loss)
@@ -203,6 +216,12 @@ def optimize_centers(
             return replace(model, clusters=clusters), trace
         if epoch == MAX_EPOCHS or not np.isfinite(loss):
             raise NonConvergenceError(loss, trace)  # no step recovers from NaN/inf
+        if loss < best:
+            best, stalled = loss, 0
+        else:
+            stalled += 1
+            if stalled == _STALL_EPOCHS:
+                learning_rate, stalled = learning_rate / 2.0, 0
         step = learning_rate * grad
         length = np.sqrt(np.einsum("ij,ij->i", step, step))
         centers -= step * (cap / np.maximum(length, cap))[:, None]

@@ -9,6 +9,7 @@ from clustergen import cli
 from clustergen.archetype import Archetype
 from clustergen.distributions import RadialDistribution
 from clustergen.mixture import Cluster, MixtureModel, sample_mixture_model, sample_orientation
+from clustergen.overlap import pairwise_overlaps
 from clustergen.sampling import dataset_from_csv
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -25,10 +26,12 @@ SMALL = json.dumps(
 )
 
 
+# four clusters of aspect ratio up to 1000 in a band of overlap ratio 0.9997:
 # placement fails for datasets 0 and 2 at --seed 0 and converges for dataset 1
 NONCONVERGING = json.dumps(
-    {"name": "nc", "n_clusters": 3, "dim": 2, "max_overlap": 1e-7,
-     "min_overlap": 9.9e-8, "aspect_ref": 20, "aspect_maxmin": 5}
+    {"name": "nc", "n_clusters": 4, "dim": 2, "max_overlap": 0.3,
+     "min_overlap": 0.2999, "aspect_ref": 1000, "aspect_maxmin": 1000,
+     "radius_maxmin": 100}
 )
 
 
@@ -186,7 +189,7 @@ class TestGenerate:
         ]
 
     def test_parallel_convergence_failure_keeps_manifest(self, tmp_path):
-        # placement cannot hold three elongated clusters in this band for
+        # placement cannot hold four elongated clusters in this band for
         # dataset 0; dataset 1 converges.  Each worker returns its own entry.
         out = tmp_path / "out"
         code = cli.main(
@@ -199,6 +202,17 @@ class TestGenerate:
         assert statuses == ["convergence-failure", "ok"]
         assert "did not reach tolerance" in manifest["entries"][0]["error"]
         assert sorted(p.name for p in out.glob("*.csv")) == ["nc_001.csv"]
+
+    def test_widest_band_converges(self, tmp_path):
+        # a rate that never halves leaves this pair just outside the band (loss 9.2e-3)
+        spec = {"name": "a", "n_clusters": 2, "dim": 2, "max_overlap": 0.5, "min_overlap": 0.49}
+        code = cli.main(["generate", "--inline", json.dumps(spec), "--seed", "0",
+                         "--out-dir", str(tmp_path)])
+        assert code == cli.EXIT_OK
+        model = sample_mixture_model(Archetype.from_dict(spec),
+                                     np.random.default_rng(cli.derive_seed(0, "a", 0)))
+        (report,) = pairwise_overlaps(model)
+        assert 0.49 * (1 - 1e-6) <= report.alpha_lda <= 0.5 * (1 + 1e-6)
 
     def test_jobs_give_the_same_manifest_entries(self, tmp_path, capsys):
         # entries 0 and 2 fail to converge and entry 1 is ok; every key, its
@@ -284,14 +298,15 @@ class TestValidateOverlap:
             assert row.split(",")[5] != ""
 
     def test_convergence_failure_exits_2(self, tmp_path, capsys):
-        # NONCONVERGING fails at --seed 1 and converges at --seed 0
+        # NONCONVERGING fails at --seed 0 and converges at --seed 1
         arch_path = tmp_path / "nc.json"
         arch_path.write_text(NONCONVERGING)
-        code = cli.main(["validate-overlap", "--archetype", str(arch_path), "--seed", "1"])
+        code = cli.main(["validate-overlap", "--archetype", str(arch_path), "--seed", "0"])
         assert code == cli.EXIT_CONVERGENCE
         err = capsys.readouterr().err
         assert err.startswith("error: overlap loss ") and " after 1001 epochs did not reach " in err
-        assert cli.main(["validate-overlap", "--archetype", str(arch_path)]) == cli.EXIT_OK
+        code = cli.main(["validate-overlap", "--archetype", str(arch_path), "--seed", "1"])
+        assert code == cli.EXIT_OK
 
     def test_model_json_input(self, tmp_path):
         a = Archetype.from_json(SMALL)

@@ -25,8 +25,8 @@ CASES = [
         {"name": "golden_plain", "n_clusters": 3, "dim": 2, "n_samples": 90},
         0,
         [],
-        "e1165833a90c44a8b5166c6c8cc4539b939bd40285811fc7a9bc50c160984e5d",
-        "8993ca9a919d26738837c5c36a1a1136cbe6a354555cc53a420d67db2a3c6ebc",
+        "47eea2e73bd75aa426d84c53d82bacb9de5bea623551e76a1bca29972159b684",
+        "b0dba8d2c905a75324cc0eb56f5e75afd4e78b6c16feea61a781fe5782b5a558",
     ),
     (
         {
@@ -37,33 +37,33 @@ CASES = [
         },
         7,
         [],
-        "69c947a42d56a6f91366640a725eaec8e319fe662f159eee4105a530b094bf5b",
-        "1dfca7d309b8e04819d5850b819c51cef0cc6e35312c905f92ea8971fa279ad5",
+        "5a455eefd37a2493ad83852fe16d1412aa1b852efc1861be90d437a2bb19c0df",
+        "a22ea409dc14887e41e0835f0710b17bab383b543be10b9fa46ad89ef06f807d",
     ),
     (
         {"name": "golden_wide", "n_clusters": 4, "dim": 40, "n_samples": 80, "scale": 2.0},
         3,
         [],
-        "1c555e1d926c1289b66514ec93d5f0e26deb7cbe36eb914b3e0e2a9dd70ce363",
-        "c42669b10f0b9f4c397967bb3ea8386012f9f6bf6a1266b9c099b536324875d7",
+        "05c4df4c1ef5f3ad8e793e01bf6c97546256da14b0efb53e910e55bbba13e637",
+        "0c277e6bae5d80e67ae9e23c908b825ca93de95387479854d38873cb8bf79b5b",
     ),
     (
-        # dim 200: pair inverses from a four-level triangular inverse, through 4 placement epochs
+        # dim 200: pair inverses from a four-level triangular inverse, through 2 placement epochs
         {
             "name": "golden_high", "n_clusters": 5, "dim": 200, "n_samples": 100,
             "aspect_ref": 2.0, "aspect_maxmin": 2.0, "radius_maxmin": 2.0,
         },
         0,
         [],
-        "d22578280f08a5f25250d2f5035dd63b9075b9c55fcad243f62fff09fb27d71c",
-        "58604980590085dd313ef2eae71be5e6982677cd3118602788f3ff778b724a52",
+        "819ab251d7fa1cdf2562ab722360f16db152bbc8f5edadacaf212a1896e9c208",
+        "950d4649f180663d34d1b427119f454828ae6ad9465f1848048cf5bcfe5ecb36",
     ),
     (
         {"name": "golden_bent", "n_clusters": 3, "dim": 3, "n_samples": 120},
         11,
         ["--distort", "--wrap"],
-        "34c805362ac3280b9112e65c8fb5116c910861e2b778236fa76ea99ce1cdfb22",
-        "13f99da34be6be479e705cb5e225052511d735610ba7590a70f169df35cb2311",
+        "c3aa73dfc466768f4afbbb7b21526eb0ab0327a266f73e234d1c896a7b22ef40",
+        "5f482d2ea91f57fbc9a4b06d783e37bdfc4a1d0a0e54c05b5be2f35cf6674257",
     ),
 ]
 
@@ -90,7 +90,7 @@ def test_golden_outputs(tmp_path, spec, master, flags, model_hash, csv_hash):
 # sha256 of `clustergen bench` stdout over the six benchmark archetypes:
 # pins the K-Means labels (through AMI/ARI) and the silhouette to 6 decimals
 BENCH_FIXTURE = Path(__file__).parent / "fixtures" / "benchmark_archetypes.jsonl"
-BENCH_HASH = "94b1400c094adb942e4681d5e2540d55263b316f20c0fe982dcedecd0aa48145"
+BENCH_HASH = "cb12aabc6f7c1b977dfbfbb6b50574d7fab38b8a9e685574b59296abd76df8b1"
 
 
 def test_golden_bench_rows(capsys):
