@@ -150,7 +150,7 @@ def cmd_validate_overlap(args) -> int:
     else:
         sys.stdout.write(text)
     if not reports:
-        print("note: single-cluster model has no pairwise overlaps")
+        print("note: single-cluster model has no pairwise overlaps", file=sys.stderr)
         return EXIT_OK
     max_alpha = max(r.alpha_lda for r in reports)
     neighbor_best: dict[int, float] = {}
@@ -160,7 +160,8 @@ def cmd_validate_overlap(args) -> int:
     min_neighbor = min(neighbor_best.values())
     print(
         f"summary: max pairwise alpha_lda={max_alpha:.6g}, "
-        f"smallest per-cluster max-neighbor alpha_lda={min_neighbor:.6g}"
+        f"smallest per-cluster max-neighbor alpha_lda={min_neighbor:.6g}",
+        file=sys.stderr,
     )
     return EXIT_OK
 

@@ -11,11 +11,13 @@ The LDA approximation (axis ((S1+S2)/2)^{-1} (mu2 - mu1)) and the cheaper
 center-to-center approximation (axis mu2 - mu1) evaluate one batched pair
 kernel along their own axes (`_table_separations`).  The exact oracle for
 Gaussian pairs maximizes q over the one-parameter axis family
-a(t) = (t*S1 + (1-t)*S2)^{-1} (mu2 - mu1), t in (0, 1): it factors each
-pair once, into a basis that diagonalizes both covariances, and there
-every q(t) of its search is a sum of d terms.  All three run over every
-pair at once, the single-pair functions being the k = 2 case, and all
-refuse the same inputs (`_checked`, `_finite`).
+a(t) = (t*S1 + (1-t)*S2)^{-1} (mu2 - mu1), t in (0, 1): with the LDA's
+factor of each pair it finds a basis that diagonalizes both covariances,
+and there every q(t) of its search is a sum of d terms.  One factor per
+pair, W = L^{-1} for (S1+S2)/2 = LL', serves LDA, placement and the oracle;
+no inverse of a pair average is formed.  All three run over every pair at
+once, the single-pair functions being the k = 2 case, and all refuse the
+same inputs (`_checked`, `_finite`).
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import numpy as np
 from .stats import normal_sf
 
 _MAX_CONDITION = 1e12
-_BATCH_FLOATS = 1 << 17  # floats of pair averages formed at once, unless k-1 pairs take more
+_BATCH_FLOATS = 1 << 17  # floats of a pair stack formed at once, unless k-1 pairs take more
 _LEAF_DIM = 16  # diagonal blocks of a triangular inverse this small: forward substitution
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 _EXACT_GRID = 1.0 / (1.0 + np.exp(-np.linspace(-12.0, 12.0, 64)))  # log-symmetric in t-odds
@@ -36,38 +38,42 @@ _EXACT_TOL = 1e-6
 
 @dataclass(frozen=True)
 class PairInverses:
-    """Inverses of the averaged covariances of every cluster pair.
+    """Inverse Cholesky factors of the averaged covariances of every cluster pair.
 
-    inv[p] = ((S_i + S_j)/2)^{-1} for the pair (i, j) = (iu[p], ju[p]),
-    i < j: k(k-1)/2 matrices of d x d, packed row by row, so they take
-    k(k-1)/2 * d^2 floats, each exactly symmetric (see `pair_inverses`).
-    pairs[i] lists the entries of inv that hold cluster i, in increasing
-    order of the other cluster (k x (k-1)).
+    whitening[p] = L^{-1} with (S_i + S_j)/2 = LL' for the pair (i, j) =
+    (iu[p], ju[p]), i < j: k(k-1)/2 lower-triangular d x d matrices, exact
+    zeros above the diagonal, packed row by row (k(k-1)/2 * d^2 floats; see
+    `pair_inverses`).  pairs[i] lists the entries of whitening that hold
+    cluster i, in increasing order of the other cluster (k x (k-1)).
     """
 
-    inv: np.ndarray
+    whitening: np.ndarray
     iu: np.ndarray
     ju: np.ndarray
     pairs: np.ndarray
 
 
-def _pair_averages(covs):
-    """Yield (i, j, A) over the pairs i < j in `np.triu_indices` order, a batch at a time.
+def _pair_batches(k, dim):
+    """Yield (rows, i, j) over the pairs i < j in `np.triu_indices` order, a batch at a time.
 
-    A[m] = (S_{i[m]} + S_{j[m]})/2.  A batch holds at most
-    max(k-1, 2^17 / d^2) pairs, so no stack of averages is larger than one
-    row of pairs (i, j > i) or 2^17 floats (1 MiB).  Every pair average is
-    formed here.
+    rows slices the batch out of the packed pairs.  A batch holds at most
+    max(k-1, 2^17 / d^2) pairs, so no stack of d x d matrices formed per
+    batch is larger than one row of pairs (i, j > i) or 2^17 floats (1 MiB).
     """
-    k, dim = covs.shape[0], covs.shape[-1]
     iu, ju = np.triu_indices(k, 1)
     step = max(1, k - 1, _BATCH_FLOATS // max(dim, 1) ** 2)
     for start in range(0, iu.size, step):
-        i, j = iu[start : start + step], ju[start : start + step]
+        rows = slice(start, start + step)
+        yield rows, iu[rows], ju[rows]
+
+
+def _pair_averages(covs):
+    """Yield (rows, i, j, A) per `_pair_batches`: A[m] = (S_i[m] + S_j[m])/2, formed only here."""
+    for rows, i, j in _pair_batches(covs.shape[0], covs.shape[-1]):
         mean = covs[i]
         mean += covs[j]
         mean *= 0.5
-        yield i, j, mean
+        yield rows, i, j, mean
 
 
 def _invert_lower(low):
@@ -103,16 +109,16 @@ def _invert_lower(low):
 
 
 def pair_inverses(covs) -> PairInverses:
-    """Invert every averaged covariance once; covariances are not checked.
+    """Factor every averaged covariance once; covariances are not checked.
 
-    Each average is factored as A = LL' (`np.linalg.cholesky`), and
-    A^{-1} = W'W with W = L^{-1} (`_invert_lower`), at every d: as
-    accurate as LU, and exactly symmetric.  So every averaged
-    covariance A must be positive definite, or LinAlgError (a ValueError)
-    is raised; callers meet this, as `_checked` refuses a condition number
-    above 1e12 and validated geometry (aspect ratios at most 1e6) keeps
-    every pair below it.  The pairs go a batch of `_pair_averages` at a
-    time, and a pair's inverse does not depend on the batch it lands in.
+    Each average is factored as A = LL' (`np.linalg.cholesky`) and L is
+    inverted in place to W (`_invert_lower`), at every d: the only pair
+    factorization in the package.  So every averaged covariance A must be
+    positive definite, or LinAlgError (a ValueError) is raised; callers
+    meet this, as `_checked` refuses a condition number above 1e12 and
+    validated geometry (aspect ratios at most 1e6) keeps every pair below
+    it.  The pairs go a batch of `_pair_averages` at a time, and a pair's
+    factor does not depend on the batch it lands in.
     """
     covs = np.asarray(covs, dtype=float)
     k, dim = covs.shape[0], covs.shape[-1]
@@ -120,15 +126,11 @@ def pair_inverses(covs) -> PairInverses:
     index = np.zeros((k, k), dtype=np.intp)
     index[iu, ju] = index[ju, iu] = np.arange(iu.size)
     pairs = index[~np.eye(k, dtype=bool)].reshape(k, k - 1)
-    inv = np.empty((iu.size, dim, dim))
-    start = 0
-    for i, _, mean in _pair_averages(covs):
-        w = np.linalg.cholesky(mean)
-        _invert_lower(w)
-        np.matmul(w.transpose(0, 2, 1), w, out=inv[start : start + i.size])
-        start += i.size
-        del w  # before the next batch's averages are formed
-    return PairInverses(inv, iu, ju, pairs)
+    whitening = np.empty((iu.size, dim, dim))
+    for rows, _, _, mean in _pair_averages(covs):
+        whitening[rows] = np.linalg.cholesky(mean)
+        _invert_lower(whitening[rows])
+    return PairInverses(whitening, iu, ju, pairs)
 
 
 def _rowdot(x, y):
@@ -152,18 +154,19 @@ def _table_separations(delta, covs, iu, ju, axes):
 
 
 def pairwise_separations(centers, covs, inverses: PairInverses):
-    """LDA separations of every pair i < j at once, packed like `inverses.inv`.
+    """LDA separations of every pair i < j at once, packed like `inverses.whitening`.
 
     Returns (q, axes): q[p] >= 0 is the separation quantile of (iu[p],
-    ju[p]) along their LDA axis, and axes[p] is that axis oriented from
-    iu[p] toward ju[p] and pre-divided by the quantile denominator, so
-    q[p] = axes[p] @ (mu_ju - mu_iu), grad_{mu_ju} q[p] = axes[p] and
-    grad_{mu_iu} q[p] = -axes[p] with the axis held fixed.  Inputs are not
-    checked; the estimators below check theirs in `_checked`.
+    ju[p]) along their LDA axis W'(W delta), W = inverses.whitening[p], and
+    axes[p] is that axis oriented from iu[p] toward ju[p] and pre-divided
+    by the quantile denominator, so q[p] = axes[p] @ (mu_ju - mu_iu),
+    grad_{mu_ju} q[p] = axes[p] and grad_{mu_iu} q[p] = -axes[p] with the
+    axis held fixed.  Inputs are not checked; the estimators below check
+    theirs in `_checked`.
     """
-    iu, ju = inverses.iu, inverses.ju
+    iu, ju, w = inverses.iu, inverses.ju, inverses.whitening
     delta = centers[ju] - centers[iu]
-    axes = (inverses.inv @ delta[:, :, None])[:, :, 0]
+    axes = (w.transpose(0, 2, 1) @ (w @ delta[:, :, None]))[:, :, 0]
     return _table_separations(delta, covs, iu, ju, axes)
 
 
@@ -178,7 +181,7 @@ def _checked(centers, covs):
     covs = np.asarray(covs, dtype=float).reshape(-1, centers.shape[1], centers.shape[1])
     if not np.all(np.isfinite(centers)):
         raise ValueError("cluster centers must be finite")
-    for i, j, mean in _pair_averages(covs):
+    for _, i, j, mean in _pair_averages(covs):
         if not np.all(np.any(centers[j] - centers[i], axis=1)):
             raise ValueError("cluster centers coincide; no separating axis exists")
         eig = np.linalg.eigvalsh(mean)  # ascending
@@ -196,9 +199,9 @@ def _finite(q):
 
 @np.errstate(invalid="ignore", divide="ignore")
 def _lda(centers, covs):
-    """(q, oriented scaled axes) along the LDA axis of every checked pair i < j."""
-    q, axes = pairwise_separations(centers, covs, pair_inverses(covs))
-    return _finite(q), axes
+    """(q, pair factors): q along the LDA axis of every checked pair i < j, and the W it used."""
+    inverses = pair_inverses(covs)
+    return _finite(pairwise_separations(centers, covs, inverses)[0]), inverses
 
 
 @np.errstate(invalid="ignore", divide="ignore")
@@ -210,26 +213,23 @@ def _c2c(centers, covs):
 
 
 @np.errstate(invalid="ignore", divide="ignore")
-def _exact(centers, covs, q_lda):
+def _exact(centers, covs, q_lda, inverses):
     """Largest q over the axis family a(t) of every checked pair i < j.
 
-    Each pair is factored once, a batch of `_pair_averages` at a time:
-    with W = L^{-1} for the average (S_i + S_j)/2 = LL',
-    W S_i W' = V diag(m) V', and so W S_j W' = V diag(2 - m) V' as
-    W (S_i + S_j) W' = 2I.  Then, with g = V'W(mu_j - mu_i) and
-    D = t*m + (1-t)*(2 - m), a(t)'delta = sum g^2/D, a(t)'S_i a(t) =
-    sum m g^2/D^2 and a(t)'S_j a(t) = sum (2 - m) g^2/D^2, so each q(t)
-    is a sum of d terms.  All pairs are searched in lockstep, on 2d floats
-    per pair: the 64-point grid brackets each pair's maximum (keeping
+    No pair is factored again: a batch of `_pair_batches` at a time, with
+    the LDA's factor W = L^{-1} of (S_i + S_j)/2 = LL', W S_i W' = V diag(m) V',
+    so W S_j W' = V diag(2 - m) V' as W (S_i + S_j) W' = 2I.  Then, with
+    g = V'W(mu_j - mu_i) and D = t*m + (1-t)*(2 - m), a(t)'delta = sum g^2/D,
+    a(t)'S_i a(t) = sum m g^2/D^2 and a(t)'S_j a(t) = sum (2 - m) g^2/D^2, so
+    each q(t) is a sum of d terms.  All pairs are searched in lockstep, on 2d
+    floats per pair: the 64-point grid brackets each pair's maximum (keeping
     only the best point so far), and golden-section search narrows every
-    bracket to _EXACT_TOL, evaluating again only the pairs whose bracket
-    is still wider.  The LDA axis is the t = 1/2 member, so no q falls
-    below q_lda.
+    bracket to _EXACT_TOL, evaluating again only the pairs whose bracket is
+    still wider.  The LDA axis is the t = 1/2 member, so no q falls below q_lda.
     """
     bases = [np.empty((2, 0, centers.shape[1]))]  # an empty batch keeps k = 1 concatenable
-    for i, j, mean in _pair_averages(covs):
-        w = np.linalg.cholesky(mean)
-        _invert_lower(w)
+    for rows, i, j in _pair_batches(*centers.shape):
+        w = inverses.whitening[rows]
         m, v = np.linalg.eigh(w @ covs[i] @ w.transpose(0, 2, 1))
         g = (centers[j] - centers[i])[:, None, :] @ w.transpose(0, 2, 1) @ v
         bases.append(np.stack([m, g[:, 0] ** 2]))
@@ -281,7 +281,7 @@ def exact_overlap_oracle(mu1, mu2, S1, S2) -> float:
     t = 1/2 member, so the result never falls below the LDA quantile.
     """
     centers, covs = _checked([mu1, mu2], [S1, S2])
-    return float(2.0 * normal_sf(_exact(centers, covs, _lda(centers, covs)[0])[0]))
+    return float(2.0 * normal_sf(_exact(centers, covs, *_lda(centers, covs))[0]))
 
 
 @dataclass(frozen=True)
@@ -299,11 +299,11 @@ class OverlapReport:
 def pairwise_overlaps(model, include_exact: bool = False) -> list[OverlapReport]:
     """All pairwise overlap reports for a mixture model, from one pass of each estimator."""
     centers, covs = _checked(model.centers, model.covariances())
-    iu, ju = np.triu_indices(centers.shape[0], 1)
-    q_lda, _ = _lda(centers, covs)
-    exact = [None] * iu.size
+    q_lda, inverses = _lda(centers, covs)
+    exact = [None] * q_lda.size
     if include_exact:
-        exact = (2.0 * normal_sf(_exact(centers, covs, q_lda))).tolist()
+        exact = (2.0 * normal_sf(_exact(centers, covs, q_lda, inverses))).tolist()
+    iu, ju = inverses.iu, inverses.ju
     columns = (iu, ju, q_lda, 2.0 * normal_sf(q_lda), 2.0 * normal_sf(_c2c(centers, covs)))
     return [OverlapReport(*row) for row in zip(*(c.tolist() for c in columns), exact)]
 

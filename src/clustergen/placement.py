@@ -21,12 +21,13 @@ every _STALL_EPOCHS epochs without a new best loss, so a descent that
 jumps across a narrow band and back settles into it.  Placement draws no
 random numbers; only the initial centers are random.
 
-Covariances stay fixed too, so each `optimize_centers` call inverts
-every pair's averaged covariance once, before the first epoch
-(`overlap.pair_inverses`: a Cholesky factor and its recursive triangular
-inverse at every d, a batch of pairs at a time), and every separation
-after that is a matrix-vector product.  The inverses take k(k-1)/2 * d^2
-floats: 56 MB at k=8, d=500.  A single cluster has no pairs, so its loss
+Covariances stay fixed too, so each `optimize_centers` call factors
+every pair's averaged covariance A once, before the first epoch
+(`overlap.pair_inverses`: A = LL' by Cholesky and W = L^{-1} by a
+recursive triangular inverse at every d, a batch of pairs at a time), and
+every LDA axis after that is two matrix-vector products, W'(W delta); no
+A^{-1} is formed.  The factors W take k(k-1)/2 * d^2 floats: 56 MB at
+k=8, d=500.  A single cluster has no pairs, so its loss
 is 0 and `optimize_centers` returns it as it is.
 """
 

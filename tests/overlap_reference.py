@@ -131,9 +131,11 @@ def monte_carlo_overlap(c1, c2, n: int, rng: np.random.Generator) -> MonteCarloO
     threshold equalizing the two empirical error rates, and returns twice
     that rate with a binomial standard error.
     """
-    covs = [mixture.covariance_of(c1), mixture.covariance_of(c2)]
-    _, axes = _lda(*_checked([c1.center, c2.center], covs))
-    axis = axes[0]
+    centers, covs = _checked(
+        [c1.center, c2.center], [mixture.covariance_of(c1), mixture.covariance_of(c2)]
+    )
+    _lda(centers, covs)  # refuses a variance along the axis that is not positive
+    axis = lda_axis(*centers, *covs)
     s1 = sample_cluster_points(c1, n, rng) @ axis
     s2 = sample_cluster_points(c2, n, rng) @ axis
     if s1.mean() > s2.mean():

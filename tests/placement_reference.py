@@ -9,7 +9,6 @@ clusters is the gradient every placement epoch steps down.
 import numpy as np
 
 from clustergen import placement
-from clustergen.overlap import pair_inverses
 from clustergen.placement import OverlapBounds, penalty
 
 
@@ -43,12 +42,14 @@ def lda_separations(mu, S, others_mu, others_S, inv_avg):
 
 
 def separations_of(centers, covs, i):
-    """(others, q, scaled axes) of cluster i against every other cluster."""
-    inverses = pair_inverses(covs)
+    """(others, q, scaled axes) of cluster i against every other cluster.
+
+    Each pair average is inverted on its own (`np.linalg.inv`), independent
+    of the packed factors that placement reads.
+    """
     others = others_of(len(centers))[i]
-    q, axes = lda_separations(
-        centers[i], covs[i], centers[others], covs[others], inverses.inv[inverses.pairs[i]]
-    )
+    inv_avg = np.linalg.inv(0.5 * (covs[i] + covs[others]))
+    q, axes = lda_separations(centers[i], covs[i], centers[others], covs[others], inv_avg)
     return others, q, axes
 
 

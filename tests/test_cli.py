@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -276,14 +278,27 @@ class TestValidateOverlap:
         alphas = [float(r.split(",")[3]) for r in rows[1:]]
         assert len(alphas) == 3  # 3 choose 2
         assert max(alphas) <= 0.05 + 1e-9
-        assert "max pairwise alpha_lda" in capsys.readouterr().out
+        assert "max pairwise alpha_lda" in capsys.readouterr().err
 
     def test_single_cluster_empty_report_with_note(self, tmp_path, capsys):
         arch_path = tmp_path / "solo.json"
         arch_path.write_text(json.dumps({"name": "solo", "n_clusters": 1}))
         code = cli.main(["validate-overlap", "--archetype", str(arch_path)])
         assert code == 0
-        assert "single-cluster" in capsys.readouterr().out
+        assert "single-cluster" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("exact", [[], ["--exact"]])
+    def test_stdout_holds_only_the_csv(self, tmp_path, capsys, exact):
+        # without --out, `> report.csv` keeps the header and one row per pair;
+        # the summary line goes to stderr
+        arch_path = tmp_path / "a.json"
+        arch_path.write_text(SMALL)
+        assert cli.main(["validate-overlap", "--archetype", str(arch_path), *exact]) == 0
+        out, err = capsys.readouterr()
+        rows = list(csv.reader(io.StringIO(out)))
+        assert rows[0] == ["i", "j", "q_lda", "alpha_lda", "alpha_c2c", "alpha_exact"]
+        assert len(rows) == 1 + 3 and {len(row) for row in rows} == {6}
+        assert err.startswith("summary: max pairwise alpha_lda=")
 
     def test_exact_flag_populates_oracle_column(self, tmp_path):
         arch_path = tmp_path / "a.json"

@@ -37,33 +37,34 @@ CASES = [
         },
         7,
         [],
-        "5a455eefd37a2493ad83852fe16d1412aa1b852efc1861be90d437a2bb19c0df",
-        "a22ea409dc14887e41e0835f0710b17bab383b543be10b9fa46ad89ef06f807d",
+        "517e0e7c0019dd5f6f35d51ef78d6bbce7e466e55d12072f7fb763a4232ed985",
+        "38f9f191ebdeba081a8c3a2a0b9289d3810ad33e1e2e11d4b928bca1c849678e",
     ),
     (
         {"name": "golden_wide", "n_clusters": 4, "dim": 40, "n_samples": 80, "scale": 2.0},
         3,
         [],
-        "05c4df4c1ef5f3ad8e793e01bf6c97546256da14b0efb53e910e55bbba13e637",
-        "0c277e6bae5d80e67ae9e23c908b825ca93de95387479854d38873cb8bf79b5b",
+        "baf87d8f5a4e97a98ea421d7b48a3a53fb50a856dcd75d166873cc2023c707a0",
+        "4a41feb10bd536d95d8a19d5473819962619482ad0e4fa398605aa646cde906f",
     ),
     (
-        # dim 200: pair inverses from a four-level triangular inverse, through 2 placement epochs
+        # dim 200: pair factors W = L^{-1} from a four-level triangular inverse, and LDA axes
+        # W'(W delta), through 2 placement epochs
         {
             "name": "golden_high", "n_clusters": 5, "dim": 200, "n_samples": 100,
             "aspect_ref": 2.0, "aspect_maxmin": 2.0, "radius_maxmin": 2.0,
         },
         0,
         [],
-        "819ab251d7fa1cdf2562ab722360f16db152bbc8f5edadacaf212a1896e9c208",
-        "950d4649f180663d34d1b427119f454828ae6ad9465f1848048cf5bcfe5ecb36",
+        "18694bf0ff78ada043bd9a71a579bc127dbe8581505e07eb6616619a1cb9ec2d",
+        "4cb91c2c6bd22ff547d65259759a24d7fe3ffb0184d3c56ed009c30195567d88",
     ),
     (
         {"name": "golden_bent", "n_clusters": 3, "dim": 3, "n_samples": 120},
         11,
         ["--distort", "--wrap"],
-        "c3aa73dfc466768f4afbbb7b21526eb0ab0327a266f73e234d1c896a7b22ef40",
-        "5f482d2ea91f57fbc9a4b06d783e37bdfc4a1d0a0e54c05b5be2f35cf6674257",
+        "20c2e61ec205a5b9cffd302b49dcd0b66b081b0b050e7aeefaf92dfbefea0edf",
+        "932c4ca52bb2523baac7c452b480c41415b0661e43b9f91329dee6acf06df88b",
     ),
 ]
 

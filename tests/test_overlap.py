@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -148,11 +149,11 @@ def assert_as_accurate_as_lu(dim, cond):
         for j, r in enumerate(rng.uniform(0.25, 4.0, 4))
     ])
     inverses = pair_inverses(covs)
-    inv = inverses.inv
+    w = inverses.whitening
     mean = 0.5 * (covs[inverses.iu] + covs[inverses.ju])
-    assert np.array_equal(inv, inv.transpose(0, 2, 1))
-    # Frobenius norms over the whole stack of pairs
-    residual = np.linalg.norm(mean @ inv - np.eye(dim))
+    assert np.array_equal(w, np.tril(w))
+    # W whitens the pair average, W A W' = I; Frobenius norms over the whole stack of pairs
+    residual = np.linalg.norm(w @ mean @ w.transpose(0, 2, 1) - np.eye(dim))
     assert residual <= 10.0 * np.linalg.norm(mean @ np.linalg.inv(mean) - np.eye(dim))
 
 
@@ -205,15 +206,15 @@ class TestPairInverses:
         half = pair_inverses(covs[:6])
         in_half = {(i, j): p for p, (i, j) in enumerate(zip(half.iu, half.ju))}
         for p, (i, j) in enumerate(zip(whole.iu, whole.ju)):
-            assert np.array_equal(pair_inverses(covs[[i, j]]).inv[0], whole.inv[p])
+            assert np.array_equal(pair_inverses(covs[[i, j]]).whitening[0], whole.whitening[p])
             if (i, j) in in_half:
-                assert np.array_equal(half.inv[in_half[i, j]], whole.inv[p])
+                assert np.array_equal(half.whitening[in_half[i, j]], whole.whitening[p])
         monkeypatch.setattr(overlap, "_BATCH_FLOATS", 1)  # batches of k-1 = 11 pairs, across rows
-        assert np.array_equal(pair_inverses(covs).inv, whole.inv)
+        assert np.array_equal(pair_inverses(covs).whitening, whole.whitening)
 
     def test_single_cluster_gives_empty_stacks(self):
         inverses = pair_inverses(np.eye(3)[None])
-        assert inverses.inv.shape == (0, 3, 3)
+        assert inverses.whitening.shape == (0, 3, 3)
         assert inverses.iu.size == inverses.ju.size == 0
         assert inverses.pairs.shape == (1, 0)
         assert list(overlap._pair_averages(np.eye(3)[None])) == []
@@ -225,14 +226,14 @@ class TestPairInverses:
         covs = np.stack([random_cov(dim, rng) for _ in range(k)])
         tracemalloc.start()
         try:
-            inv = pair_inverses(covs).inv
+            whitening = pair_inverses(covs).whitening
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         # one batch's averages and factor, and the next batch's averages as
         # they are formed: three stacks of a batch, against 20 for all pairs
         batch_bytes = (k - 1) * dim * dim * 8
-        assert peak - inv.nbytes < 4 * batch_bytes
+        assert peak - whitening.nbytes < 4 * batch_bytes
 
 
 class TestCachedPairKernel:
@@ -359,7 +360,7 @@ class TestExactOracle:
     @staticmethod
     def exact_q(mu1, mu2, S1, S2):
         centers, covs = overlap._checked([mu1, mu2], [S1, S2])
-        return overlap._exact(centers, covs, overlap._lda(centers, covs)[0])[0]
+        return overlap._exact(centers, covs, *overlap._lda(centers, covs))[0]
 
     def test_singular_covariances_with_regular_average(self):
         # each pair is whitened by its average, which is regular, not by
@@ -391,10 +392,10 @@ class TestExactOracle:
         # take more than the whole search may
         model = random_model(400, 2, np.random.default_rng(400))
         centers, covs = overlap._checked(model.centers, model.covariances())
-        q_lda = overlap._lda(centers, covs)[0]
+        q_lda, inverses = overlap._lda(centers, covs)
         tracemalloc.start()
         try:
-            overlap._exact(centers, covs, q_lda)
+            overlap._exact(centers, covs, q_lda, inverses)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -447,6 +448,22 @@ class TestPairwiseReports:
         rows = overlap_report_rows(reports)
         assert rows[0].split(",") == ["i", "j", "q_lda", "alpha_lda", "alpha_c2c", "alpha_exact"]
         assert len(rows) == 4
+
+    def test_exact_column_leaves_the_others_bit_identical(self):
+        model = random_model(12, 64, np.random.default_rng(65))
+        plain = pairwise_overlaps(model)
+        exact = pairwise_overlaps(model, include_exact=True)
+        assert [replace(r, alpha_exact=None) for r in exact] == plain
+
+    def test_exact_report_factors_each_pair_batch_once(self, monkeypatch):
+        # k = 12 at dim 64: 66 pairs in batches of 32, 32 and 2, which the
+        # LDA axes and the exact oracle share
+        model = random_model(12, 64, np.random.default_rng(64))
+        cholesky, batches = np.linalg.cholesky, []
+        monkeypatch.setattr(overlap.np.linalg, "cholesky",
+                            lambda a: batches.append(len(a)) or cholesky(a))
+        pairwise_overlaps(model, include_exact=True)
+        assert batches == [32, 32, 2]
 
     def test_coincident_centers_rejected(self):
         clusters = [spherical_cluster(c, 1.0, 2) for c in ([0, 0], [3, 0], [0, 0])]

@@ -11,6 +11,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -26,10 +27,11 @@ PROPERTY = settings(deadline=None, derandomize=True, database=None)
 # realized overlaps may miss the band by what placement's 1e-12 loss slack allows
 BAND_RTOL = 1e-6
 
-# k=3 at max_overlap 1e-7 with elongated clusters: placement gives up on every seed tried
+# four clusters of aspect ratio up to 1000 in a band of overlap ratio 0.9997:
+# placement gives up at seed 0 (test_non_converging_example_fails_at_seed_0)
 NON_CONVERGING = Archetype(
-    name="nc", n_clusters=3, dim=2, max_overlap=1e-7, min_overlap=9.9e-8,
-    aspect_ref=8.0, aspect_maxmin=5.0,
+    name="nc", n_clusters=4, dim=2, max_overlap=0.3, min_overlap=0.2999,
+    aspect_ref=1000.0, aspect_maxmin=1000.0, radius_maxmin=100.0,
 )
 WIDEST = Archetype(name="wide", n_clusters=2, dim=1100, n_samples=2)
 # a spherical reference with spread once drew an aspect ratio of 1 - 2**-53
@@ -85,6 +87,12 @@ def assert_in_band_or_nonconvergent(a, seed):
     assert np.nanmax(alphas) <= a.max_overlap * (1 + BAND_RTOL)
     # no isolated cluster: each one's nearest neighbour overlaps it enough
     assert np.nanmax(alphas, axis=1).min() >= a.min_overlap * (1 - BAND_RTOL)
+
+
+def test_non_converging_example_fails_at_seed_0():
+    # keeps @example(NON_CONVERGING, 0) on the property's NonConvergenceError branch
+    with pytest.raises(NonConvergenceError):
+        sample_mixture_model(NON_CONVERGING, np.random.default_rng(0))
 
 
 @settings(PROPERTY, max_examples=80)
