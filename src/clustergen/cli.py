@@ -217,11 +217,9 @@ def _svg_scatter(dataset: Dataset) -> str:
 def cmd_plot(args) -> int:
     dataset = dataset_from_csv(args.dataset)
     if dataset.dim != 2:
-        raise ArchetypeValidationError(
-            [
-                f"plot requires 2-D data, got dim={dataset.dim}; "
-                "dimensionality reduction is out of scope"
-            ]
+        raise ValueError(
+            f"plot requires 2-D data, got dim={dataset.dim}; "
+            "dimensionality reduction is out of scope"
         )
     _write_text(args.out, _svg_scatter(dataset))
     print(f"wrote {args.out}")

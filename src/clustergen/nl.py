@@ -137,10 +137,12 @@ def complete(prompt: str, config: ClientConfig | None = None, transport=None) ->
         if status != 200:
             raise NLNetworkError(f"API returned HTTP {status}: {body[:500]}")
         try:
-            parsed = json.loads(body)
-            return parsed["choices"][0]["message"]["content"]
+            content = json.loads(body)["choices"][0]["message"]["content"]
         except (json.JSONDecodeError, KeyError, IndexError, TypeError) as exc:
             raise NLParseError(f"malformed API response: {exc}", body)
+        if not isinstance(content, str):
+            raise NLParseError(f"malformed API response: content is {content!r}", body)
+        return content
     if retry_trace and retry_trace[-1].endswith("HTTP 429"):
         raise NLRateLimitError(f"rate-limited on all {_ATTEMPTS} attempts", retry_trace)
     raise NLNetworkError(f"transport failed on all {_ATTEMPTS} attempts: {retry_trace}")

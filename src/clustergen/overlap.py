@@ -10,14 +10,16 @@ and the induced overlap is 2*(1 - Phi(q)).  Three estimators are provided.
 The LDA approximation (axis ((S1+S2)/2)^{-1} (mu2 - mu1)) and the cheaper
 center-to-center approximation (axis mu2 - mu1) evaluate one batched pair
 kernel along their own axes (`_table_separations`).  The exact oracle for
-Gaussian pairs maximizes q over the one-parameter axis family
-a(t) = (t*S1 + (1-t)*S2)^{-1} (mu2 - mu1), t in (0, 1): with the LDA's
-factor of each pair it finds a basis that diagonalizes both covariances,
-and there every q(t) of its search is a sum of d terms.  One factor per
-pair, W = L^{-1} for (S1+S2)/2 = LL', serves LDA, placement and the oracle;
-no inverse of a pair average is formed.  All three run over every pair at
-once, the single-pair functions being the k = 2 case, and all refuse the
-same inputs (`_checked`, `_finite`).
+Gaussian pairs takes the member of the axis family
+a(t) = (t*S1 + (1-t)*S2)^{-1} (mu2 - mu1) at which q is stationary,
+t*s1 = (1-t)*s2 with s = sqrt(a'S a): a unique root in t, found by
+bisection, which reaches an end of (0, 1) only when a covariance is
+singular.  With the LDA's factor of each pair it works in a basis that
+diagonalizes both covariances, where s1, s2 and q are sums of d terms.
+One factor per pair, W = L^{-1} for (S1+S2)/2 = LL', serves LDA,
+placement and the oracle; no inverse of a pair average is formed.  Every
+estimator is one checked pass over every pair at once (`_reports`), the
+single-pair functions being its k = 2 case, so all refuse the same inputs.
 """
 
 from __future__ import annotations
@@ -31,9 +33,10 @@ from .stats import normal_sf
 _MAX_CONDITION = 1e12
 _BATCH_FLOATS = 1 << 17  # floats of a pair stack formed at once, unless k-1 pairs take more
 _LEAF_DIM = 16  # diagonal blocks of a triangular inverse this small: forward substitution
-_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
-_EXACT_GRID = 1.0 / (1.0 + np.exp(-np.linspace(-12.0, 12.0, 64)))  # log-symmetric in t-odds
-_EXACT_TOL = 1e-6
+# halvings of (0, 1) in the oracle: t ends within 2^-41 (4.5e-13) of the root,
+# where q is stationary, so its error there is below rounding; a supremum at an
+# end of (0, 1), which a singular covariance allows, is met to about 2^-41 relative
+_BISECTIONS = 40
 
 
 @dataclass(frozen=True)
@@ -190,29 +193,6 @@ def _checked(centers, covs):
     return centers, covs
 
 
-def _finite(q):
-    """q, unless some variance along an axis was not positive."""
-    if not np.all(np.isfinite(q)):
-        raise ValueError("covariance matrices must be symmetric positive definite")
-    return q
-
-
-@np.errstate(invalid="ignore", divide="ignore")
-def _lda(centers, covs):
-    """(q, pair factors): q along the LDA axis of every checked pair i < j, and the W it used."""
-    inverses = pair_inverses(covs)
-    return _finite(pairwise_separations(centers, covs, inverses)[0]), inverses
-
-
-@np.errstate(invalid="ignore", divide="ignore")
-def _c2c(centers, covs):
-    """q along the center-difference axis of every checked pair i < j."""
-    iu, ju = np.triu_indices(centers.shape[0], 1)
-    delta = centers[ju] - centers[iu]
-    return _finite(_table_separations(delta, covs, iu, ju, delta)[0])
-
-
-@np.errstate(invalid="ignore", divide="ignore")
 def _exact(centers, covs, q_lda, inverses):
     """Largest q over the axis family a(t) of every checked pair i < j.
 
@@ -220,68 +200,35 @@ def _exact(centers, covs, q_lda, inverses):
     the LDA's factor W = L^{-1} of (S_i + S_j)/2 = LL', W S_i W' = V diag(m) V',
     so W S_j W' = V diag(2 - m) V' as W (S_i + S_j) W' = 2I.  Then, with
     g = V'W(mu_j - mu_i) and D = t*m + (1-t)*(2 - m), a(t)'delta = sum g^2/D,
-    a(t)'S_i a(t) = sum m g^2/D^2 and a(t)'S_j a(t) = sum (2 - m) g^2/D^2, so
-    each q(t) is a sum of d terms.  All pairs are searched in lockstep, on 2d
-    floats per pair: the 64-point grid brackets each pair's maximum (keeping
-    only the best point so far), and golden-section search narrows every
-    bracket to _EXACT_TOL, evaluating again only the pairs whose bracket is
-    still wider.  The LDA axis is the t = 1/2 member, so no q falls below q_lda.
+    s_i^2 = a(t)'S_i a(t) = sum m g^2/D^2 and s_j^2 = sum (2 - m) g^2/D^2, each a
+    sum of d terms.  The maximum is the member with t*s_i = (1-t)*s_j (see
+    `exact_overlap_oracle`), below which t*s_i - (1-t)*s_j is negative and
+    above which positive: every pair's root is bisected on that sign in
+    lockstep, _BISECTIONS halvings of (0, 1) on 3d floats per pair, and q is
+    evaluated once, in the middle of each final interval.  The LDA axis is
+    the t = 1/2 member, so no q falls below q_lda.  With m clipped to [0, 2]
+    every D is positive and every q finite, so the oracle refuses nothing.
     """
-    bases = [np.empty((2, 0, centers.shape[1]))]  # an empty batch keeps k = 1 concatenable
+    m, g2 = np.empty((2, q_lda.size, centers.shape[1]))
     for rows, i, j in _pair_batches(*centers.shape):
         w = inverses.whitening[rows]
-        m, v = np.linalg.eigh(w @ covs[i] @ w.transpose(0, 2, 1))
-        g = (centers[j] - centers[i])[:, None, :] @ w.transpose(0, 2, 1) @ v
-        bases.append(np.stack([m, g[:, 0] ** 2]))
-    m, g2 = np.concatenate(bases, axis=1)
+        m[rows], v = np.linalg.eigh(w @ covs[i] @ w.transpose(0, 2, 1))
+        g2[rows] = ((centers[j] - centers[i])[:, None, :] @ w.transpose(0, 2, 1) @ v)[:, 0] ** 2
+    m.clip(0.0, 2.0, out=m)  # W S_i W' and 2I - W S_i W' are positive semidefinite
+    mj = 2.0 - m
 
-    def q_at(t, rows=slice(None)):
-        mi, mj = m[rows], 2.0 - m[rows]
-        d = t[:, None] * mi + (1.0 - t)[:, None] * mj
-        h = g2[rows] / d
-        return h.sum(axis=1) / (np.sqrt(_rowdot(h, mi / d)) + np.sqrt(_rowdot(h, mj / d)))
+    def deviations(t):
+        """(g^2/D, s_i, s_j) of every pair's a(t)."""
+        d = t[:, None] * m + (1.0 - t)[:, None] * mj
+        h = g2 / d
+        return h, np.sqrt(_rowdot(h, m / d)), np.sqrt(_rowdot(h, mj / d))
 
-    best, at = np.full(q_lda.size, -np.inf), np.zeros(q_lda.size, dtype=np.intp)
-    for step, t in enumerate(_EXACT_GRID):
-        value = _finite(q_at(np.full(q_lda.size, t)))
-        at[value > best] = step  # the first of equal values, as argmax picks
-        best = np.maximum(best, value)
-    a, b = _EXACT_GRID[np.clip([at - 1, at + 1], 0, _EXACT_GRID.size - 1)]
-    x1, x2 = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
-    f1, f2 = q_at(x1), q_at(x2)
-    while (rows := np.flatnonzero(b - a > _EXACT_TOL)).size:
-        up = f1[rows] < f2[rows]  # the maximum lies above x1
-        lo, hi = rows[up], rows[~up]
-        a[lo], x1[lo], f1[lo] = x1[lo], x2[lo], f2[lo]
-        b[hi], x2[hi], f2[hi] = x2[hi], x1[hi], f1[hi]
-        x2[lo] = a[lo] + _GOLDEN * (b[lo] - a[lo])
-        x1[hi] = b[hi] - _GOLDEN * (b[hi] - a[hi])
-        f = q_at(np.where(up, x2[rows], x1[rows]), rows)
-        f2[lo], f1[hi] = f[up], f[~up]
-    return _finite(np.maximum.reduce([f1, f2, best, q_lda]))
-
-
-def lda_overlap(mu1, mu2, S1, S2) -> float:
-    """Overlap along the LDA axis: 2*(1 - Phi(q))."""
-    return float(2.0 * normal_sf(_lda(*_checked([mu1, mu2], [S1, S2]))[0][0]))
-
-
-def c2c_overlap(mu1, mu2, S1, S2) -> float:
-    """Overlap along the center-difference axis."""
-    return float(2.0 * normal_sf(_c2c(*_checked([mu1, mu2], [S1, S2]))[0]))
-
-
-def exact_overlap_oracle(mu1, mu2, S1, S2) -> float:
-    """Exact overlap for a Gaussian pair.
-
-    The minimax axis lies in the family a(t) = (t*S1 + (1-t)*S2)^{-1} delta
-    for some t in (0,1), where it maximizes the separation quantile.  A
-    64-point grid (log-symmetric in t-odds) brackets the maximum and
-    golden-section search refines t to within 1e-6.  The LDA axis is the
-    t = 1/2 member, so the result never falls below the LDA quantile.
-    """
-    centers, covs = _checked([mu1, mu2], [S1, S2])
-    return float(2.0 * normal_sf(_exact(centers, covs, *_lda(centers, covs))[0]))
+    t = np.full(q_lda.size, 0.5)  # the middle of each pair's interval, all of width 2^-step
+    for step in range(_BISECTIONS):
+        _, s_i, s_j = deviations(t)
+        t += np.copysign(0.5 ** (step + 2), (1.0 - t) * s_j - t * s_i)
+    h, s_i, s_j = deviations(t)
+    return np.maximum(h.sum(axis=1) / (s_i + s_j), q_lda)
 
 
 @dataclass(frozen=True)
@@ -296,16 +243,63 @@ class OverlapReport:
     alpha_exact: float | None = None
 
 
-def pairwise_overlaps(model, include_exact: bool = False) -> list[OverlapReport]:
-    """All pairwise overlap reports for a mixture model, from one pass of each estimator."""
-    centers, covs = _checked(model.centers, model.covariances())
-    q_lda, inverses = _lda(centers, covs)
+@np.errstate(invalid="ignore", divide="ignore")
+def _reports(centers, covs, include_exact=False) -> list[OverlapReport]:
+    """One report per pair i < j, in `np.triu_indices` order: every estimator's one path.
+
+    The inputs are checked (`_checked`) and every pair factored once
+    (`pair_inverses`); one kernel evaluates the LDA and center-difference
+    axes (`_table_separations`), and the exact oracle, if asked, reads the
+    LDA's factors and quantiles.  A variance along either axis that is not
+    positive (a q that is not finite) refuses the whole input.
+    """
+    centers, covs = _checked(centers, covs)
+    inverses = pair_inverses(covs)
+    iu, ju = inverses.iu, inverses.ju
+    delta = centers[ju] - centers[iu]
+    q_lda = pairwise_separations(centers, covs, inverses)[0]
+    q_c2c = _table_separations(delta, covs, iu, ju, delta)[0]
+    if not np.all(np.isfinite([q_lda, q_c2c])):
+        raise ValueError("covariance matrices must be symmetric positive definite")
     exact = [None] * q_lda.size
     if include_exact:
         exact = (2.0 * normal_sf(_exact(centers, covs, q_lda, inverses))).tolist()
-    iu, ju = inverses.iu, inverses.ju
-    columns = (iu, ju, q_lda, 2.0 * normal_sf(q_lda), 2.0 * normal_sf(_c2c(centers, covs)))
+    columns = (iu, ju, q_lda, 2.0 * normal_sf(q_lda), 2.0 * normal_sf(q_c2c))
     return [OverlapReport(*row) for row in zip(*(c.tolist() for c in columns), exact)]
+
+
+def lda_overlap(mu1, mu2, S1, S2) -> float:
+    """Overlap along the LDA axis: 2*(1 - Phi(q))."""
+    return _reports([mu1, mu2], [S1, S2])[0].alpha_lda
+
+
+def c2c_overlap(mu1, mu2, S1, S2) -> float:
+    """Overlap along the center-difference axis."""
+    return _reports([mu1, mu2], [S1, S2])[0].alpha_c2c
+
+
+def exact_overlap_oracle(mu1, mu2, S1, S2) -> float:
+    """Exact overlap for a Gaussian pair.
+
+    The minimax axis maximizes q(a), a linear function over the norm
+    s_1 + s_2, s = sqrt(a'S a).  There grad q = 0 gives
+    (S1/s_1 + S2/s_2) a proportional to delta = mu2 - mu1: the member of the
+    family a(t) = (t*S1 + (1-t)*S2)^{-1} delta with t*s_1(t) = (1-t)*s_2(t)
+    (Anderson & Bahadur, 1962).  That root is unique: at any root a(t) is a
+    stationary point of q, so a maximum (on the plane a'delta = 1, 1/q is the
+    convex s_1 + s_2), the maximizing direction is unique when S1 or S2 is
+    positive definite, and it fixes t/(1-t) = s_2/s_1.  Bisection finds t to
+    within 2^-41.  When a covariance is singular, the supremum can lie at an
+    end of (0, 1), approached but not attained, and the bisection ends
+    there.  The LDA axis is the t = 1/2 member, so the result never falls
+    below the LDA quantile.
+    """
+    return _reports([mu1, mu2], [S1, S2], include_exact=True)[0].alpha_exact
+
+
+def pairwise_overlaps(model, include_exact: bool = False) -> list[OverlapReport]:
+    """All pairwise overlap reports for a mixture model, from one pass of each estimator."""
+    return _reports(model.centers, model.covariances(), include_exact)
 
 
 def overlap_report_rows(reports) -> list[str]:

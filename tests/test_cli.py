@@ -433,6 +433,18 @@ class TestNlCommand:
         code = cli.main(["nl", "some description"])
         assert code == 3
 
+    @pytest.mark.parametrize("content", [None, 7, ["ok_name"]], ids=["null", "number", "list"])
+    def test_reply_without_text_exits_3(self, fake_transport_factory, monkeypatch, capsys,
+                                        content):
+        transport = fake_transport_factory({"identifier": content, "params": "{}"})
+        monkeypatch.setattr("clustergen.nl._http_transport", transport)
+        monkeypatch.setenv("CLUSTERGEN_API_KEY", "test")
+        code = cli.main(["nl", "some description"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed API response: content is ")
+        assert err.count("\n") == 1
+
 
 class TestPlot:
     def _write_dataset(self, tmp_path, n=30):
@@ -458,6 +470,15 @@ class TestPlot:
         code = cli.main(["plot", str(csv_path), str(tmp_path / "o.svg")])
         assert code == 1
         assert "2-D" in capsys.readouterr().err
+
+    def test_three_columns_are_not_an_archetype_error(self, tmp_path, capsys):
+        csv_path = tmp_path / "three.csv"
+        csv_path.write_text("x1,x2,x3,label\n0.5,1.5,2.5,0\n1.0,2.0,3.0,1\n")
+        code = cli.main(["plot", str(csv_path), str(tmp_path / "o.svg")])
+        assert code == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: plot requires 2-D data, got dim=3")
+        assert "invalid archetype" not in err
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_value_exits_1_without_svg(self, tmp_path, capsys, value):

@@ -360,13 +360,47 @@ class TestExactOracle:
     @staticmethod
     def exact_q(mu1, mu2, S1, S2):
         centers, covs = overlap._checked([mu1, mu2], [S1, S2])
-        return overlap._exact(centers, covs, *overlap._lda(centers, covs))[0]
+        inverses = pair_inverses(covs)
+        q_lda = pairwise_separations(centers, covs, inverses)[0]
+        return overlap._exact(centers, covs, q_lda, inverses)[0]
 
     def test_singular_covariances_with_regular_average(self):
         # each pair is whitened by its average, which is regular, not by
-        # S2, which has no Cholesky factor here
+        # S2, which has no Cholesky factor here.  Along a = (a1, a2),
+        # q = (a1 + 2 a2) / (|a1| + |a2|), whose supremum 2 the family
+        # approaches only as t -> 1
         pair = (np.zeros(2), np.array([1.0, 2.0]), np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
-        assert self.exact_q(*pair) == pytest.approx(exact_quantile(*pair), rel=1e-12)
+        assert self.exact_q(*pair) == pytest.approx(2.0, rel=1e-12)
+
+    @staticmethod
+    def hard_pair(seed):
+        """A pair of dim 2-8: regular, with a singular covariance, or averaging to condition ~1e12."""
+        rng = np.random.default_rng(seed)
+        dim = int(rng.integers(2, 9))
+        kind = seed % 4
+        if kind == 0:
+            return random_pair(dim, rng, max_aspect=100.0)
+        mu1, mu2 = rng.standard_normal(dim), rng.standard_normal(dim)
+        if kind == 1:  # S1 has a null space, S2 is regular
+            lengths = rng.uniform(0.5, 2.0, dim)
+            lengths[: rng.integers(1, dim)] = 0.0
+            return mu1, mu2, np.diag(rng.permutation(lengths)), random_cov(dim, rng)
+        if kind == 2:  # both singular, on complementary coordinates
+            zero = rng.permutation(dim) < dim // 2
+            return mu1, mu2, np.diag(np.where(zero, 0.0, 1.0)), np.diag(np.where(zero, 1.0, 0.5))
+        # as in test_matches_40_digit_search_at_condition_near_1e12
+        low = np.diag(np.sqrt(np.geomspace(1.0, 1.0 / 0.99e12, dim)))
+        v = sample_orientation(dim, rng, 1)[0]
+        b = (v * rng.uniform(0.01, 1.99, dim)) @ v.T
+        s1, s2 = (low @ c @ low for c in (b, 2.0 * np.eye(dim) - b))
+        return mu1, mu1 + 2.0 * low @ rng.standard_normal(dim), 0.5 * (s1 + s1.T), 0.5 * (s2 + s2.T)
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_never_below_the_grid_search(self, seed):
+        # the grid and golden-section search of overlap_reference is an
+        # independent algorithm over t in [logistic(-12), logistic(12)]
+        pair = self.hard_pair(seed)
+        assert self.exact_q(*pair) >= exact_quantile(*pair) * (1.0 - 1e-12)
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_matches_40_digit_search_at_condition_near_1e12(self, seed):
@@ -388,18 +422,20 @@ class TestExactOracle:
         assert q == pytest.approx(exact_quantile_mp(mu1, mu2, s1, s2), rel=1e-9)
 
     def test_search_keeps_no_grid_of_every_pair(self):
-        # a running maximum over the grid: 64 values of every pair would
-        # take more than the whole search may
-        model = random_model(400, 2, np.random.default_rng(400))
+        # the bisection holds a few d-vectors of every pair at a time, about
+        # 11 at d = 2; keeping a value of every pair per step would not fit
+        k, dim = 400, 2
+        model = random_model(k, dim, np.random.default_rng(400))
         centers, covs = overlap._checked(model.centers, model.covariances())
-        q_lda, inverses = overlap._lda(centers, covs)
+        inverses = pair_inverses(covs)
+        q_lda = pairwise_separations(centers, covs, inverses)[0]
         tracemalloc.start()
         try:
             overlap._exact(centers, covs, q_lda, inverses)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < overlap._EXACT_GRID.size * q_lda.nbytes
+        assert peak < 16 * q_lda.size * dim * 8
 
 
 def spherical_cluster(center, sigma, dim, family="normal"):
@@ -555,11 +591,13 @@ class TestRefusals:
             (([0, 0], [1, 0], np.diag([1.0, 0.0]), np.diag([1.0, 0.0])), "singular"),
             (([0, 0], [1, 0], CONDITION_2E12, CONDITION_2E12), "singular"),
             (([0, 0], [0, 1], np.diag([1.0, -0.5]), np.eye(2)), "positive definite"),
+            # positive along the center difference, negative along the LDA axis
+            (([0, 0], [1, 1.2], np.diag([1.0, -0.5]), np.diag([1.0, 2.0])), "positive definite"),
             (([0, np.nan], [1, 1], np.eye(2), np.eye(2)), "centers must be finite"),
             (([0, 0], [np.inf, 1], np.eye(2), np.eye(2)), "centers must be finite"),
         ],
-        ids=["coincident", "singular", "condition-2e12", "indefinite", "nan-center",
-             "inf-center"],
+        ids=["coincident", "singular", "condition-2e12", "indefinite", "indefinite-lda-axis",
+             "nan-center", "inf-center"],
     )
     def test_refused(self, name, pair, match):
         with pytest.raises(ValueError, match=match):
