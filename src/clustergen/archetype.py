@@ -126,14 +126,25 @@ _SCALE_RANGE = (1e-100, 1e100)  # placement's arithmetic stays finite inside it
 # Largest aspect ratio a cluster may be drawn with: aspect² is its
 # covariance's condition number, which overlap refuses above 1e12.
 _ASPECT_MAX = math.sqrt(_MAX_CONDITION)  # exactly 1e6
+# Largest n_clusters, dim or n_samples: every count up to it is exact in
+# float64, so sizes drawn as floats still sum to n_samples.
+_MAX_COUNT = 2**53
 
 
 def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _is_finite(value) -> bool:
-    return _is_number(value) and math.isfinite(value)
+    """A number that is finite as a float; an int too large for one is not."""
+    try:
+        return _is_number(value) and math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def validate_archetype(a: Archetype) -> list[str]:
@@ -144,14 +155,18 @@ def validate_archetype(a: Archetype) -> list[str]:
     v: list[str] = []
     if not isinstance(a.name, str) or not _IDENTIFIER_RE.match(a.name):
         v.append(f"name {a.name!r} is not a valid identifier")
-    if not (isinstance(a.n_clusters, int) and not isinstance(a.n_clusters, bool)) or a.n_clusters < 1:
+    if not _is_int(a.n_clusters) or a.n_clusters < 1:
         v.append(f"n_clusters must be a positive integer, got {a.n_clusters!r}")
-    if not (isinstance(a.dim, int) and not isinstance(a.dim, bool)) or a.dim < 2:
+    if not _is_int(a.dim) or a.dim < 2:
         v.append(f"dim must be an integer >= 2, got {a.dim!r}")
-    if not (isinstance(a.n_samples, int) and not isinstance(a.n_samples, bool)) or a.n_samples < 1:
+    if not _is_int(a.n_samples) or a.n_samples < 1:
         v.append(f"n_samples must be a positive integer, got {a.n_samples!r}")
-    elif isinstance(a.n_clusters, int) and a.n_samples < a.n_clusters:
+    elif _is_int(a.n_clusters) and a.n_samples < a.n_clusters <= _MAX_COUNT:
         v.append(f"n_samples={a.n_samples} cannot cover n_clusters={a.n_clusters}")
+    for key in ("n_clusters", "dim", "n_samples"):
+        value = getattr(a, key)
+        if _is_int(value) and value > _MAX_COUNT:
+            v.append(f"{key} must be at most 2**53 = {_MAX_COUNT}, got {value!r}")
     if not _is_finite(a.aspect_ref) or not a.aspect_ref >= 1:
         v.append(f"aspect_ref must be finite and >= 1, got {a.aspect_ref!r}")
     if not _is_finite(a.aspect_maxmin) or not a.aspect_maxmin >= 1:
@@ -359,9 +374,9 @@ def sample_hyperparams(
     """Poisson-resample n_clusters/dim/n_samples around the originals.
 
     Each hyperparameter is redrawn from a Poisson centered on its current
-    value and rejection-sampled into the caller's bounds; n_clusters is also
-    kept at or below the n_samples maximum, and n_samples at or above the
-    variant's n_clusters.
+    value and rejection-sampled into the caller's bounds and below 2**53, the
+    validation cap; n_clusters is also kept at or below the n_samples
+    maximum, and n_samples at or above the variant's n_clusters.
     """
     if bounds is not None and not isinstance(bounds, dict):
         raise ValueError(f"bounds must map hyperparameter names to [min, max], got {bounds!r}")
@@ -386,7 +401,7 @@ def sample_hyperparams(
     def draw(key: str, floor: int, ceiling=np.inf) -> int:
         center = getattr(a, key)
         lo, hi = bounds.get(key, (floor, np.inf))
-        lo, hi = max(lo, floor), min(hi, ceiling)
+        lo, hi = max(lo, floor), min(hi, ceiling, _MAX_COUNT)
         for _ in range(_MAX_ATTEMPTS):
             value = int(rng.poisson(center))
             if lo <= value <= hi:

@@ -1,7 +1,11 @@
 """Command-line interface: generate, validate-overlap, nl, plot, bench, hyperparams.
 
 Exit codes are a stable contract: 0 success, 1 validation failure
-(usage errors included), 2 convergence failure, 3 NL/API failure.
+(usage errors, write failures and memory failures included), 2
+convergence failure, 3 NL/API failure.  `generate` and `bench` record a
+failed dataset (see `_FAILURES`), keep every other dataset's output and
+exit with the largest code.  `nl --dry-run` prints the "params" and
+"identifier" prompts without any network traffic.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from .archetype import Archetype, load_archetypes_jsonl, sample_hyperparams
 from .errors import ArchetypeValidationError, NLError, NonConvergenceError
 from .metrics import evaluate_dataset
 from .mixture import MixtureModel, sample_mixture_model
-from .nl import ClientConfig, TemplateKind, describe_to_archetype, render_prompt
+from .nl import ClientConfig, describe_to_archetype, render_prompt
 from .overlap import overlap_report_rows, pairwise_overlaps
 from .postprocess import distort, wrap_around_sphere
 from .sampling import Dataset, dataset_from_csv, dataset_to_csv, sample_dataset
@@ -60,6 +64,23 @@ def _write_text(path: str, text: str) -> None:
     _write_atomic(path, lambda tmp: pathlib.Path(tmp).write_text(text, encoding="utf-8"))
 
 
+# The exceptions that fail one dataset, with its manifest status and exit
+# code; `generate` and `bench` record them and go on with the other datasets.
+_FAILURES = (
+    (NonConvergenceError, "convergence-failure", EXIT_CONVERGENCE),
+    (MemoryError, "memory-failure", EXIT_VALIDATION),
+    (OSError, "write-failure", EXIT_VALIDATION),  # the dataset's CSV could not be written
+    (ArchetypeValidationError, "validation-failure", EXIT_VALIDATION),
+    (ValueError, "validation-failure", EXIT_VALIDATION),
+)
+_FAILURE_TYPES = tuple(kind for kind, _, _ in _FAILURES)
+
+
+def _failure(exc: BaseException) -> tuple[str, int]:
+    """(manifest status, exit code) of an exception in `_FAILURE_TYPES`."""
+    return next((status, code) for kind, status, code in _FAILURES if isinstance(exc, kind))
+
+
 def _generate_one(a: Archetype, index, seed, out_dir, do_distort, do_wrap):
     """Worker: one dataset from one archetype, as (manifest entry, exit code).
 
@@ -85,12 +106,9 @@ def _generate_one(a: Archetype, index, seed, out_dir, do_distort, do_wrap):
         dataset = Dataset(points, dataset.labels, dataset.archetype_name)
         path = os.path.join(out_dir, f"{a.name}_{index:03d}.csv")
         _write_atomic(path, lambda tmp: dataset_to_csv(dataset, tmp))
-    except NonConvergenceError as exc:
-        return {**entry, "status": "convergence-failure", "error": str(exc)}, EXIT_CONVERGENCE
-    except OSError as exc:  # the dataset's CSV could not be written
-        return {**entry, "status": "write-failure", "error": str(exc)}, EXIT_VALIDATION
-    except (ArchetypeValidationError, ValueError) as exc:
-        return {**entry, "status": "validation-failure", "error": str(exc)}, EXIT_VALIDATION
+    except _FAILURE_TYPES as exc:
+        status, code = _failure(exc)
+        return {**entry, "status": status, "error": str(exc)}, code
     return {**entry, "path": os.path.basename(path), "status": "ok"}, EXIT_OK
 
 
@@ -170,9 +188,9 @@ def cmd_nl(args) -> int:
     if not args.description or not args.description.strip():
         raise NLError("description must be nonempty")
     if args.dry_run:
-        print(render_prompt(TemplateKind.PARAMS, args.description))
+        print(render_prompt("params", args.description))
         print()
-        print(render_prompt(TemplateKind.IDENTIFIER, args.description))
+        print(render_prompt("identifier", args.description))
         return EXIT_OK
     config = ClientConfig(base_url=args.base_url, model=args.model)
     result, _ = describe_to_archetype(args.description, config, log_path=args.log)
@@ -233,12 +251,12 @@ def cmd_bench(args) -> int:
         rng = np.random.default_rng(seed)
         try:
             model = sample_mixture_model(a, rng)
-        except NonConvergenceError as exc:  # the other datasets keep their rows
+            dataset = sample_dataset(model, rng)
+            scores = evaluate_dataset(dataset.points, dataset.labels, a.n_clusters, rng)
+        except _FAILURE_TYPES as exc:  # the other datasets keep their rows
             print(f"error: {a.name}[{index}]: {exc}", file=sys.stderr)
-            code = EXIT_CONVERGENCE
+            code = max(code, _failure(exc)[1])
             continue
-        dataset = sample_dataset(model, rng)
-        scores = evaluate_dataset(dataset.points, dataset.labels, a.n_clusters, rng)
         rows.append(
             f"{a.name},{seed},{a.max_overlap!r},"
             f"{scores['ami']:.6f},{scores['ari']:.6f},{scores['silhouette']:.6f}"
@@ -357,8 +375,11 @@ def main(argv=None) -> int:
     except NonConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONVERGENCE
-    except (ArchetypeValidationError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ArchetypeValidationError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except MemoryError as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_VALIDATION
 
 

@@ -1,18 +1,18 @@
 """Natural-language archetype creation via a chat-completion API.
 
-Few-shot prompts map an English description to archetype parameter JSON
-and to a short identifier.  The transport is injectable so tests replay
-recorded responses without any network traffic; live calls need an API key
-in the environment.
+Few-shot prompts map an English description to a short identifier and to
+archetype parameter JSON; each is one recorded `PromptExchange`, named by
+its template id ("identifier" or "params").  The transport is injectable so
+tests replay recorded responses without any network traffic; live calls
+need an API key in the environment.
 """
 
 from __future__ import annotations
 
-import enum
 import json
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from . import prompts
 from .archetype import _IDENTIFIER_RE, _JSON_KEYS, Archetype
@@ -31,15 +31,9 @@ _TIMEOUT_S = 30.0  # per request
 _ATTEMPTS = 3  # requests per completion, transient failures included
 _BACKOFF_S = 0.5  # sleep before the second attempt, doubling after each retry
 
-
-class TemplateKind(enum.Enum):
-    PARAMS = "params"
-    IDENTIFIER = "identifier"
-
-
 _TEMPLATES = {
-    TemplateKind.PARAMS: prompts.PARAMS_TEMPLATE,
-    TemplateKind.IDENTIFIER: prompts.IDENTIFIER_TEMPLATE,
+    "params": prompts.PARAMS_TEMPLATE,
+    "identifier": prompts.IDENTIFIER_TEMPLATE,
 }
 
 
@@ -47,22 +41,12 @@ _TEMPLATES = {
 class PromptExchange:
     """Record of one round trip: prompt in, raw text out, parsed result."""
 
-    template_id: TemplateKind
+    template_id: str  # a key of _TEMPLATES
     description: str
     rendered_prompt: str
     raw_response: str = ""
     parsed: object = None
     applied_defaults: list[str] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "template_id": self.template_id.value,
-            "description": self.description,
-            "rendered_prompt": self.rendered_prompt,
-            "raw_response": self.raw_response,
-            "parsed": self.parsed,
-            "applied_defaults": self.applied_defaults,
-        }
 
 
 @dataclass(frozen=True)
@@ -80,11 +64,11 @@ class ClientConfig:
         return key
 
 
-def render_prompt(kind: TemplateKind, description: str) -> str:
-    """Substitute the description into the template's trailing slot."""
+def render_prompt(template_id: str, description: str) -> str:
+    """Substitute the description into the named template's trailing slot."""
     if not description or not description.strip():
         raise ValueError("description must be nonempty")
-    return _TEMPLATES[kind].replace("{description}", description)
+    return _TEMPLATES[template_id].replace("{description}", description)
 
 
 def _http_transport(url: str, payload: dict, headers: dict, timeout: float):
@@ -202,30 +186,20 @@ def describe_to_archetype(
     """
     exchanges = []
 
-    ident_exchange = PromptExchange(
-        TemplateKind.IDENTIFIER,
-        description,
-        render_prompt(TemplateKind.IDENTIFIER, description),
-    )
-    ident_exchange.raw_response = complete(ident_exchange.rendered_prompt, config, transport)
-    ident_exchange.parsed = parse_identifier(ident_exchange.raw_response)
-    exchanges.append(ident_exchange)
+    def exchange(template_id: str) -> PromptExchange:
+        record = PromptExchange(template_id, description, render_prompt(template_id, description))
+        record.raw_response = complete(record.rendered_prompt, config, transport)
+        exchanges.append(record)
+        return record
 
-    params_exchange = PromptExchange(
-        TemplateKind.PARAMS,
-        description,
-        render_prompt(TemplateKind.PARAMS, description),
+    ident = exchange("identifier")
+    ident.parsed = parse_identifier(ident.raw_response)
+    params = exchange("params")
+    result, params.applied_defaults = parse_archetype_json(
+        params.raw_response, defaults={"name": ident.parsed}
     )
-    params_exchange.raw_response = complete(params_exchange.rendered_prompt, config, transport)
-    result, applied = parse_archetype_json(
-        params_exchange.raw_response, defaults={"name": ident_exchange.parsed}
-    )
-    params_exchange.parsed = result.to_dict()
-    params_exchange.applied_defaults = applied
-    exchanges.append(params_exchange)
-
+    params.parsed = result.to_dict()
     if log_path is not None:
         with open(log_path, "a", encoding="utf-8") as fh:
-            for exchange in exchanges:
-                fh.write(json.dumps(exchange.to_dict()) + "\n")
+            fh.writelines(json.dumps(asdict(record)) + "\n" for record in exchanges)
     return result, exchanges

@@ -123,14 +123,18 @@ def sample_cluster_points(cluster: Cluster, n: int, rng: np.random.Generator) ->
 
 
 def sample_dataset(model: MixtureModel, rng: np.random.Generator) -> Dataset:
-    """One labeled dataset: group_sizes[j] points per cluster, rows shuffled."""
-    parts = []
-    labels = []
-    for j, (cluster, size) in enumerate(zip(model.clusters, model.group_sizes)):
-        parts.append(sample_cluster_points(cluster, int(size), rng))
-        labels.append(np.full(int(size), j, dtype=int))
-    points = np.vstack(parts)
-    labels = np.concatenate(labels)
+    """One labeled dataset: group_sizes[j] points per cluster, rows shuffled.
+
+    The clusters fill one preallocated array in turn, so the peak holds the
+    points twice (before and after the shuffle) plus one cluster's draw.
+    """
+    sizes = np.asarray(model.group_sizes, dtype=int)
+    points = np.empty((int(sizes.sum()), model.dim))
+    start = 0
+    for cluster, size in zip(model.clusters, sizes.tolist()):
+        points[start : start + size] = sample_cluster_points(cluster, size, rng)
+        start += size
+    labels = np.repeat(np.arange(len(sizes)), sizes)
     order = rng.permutation(points.shape[0])
     return Dataset(points[order], labels[order], model.archetype_name)
 

@@ -127,6 +127,31 @@ class TestValidateArchetype:
     def test_refusal_names_the_field(self, overrides, violation):
         assert validate_archetype(make_archetype(**overrides)) == [violation]
 
+    @pytest.mark.parametrize("key", ["n_clusters", "dim", "n_samples"])
+    def test_counts_capped_at_2_to_the_53(self, key):
+        # every count up to 2**53 is exact in float64
+        at_cap = {"n_samples": 2**53, key: 2**53}
+        assert validate_archetype(make_archetype(**at_cap)) == []
+        violations = validate_archetype(make_archetype(**{**at_cap, key: 2**53 + 1}))
+        assert violations == [f"{key} must be at most 2**53 = 9007199254740992, got {2**53 + 1}"]
+
+    @pytest.mark.parametrize("key,count", [
+        ("aspect_ref", 1), ("aspect_maxmin", 1), ("radius_maxmin", 1), ("imbalance_ratio", 1),
+        ("scale", 1), ("max_overlap", 1), ("min_overlap", 2),  # range and order
+    ])
+    def test_integer_too_large_for_a_float_is_a_violation(self, key, count):
+        violations = validate_archetype(make_archetype(**{key: 10**400}))
+        assert len(violations) == count
+        assert all(v.startswith(key) for v in violations)
+        with pytest.raises(ArchetypeValidationError, match=key):
+            Archetype.from_json(f'{{"name": "x", "n_clusters": 3, "{key}": {10**400}}}')
+
+    def test_proportion_too_large_for_a_float_is_a_violation(self):
+        violations = validate_archetype(
+            make_archetype(distributions=("normal", "gamma"), distribution_proportions=(10**400, 0))
+        )
+        assert violations == ["distribution_proportions must be a list of finite numbers"]
+
     def test_n_samples_defaults_to_100_per_cluster(self):
         a = Archetype(name="defaulted", n_clusters=7)
         assert a.n_samples == 700
@@ -272,6 +297,15 @@ class TestGroupSizes:
         a = make_archetype(n_clusters=6, n_samples=5)
         with pytest.raises(ValueError):
             sample_group_sizes(a, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("k,imbalance", [
+        (1, 1.0), (2, 1.0), (3, 7.5), (7, 1e3), (50, 1e8), (4999, 2.0),
+    ])
+    def test_sum_is_exact_at_the_count_cap(self, k, imbalance):
+        a = make_archetype(n_clusters=k, n_samples=2**53, imbalance_ratio=imbalance)
+        sizes = sample_group_sizes(a, np.random.default_rng(k))
+        assert int(sizes.sum()) == 2**53
+        assert sizes.min() >= 1
 
     def test_same_seed_same_multiset(self):
         a = make_archetype(imbalance_ratio=3)
@@ -457,6 +491,13 @@ class TestSampleHyperparams:
         assert all(v.n_clusters <= v.n_samples <= 6 for v in variants)
         assert all(validate_archetype(v) == [] for v in variants)
         assert {v.n_clusters for v in variants} >= {5, 6}
+
+    def test_draws_capped_at_2_to_the_53(self):
+        # half of the Poisson draws around 2**53 land above it
+        a = make_archetype(n_samples=2**53)
+        variants = sample_hyperparams(a, 20, None, np.random.default_rng(0))
+        assert all(v.n_samples <= 2**53 for v in variants)
+        assert all(validate_archetype(v) == [] for v in variants)
 
     def test_inverted_bounds_rejected(self):
         a = make_archetype()

@@ -1,6 +1,9 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -554,6 +557,28 @@ class TestBench:
         assert err.count("error: nc[0]: ") == err.count("error: nc[2]: ") == 1
         assert "nc[1]" not in err
 
+    def test_value_error_keeps_the_other_rows(self, tmp_path, monkeypatch, capsys):
+        # scoring dataset 1 fails: it is named on stderr, datasets 0 and 2
+        # keep their rows, and the run exits 1
+        evaluate = cli.evaluate_dataset
+        calls = []
+
+        def fail_second(*args):
+            calls.append(None)
+            if len(calls) == 2:
+                raise ValueError("scoring failed")
+            return evaluate(*args)
+
+        monkeypatch.setattr(cli, "evaluate_dataset", fail_second)
+        out = tmp_path / "b.csv"
+        code = cli.main(["bench", "--inline", SMALL, "--n-datasets", "3", "--out", str(out)])
+        assert code == cli.EXIT_VALIDATION
+        rows = out.read_text().strip().splitlines()[1:]
+        assert [row.split(",")[1] for row in rows] == [
+            str(cli.derive_seed(0, "cli_small", i)) for i in (0, 2)
+        ]
+        assert capsys.readouterr().err == "error: cli_small[1]: scoring failed\n"
+
     def test_archetype_file_without_archetypes_exits_1(self, tmp_path, capsys):
         src = tmp_path / "none.jsonl"
         src.write_text("")
@@ -749,3 +774,65 @@ class TestExitCodeMapping:
         assert code == 2
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["entries"][0]["status"] == "convergence-failure"
+
+
+# the second dataset needs 100 million points in 100 dimensions, 75 GiB
+MEMORY_ARCHETYPES = [
+    '{"name":"ok","n_clusters":3}',
+    '{"name":"huge","n_clusters":3,"dim":100,"n_samples":100000000}',
+]
+
+
+def run_with_memory_limit(argv, cwd):
+    """Run the CLI in a child process whose address space is capped at 3 GiB."""
+    resource = pytest.importorskip("resource")
+    limit = 3 * 2**30
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {
+        **os.environ,
+        "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+        "OPENBLAS_NUM_THREADS": "1",
+    }
+    return subprocess.run(
+        [sys.executable, "-m", "clustergen.cli", *argv],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=300,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+
+
+class TestMemoryFailure:
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_generate_records_it_and_writes_the_manifest(self, tmp_path, jobs):
+        write_jsonl(tmp_path / "mem.jsonl", MEMORY_ARCHETYPES)
+        result = run_with_memory_limit(
+            ["generate", "--archetypes", "mem.jsonl", "--out-dir", "out", "--jobs", jobs],
+            tmp_path,
+        )
+        assert result.returncode == cli.EXIT_VALIDATION, result.stderr
+        assert "Traceback" not in result.stderr
+        assert result.stderr.count("error: huge[0]: ") == 1
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert [(e["archetype"], e["status"]) for e in manifest["entries"]] == [
+            ("ok", "ok"), ("huge", "memory-failure")
+        ]
+        assert (tmp_path / "out" / "ok_000.csv").exists()
+
+    def test_bench_keeps_the_other_rows(self, tmp_path):
+        write_jsonl(tmp_path / "mem.jsonl", MEMORY_ARCHETYPES)
+        result = run_with_memory_limit(
+            ["bench", "--archetypes", "mem.jsonl", "--n-datasets", "1", "--out", "b.csv"],
+            tmp_path,
+        )
+        assert result.returncode == cli.EXIT_VALIDATION, result.stderr
+        assert "Traceback" not in result.stderr
+        assert result.stderr.count("error: huge[0]: ") == 1
+        rows = (tmp_path / "b.csv").read_text().strip().splitlines()
+        assert [row.split(",")[0] for row in rows[1:]] == ["ok"]
+
+    def test_stray_memory_error_is_one_line(self, monkeypatch, capsys):
+        def exhaust(*args, **kwargs):
+            raise MemoryError()
+
+        monkeypatch.setattr(cli, "load_archetypes_jsonl", exhaust)
+        assert cli.main(["generate", "--archetypes", "x", "--out-dir", "o"]) == 1
+        assert capsys.readouterr().err == "error: out of memory\n"

@@ -13,7 +13,6 @@ from clustergen.errors import (
 )
 from clustergen.nl import (
     ClientConfig,
-    TemplateKind,
     complete,
     describe_to_archetype,
     parse_archetype_json,
@@ -27,25 +26,25 @@ FIXTURES = Path(__file__).parent / "fixtures"
 class TestRenderPrompt:
     def test_params_prompt_ends_with_description(self):
         description = "five oblong clusters in two dimensions"
-        prompt = render_prompt(TemplateKind.PARAMS, description)
+        prompt = render_prompt("params", description)
         assert prompt.endswith(f"Description: {description}\nArchetype JSON:")
 
     def test_identifier_prompt_ends_with_description(self):
         description = "three spherical clusters"
-        prompt = render_prompt(TemplateKind.IDENTIFIER, description)
+        prompt = render_prompt("identifier", description)
         assert prompt.endswith(f"Description: {description}\nArchetype identifier:")
 
     def test_empty_description_rejected(self):
         with pytest.raises(ValueError, match="nonempty"):
-            render_prompt(TemplateKind.PARAMS, "")
+            render_prompt("params", "")
         with pytest.raises(ValueError, match="nonempty"):
-            render_prompt(TemplateKind.IDENTIFIER, "   ")
+            render_prompt("identifier", "   ")
 
     def test_byte_identical_to_vendored_templates(self):
         description = "DESCRIPTION-SENTINEL"
         for kind, fixture in [
-            (TemplateKind.PARAMS, "params_template.txt"),
-            (TemplateKind.IDENTIFIER, "identifier_template.txt"),
+            ("params", "params_template.txt"),
+            ("identifier", "identifier_template.txt"),
         ]:
             vendored = (FIXTURES / fixture).read_text(encoding="utf-8")
             expected = vendored.replace("{description}", description)
@@ -56,7 +55,7 @@ class TestComplete:
     def test_fixture_replay_byte_exact(self, fake_transport_factory):
         transport = fake_transport_factory({"params": "canned { } response", "identifier": "x"})
         config = ClientConfig(api_key="test-key")
-        raw = complete(render_prompt(TemplateKind.PARAMS, "two clusters"), config, transport)
+        raw = complete(render_prompt("params", "two clusters"), config, transport)
         assert raw == "canned { } response"
 
     def test_missing_key_fails_before_any_call(self, fake_transport_factory, monkeypatch):
@@ -86,7 +85,7 @@ class TestComplete:
             {"params": "recovered", "identifier": "x"}, statuses=[500]
         )
         config = ClientConfig(api_key="k")
-        raw = complete(render_prompt(TemplateKind.PARAMS, "d"), config, transport)
+        raw = complete(render_prompt("params", "d"), config, transport)
         assert raw == "recovered"
         assert transport.calls == 2
         assert sleeps == [0.5]
@@ -186,7 +185,7 @@ class TestDescribeToArchetype:
             result, exchanges = describe_to_archetype(description, config, transport)
             results.append(result)
             assert len(exchanges) == 2
-            assert exchanges[0].template_id is TemplateKind.IDENTIFIER
+            assert exchanges[0].template_id == "identifier"
             assert exchanges[1].parsed["name"] == recorded["identifier"]
         assert results[0] == results[1]
 
@@ -216,3 +215,36 @@ class TestDescribeToArchetype:
         entries = [json.loads(line) for line in lines]
         assert entries[0]["template_id"] == "identifier"
         assert entries[1]["raw_response"] == recorded["params"]
+
+    def test_exchange_log_lines_pinned(self, nl_fixtures, fake_transport_factory, tmp_path):
+        description = "four clusters in 100D with 100 samples each"
+        recorded = nl_fixtures[description]
+        transport = fake_transport_factory(
+            {"identifier": recorded["identifier"], "params": recorded["params"]}
+        )
+        log_path = tmp_path / "exchanges.jsonl"
+        result, _ = describe_to_archetype(
+            description, ClientConfig(api_key="k"), transport, log_path=log_path
+        )
+        # every field, in this order, with json.dumps' default separators
+        expected = [
+            {
+                "template_id": "identifier",
+                "description": description,
+                "rendered_prompt": render_prompt("identifier", description),
+                "raw_response": recorded["identifier"],
+                "parsed": recorded["identifier"],
+                "applied_defaults": [],
+            },
+            {
+                "template_id": "params",
+                "description": description,
+                "rendered_prompt": render_prompt("params", description),
+                "raw_response": recorded["params"],
+                "parsed": result.to_dict(),
+                "applied_defaults": ["name", "scale"],
+            },
+        ]
+        assert log_path.read_text(encoding="utf-8") == "".join(
+            json.dumps(entry) + "\n" for entry in expected
+        )

@@ -377,6 +377,18 @@ class TestSampleDataset:
         np.testing.assert_array_equal(d1.points, d2.points)
         np.testing.assert_array_equal(d1.labels, d2.labels)
 
+    def test_peak_memory_is_about_two_point_arrays(self):
+        # the clusters fill one array; the shuffle copies it once
+        a = Archetype(name="peak", n_clusters=5, dim=10, n_samples=60_000)
+        model = sample_mixture_model(a, np.random.default_rng(0))
+        tracemalloc.start()
+        try:
+            dataset = sample_dataset(model, np.random.default_rng(1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * dataset.points.nbytes
+
 
 class TestCsvRoundTrip:
     def test_bit_stable_round_trip(self, tmp_path):
