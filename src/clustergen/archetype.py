@@ -147,6 +147,21 @@ def _is_finite(value) -> bool:
         return False
 
 
+# An int with more digits than this is shown by its digit count: printing
+# one of over 4300 digits raises ValueError (Python's int_max_str_digits).
+_SHOWN_DIGITS = 30
+
+
+def _shown(value) -> str:
+    """repr of a field's value, or "an int of N digits" for a long int."""
+    if not _is_int(value) or abs(value) < 10**_SHOWN_DIGITS:
+        return repr(value)
+    size = abs(value)
+    exponent = int(math.log10(size))  # may be one off near a power of 10
+    exponent += (size >= 10 ** (exponent + 1)) - (size < 10**exponent)
+    return f"an int of {exponent + 1} digits"
+
+
 def validate_archetype(a: Archetype) -> list[str]:
     """Collect human-readable violations; empty list means valid.
 
@@ -154,23 +169,23 @@ def validate_archetype(a: Archetype) -> list[str]:
     """
     v: list[str] = []
     if not isinstance(a.name, str) or not _IDENTIFIER_RE.match(a.name):
-        v.append(f"name {a.name!r} is not a valid identifier")
+        v.append(f"name {_shown(a.name)} is not a valid identifier")
     if not _is_int(a.n_clusters) or a.n_clusters < 1:
-        v.append(f"n_clusters must be a positive integer, got {a.n_clusters!r}")
+        v.append(f"n_clusters must be a positive integer, got {_shown(a.n_clusters)}")
     if not _is_int(a.dim) or a.dim < 2:
-        v.append(f"dim must be an integer >= 2, got {a.dim!r}")
+        v.append(f"dim must be an integer >= 2, got {_shown(a.dim)}")
     if not _is_int(a.n_samples) or a.n_samples < 1:
-        v.append(f"n_samples must be a positive integer, got {a.n_samples!r}")
+        v.append(f"n_samples must be a positive integer, got {_shown(a.n_samples)}")
     elif _is_int(a.n_clusters) and a.n_samples < a.n_clusters <= _MAX_COUNT:
         v.append(f"n_samples={a.n_samples} cannot cover n_clusters={a.n_clusters}")
     for key in ("n_clusters", "dim", "n_samples"):
         value = getattr(a, key)
         if _is_int(value) and value > _MAX_COUNT:
-            v.append(f"{key} must be at most 2**53 = {_MAX_COUNT}, got {value!r}")
+            v.append(f"{key} must be at most 2**53 = {_MAX_COUNT}, got {_shown(value)}")
     if not _is_finite(a.aspect_ref) or not a.aspect_ref >= 1:
-        v.append(f"aspect_ref must be finite and >= 1, got {a.aspect_ref!r}")
+        v.append(f"aspect_ref must be finite and >= 1, got {_shown(a.aspect_ref)}")
     if not _is_finite(a.aspect_maxmin) or not a.aspect_maxmin >= 1:
-        v.append(f"aspect_maxmin must be finite and >= 1, got {a.aspect_maxmin!r}")
+        v.append(f"aspect_maxmin must be finite and >= 1, got {_shown(a.aspect_maxmin)}")
     if (
         _is_finite(a.aspect_ref)
         and _is_finite(a.aspect_maxmin)
@@ -183,14 +198,14 @@ def validate_archetype(a: Archetype) -> list[str]:
             f"{_ASPECT_MAX:g}, got {a.aspect_ref * math.sqrt(a.aspect_maxmin)!r}"
         )
     if not _is_finite(a.radius_maxmin) or not a.radius_maxmin >= 1:
-        v.append(f"radius_maxmin must be finite and >= 1, got {a.radius_maxmin!r}")
+        v.append(f"radius_maxmin must be finite and >= 1, got {_shown(a.radius_maxmin)}")
     lo, hi = _SCALE_RANGE
     if not _is_number(a.scale) or not lo <= a.scale <= hi:
-        v.append(f"scale must lie in [{lo:g}, {hi:g}], got {a.scale!r}")
+        v.append(f"scale must lie in [{lo:g}, {hi:g}], got {_shown(a.scale)}")
     if not _is_number(a.max_overlap) or not 0 < a.max_overlap < 1:
-        v.append(f"max_overlap must lie in (0, 1), got {a.max_overlap!r}")
+        v.append(f"max_overlap must lie in (0, 1), got {_shown(a.max_overlap)}")
     if not _is_number(a.min_overlap) or not 0 < a.min_overlap < 1:
-        v.append(f"min_overlap must lie in (0, 1), got {a.min_overlap!r}")
+        v.append(f"min_overlap must lie in (0, 1), got {_shown(a.min_overlap)}")
     if (
         _is_number(a.max_overlap)
         and _is_number(a.min_overlap)
@@ -198,16 +213,16 @@ def validate_archetype(a: Archetype) -> list[str]:
     ):
         v.append(
             f"min_overlap must be strictly below max_overlap "
-            f"({a.min_overlap!r} >= {a.max_overlap!r})"
+            f"({_shown(a.min_overlap)} >= {_shown(a.max_overlap)})"
         )
     if not _is_finite(a.imbalance_ratio) or not a.imbalance_ratio >= 1:
-        v.append(f"imbalance_ratio must be finite and >= 1, got {a.imbalance_ratio!r}")
+        v.append(f"imbalance_ratio must be finite and >= 1, got {_shown(a.imbalance_ratio)}")
     if not isinstance(a.distributions, (tuple, list)) or not a.distributions:
         v.append("distributions must be a nonempty list of family names")
     else:
         for name in a.distributions:
             if name not in SUPPORTED_FAMILIES:
-                v.append(f"unsupported distribution {name!r}")
+                v.append(f"unsupported distribution {_shown(name)}")
     if a.distribution_proportions is not None:
         props = a.distribution_proportions
         if not isinstance(props, (tuple, list)) or not all(_is_finite(p) for p in props):
@@ -223,7 +238,7 @@ def validate_archetype(a: Archetype) -> list[str]:
             if any(p < 0 for p in props):
                 v.append("distribution_proportions entries must be nonnegative")
             elif abs(sum(props) - 1.0) > 1e-9:
-                v.append(f"distribution_proportions sum to {sum(props)!r}, expected 1")
+                v.append(f"distribution_proportions sum to {_shown(sum(props))}, expected 1")
     return v
 
 

@@ -1,17 +1,21 @@
 """Command-line interface: generate, validate-overlap, nl, plot, bench, hyperparams.
 
 Exit codes are a stable contract: 0 success, 1 validation failure
-(usage errors, write failures and memory failures included), 2
+(usage errors, write, memory and worker failures included), 2
 convergence failure, 3 NL/API failure.  `generate` and `bench` record a
 failed dataset (see `_FAILURES`), keep every other dataset's output and
 exit with the largest code.  `nl --dry-run` prints the "params" and
 "identifier" prompts without any network traffic.
+
+Every command runs the bundled OpenBLAS on one thread (see `_pin_blas`);
+the cores are used by `--jobs` and by `distort`'s row chunks instead.
 """
 
 from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import ctypes
 import datetime
 import functools
 import hashlib
@@ -22,7 +26,7 @@ import sys
 
 import numpy as np
 
-from . import __version__
+from . import __version__, postprocess
 from .archetype import Archetype, load_archetypes_jsonl, sample_hyperparams
 from .errors import ArchetypeValidationError, NLError, NonConvergenceError
 from .metrics import evaluate_dataset
@@ -64,6 +68,41 @@ def _write_text(path: str, text: str) -> None:
     _write_atomic(path, lambda tmp: pathlib.Path(tmp).write_text(text, encoding="utf-8"))
 
 
+@functools.cache
+def _blas_set_threads():
+    """The bundled OpenBLAS's thread-count setter, or None where NumPy has none.
+
+    Looked up on first use, so importing this module costs nothing more.
+    """
+    try:
+        from numpy._core import _multiarray_umath
+        setter = ctypes.CDLL(_multiarray_umath.__file__).scipy_openblas_set_num_threads64_
+    except (ImportError, OSError, AttributeError):
+        return None
+    setter.argtypes = [ctypes.c_int]
+    setter.restype = None
+    return setter
+
+
+def _pin_blas() -> None:
+    """Run NumPy's bundled OpenBLAS on one thread.
+
+    Its threaded paths round differently from its one-thread paths (Cholesky
+    from dim ~128, matmul, QR and eigh from dim ~500), so one seed gives the
+    same bytes on every machine only at a fixed thread count.
+    """
+    setter = _blas_set_threads()
+    if setter is not None:
+        setter(1)
+
+
+def _init_worker(jobs: int) -> None:
+    """Start a `--jobs` worker: one BLAS thread, and its share of the usable
+    cores for `distort`, so that threads times jobs stays within the cores."""
+    _pin_blas()
+    postprocess._set_threads(max(1, postprocess._usable_cores() // jobs))
+
+
 # The exceptions that fail one dataset, with its manifest status and exit
 # code; `generate` and `bench` record them and go on with the other datasets.
 _FAILURES = (
@@ -81,19 +120,24 @@ def _failure(exc: BaseException) -> tuple[str, int]:
     return next((status, code) for kind, status, code in _FAILURES if isinstance(exc, kind))
 
 
-def _generate_one(a: Archetype, index, seed, out_dir, do_distort, do_wrap):
-    """Worker: one dataset from one archetype, as (manifest entry, exit code).
-
-    Expected failures are recorded in the entry, not raised, so a process
-    pool and a plain `map` give the parent the same records.
-    """
-    entry = {
+def _entry(a: Archetype, index, seed, do_distort, do_wrap) -> dict:
+    """The manifest fields of a dataset that do not depend on its outcome."""
+    return {
         "archetype": a.name,
         "index": index,
         "seed": seed,
         "distort": bool(do_distort),
         "wrap": bool(do_wrap),
     }
+
+
+def _generate_one(a: Archetype, index, seed, out_dir, do_distort, do_wrap):
+    """Worker: one dataset from one archetype, as (manifest entry, exit code).
+
+    Expected failures are recorded in the entry, not raised, so a process
+    pool and a plain `map` give the parent the same records.
+    """
+    entry = _entry(a, index, seed, do_distort, do_wrap)
     try:
         rng = np.random.default_rng(seed)
         model = sample_mixture_model(a, rng)
@@ -134,13 +178,17 @@ def cmd_generate(args) -> int:
         "master_seed": args.seed,
     }
     n = len(jobs)
-    # one list per worker argument; with no jobs, three empty lists map to nothing
-    columns = (*zip(*jobs), [args.out_dir] * n, [args.distort] * n, [args.wrap] * n)
+    calls = [
+        (a, index, seed, args.out_dir, args.distort, args.wrap) for a, index, seed in jobs
+    ]
     if args.jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_generate_one, *columns))
+        with concurrent.futures.ProcessPoolExecutor(
+            max_workers=args.jobs, initializer=_init_worker, initargs=(args.jobs,)
+        ) as pool:
+            futures = [pool.submit(_generate_one, *call) for call in calls]
+            results = [_collect(future, call) for future, call in zip(futures, calls)]
     else:
-        results = list(map(_generate_one, *columns))
+        results = [_generate_one(*call) for call in calls]
     manifest["entries"] = [entry for entry, _ in results]
     for e in manifest["entries"]:
         if e["status"] != "ok":
@@ -149,6 +197,17 @@ def cmd_generate(args) -> int:
     written = sum(e["status"] == "ok" for e in manifest["entries"])
     print(f"wrote {written}/{n} datasets to {args.out_dir}")
     return max((code for _, code in results), default=EXIT_OK)
+
+
+def _collect(future, call):
+    """A worker's (entry, exit code); a dataset lost with its worker process
+    (killed, say, by the out-of-memory killer) is a `worker-failure`."""
+    try:
+        return future.result()
+    except concurrent.futures.process.BrokenProcessPool as exc:
+        a, index, seed, _, do_distort, do_wrap = call
+        entry = _entry(a, index, seed, do_distort, do_wrap)
+        return {**entry, "status": "worker-failure", "error": str(exc)}, EXIT_VALIDATION
 
 
 def cmd_validate_overlap(args) -> int:
@@ -367,6 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    _pin_blas()
     try:
         return args.func(args)
     except NLError as exc:

@@ -19,12 +19,26 @@ tested).
 
 `DistortNetwork.forward` runs its blocks in two reused n x width buffers
 instead of a new array per operation, and matches the folded arithmetic
-written as plain NumPy bit for bit.  The matmuls stay whole: OpenBLAS
-results depend on the row count, so splitting rows into chunks moves bits.
+written as plain NumPy bit for bit.
+
+`forward` splits its rows into chunks that run on the usable cores.  Every
+step but the matmuls works row by row (the layer norm included), so a row's
+path does not depend on the other rows, and the one question is whether
+sgemm gives a chunk's rows the bits it gives them in the whole matrix.  With
+one BLAS thread, chunks of at least 1024 rows that start at multiples of 64
+rows do: 288 splits into 2-4 chunks as `forward` makes them (dim 1-200, n
+2048-20000) and 60 random such splits matched the unsplit pass bit for bit.
+Smaller chunks need not: chunks of 16 rows moved bits in 9 of 24 shapes and
+of 64 rows in 1 of 24, and a short last chunk (n's remainder after chunks of
+16-1024 rows) in 1-9 of 12.  Inputs of fewer than 2048 rows run whole.  Each
+process keeps its own pool of threads, made on first use; a forked child
+makes a new one, since its parent's threads do not exist in it.
 """
 
 from __future__ import annotations
 
+import concurrent.futures
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +47,41 @@ _LAYER_NORM_EPS = 1e-5
 _WIDTH = 128
 _BLOCKS = 16
 _PROJECTION_COLUMNS = 16
+# The fewest rows in a chunk of `forward`, whose chunks also start at
+# multiples of 64 rows; smaller chunks can move bits (see above).
+_CHUNK_ROWS = 1024
+
+# Each process's (threads, pool of threads - 1 workers), by process id.  A
+# forked child finds no entry under its own id, so it never submits work to
+# its parent's pool, whose threads it does not have.
+_POOLS: dict[int, tuple[int, concurrent.futures.Executor]] = {}
+
+
+def _usable_cores() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _set_threads(threads: int) -> None:
+    """Run this process's `forward` chunks on `threads` threads: the caller's
+    and `threads - 1` pool workers.  By default every usable core is used."""
+    # the executor starts no thread before its first task
+    pool = concurrent.futures.ThreadPoolExecutor(max(1, threads - 1), "clustergen-distort")
+    _POOLS[os.getpid()] = threads, pool
+
+
+def _threads_and_pool() -> tuple[int, concurrent.futures.Executor]:
+    if os.getpid() not in _POOLS:
+        _set_threads(_usable_cores())
+    return _POOLS[os.getpid()]
+
+
+def _row_chunks(n: int, threads: int) -> list[int]:
+    """Bounds of `min(threads, n // _CHUNK_ROWS)` chunks of n rows (at least
+    one), each at least `_CHUNK_ROWS` rows and starting at a multiple of 64."""
+    chunks = max(1, min(threads, n // _CHUNK_ROWS))
+    return [i * n // (64 * chunks) * 64 for i in range(chunks)] + [n]
 
 
 @dataclass(frozen=True)
@@ -84,14 +133,38 @@ class DistortNetwork:
         """Run the network on an n x dim matrix; returns n x dim float64.
 
         The input is cast to float32 once, and the network runs in float32
-        from the embedding to the projection.  Each block runs its matmul
-        with its centred weight and bias, from one n x width buffer into the
-        other, so the layer norm only divides by `sqrt(mean square + eps)`.
-        Each block is bit-identical to `tanh(h / sqrt(einsum("ij,ij->i", h,
-        h) / width + eps))` with `h = h @ weight + bias` on the centred pair.
+        from the embedding to the projection.  The rows are split into
+        chunks of at least 1024 rows, one per thread (see the module
+        docstring); the calling thread runs the first chunk and this
+        process's pool the others, and the result has the bits of one pass
+        over all rows.
+        """
+        x = np.asarray(x, dtype=np.float32)
+        y = np.empty((x.shape[0], self.projection_bias.shape[0]))
+        threads, pool = _threads_and_pool()
+        bounds = _row_chunks(x.shape[0], threads)
+        rest = [
+            pool.submit(self._rows, x[a:b], y[a:b]) for a, b in zip(bounds[1:], bounds[2:])
+        ]
+        try:
+            self._rows(x[: bounds[1]], y[: bounds[1]])
+        finally:
+            concurrent.futures.wait(rest)
+        for future in rest:
+            future.result()
+        return y
+
+    def _rows(self, x: np.ndarray, y: np.ndarray) -> None:
+        """Run the network on the float32 rows `x` in one pass, into `y`.
+
+        Each block runs its matmul with its centred weight and bias, from
+        one n x width buffer into the other, so the layer norm only divides
+        by `sqrt(mean square + eps)`.  Each block is bit-identical to
+        `tanh(h / sqrt(einsum("ij,ij->i", h, h) / width + eps))` with
+        `h = h @ weight + bias` on the centred pair.
         """
         width = self.hidden_width
-        h = np.asarray(x, dtype=np.float32) @ self.embedding_weight
+        h = x @ self.embedding_weight
         h += self.embedding_bias
         out = np.empty_like(h)
         row = np.empty(h.shape[0], dtype=np.float32)
@@ -111,10 +184,9 @@ class DistortNetwork:
         # columns up to a multiple of 16 keep identical rows identical.
         dim = self.projection_bias.shape[0]
         padded = np.pad(self.projection_weight, ((0, 0), (0, -dim % _PROJECTION_COLUMNS)))
-        y = (h @ padded)[:, :dim]
-        y += self.projection_bias
-        return y.astype(np.float64)
-
+        projected = (h @ padded)[:, :dim]
+        projected += self.projection_bias
+        y[...] = projected
 
 def distort(X: np.ndarray, seed: int = 0) -> np.ndarray:
     """Pass a dataset through a randomly initialized network.

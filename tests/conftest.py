@@ -4,8 +4,15 @@ from pathlib import Path
 import pytest
 
 from clustergen.archetype import load_archetypes_jsonl
+from clustergen.cli import _pin_blas
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def pytest_sessionstart(session):
+    """One BLAS thread, as every CLI command runs, so the tests check the
+    bytes that users get whatever the machine's core count."""
+    _pin_blas()
 
 
 @pytest.fixture(scope="session")

@@ -146,6 +146,23 @@ class TestValidateArchetype:
         with pytest.raises(ArchetypeValidationError, match=key):
             Archetype.from_json(f'{{"name": "x", "n_clusters": 3, "{key}": {10**400}}}')
 
+    @pytest.mark.parametrize("key", [
+        "n_clusters", "dim", "n_samples", "aspect_ref", "aspect_maxmin", "radius_maxmin",
+        "imbalance_ratio", "scale", "max_overlap", "min_overlap", "name",
+    ])
+    def test_int_too_long_to_print_is_shown_by_its_digits(self, key):
+        # str() refuses an int of over 4300 digits; messages show the digit count
+        violations = validate_archetype(make_archetype(**{key: -(10**5000)}))
+        assert violations and all(key in v and "an int of 5001 digits" in v for v in violations)
+        (violation,) = validate_archetype(make_archetype(distributions=(10**5000 - 1,)))
+        assert violation == "unsupported distribution an int of 5000 digits"
+
+    def test_long_int_in_a_violation(self):
+        assert validate_archetype(make_archetype(n_samples=10**30 - 1, n_clusters=10**30)) == [
+            "n_clusters must be at most 2**53 = 9007199254740992, got an int of 31 digits",
+            f"n_samples must be at most 2**53 = 9007199254740992, got {10**30 - 1}",
+        ]
+
     def test_proportion_too_large_for_a_float_is_a_violation(self):
         violations = validate_archetype(
             make_archetype(distributions=("normal", "gamma"), distribution_proportions=(10**400, 0))

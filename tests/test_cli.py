@@ -40,6 +40,22 @@ NONCONVERGING = json.dumps(
 )
 
 
+def die(*args):
+    """A `_generate_one` whose worker process dies at once."""
+    os._exit(9)
+
+
+def run_python(args, cwd, env=os.environ, timeout=300, **kwargs):
+    """Run `python *args` in a child with the environment `env` that imports
+    clustergen from this tree."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**env, "PYTHONPATH": os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))}
+    return subprocess.run(
+        [sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True,
+        timeout=timeout, **kwargs,
+    )
+
+
 def write_jsonl(path, archetypes):
     path.write_text("\n".join(archetypes) + "\n")
 
@@ -207,6 +223,51 @@ class TestGenerate:
         assert statuses == ["convergence-failure", "ok"]
         assert "did not reach tolerance" in manifest["entries"][0]["error"]
         assert sorted(p.name for p in out.glob("*.csv")) == ["nc_001.csv"]
+
+    def test_dead_worker_still_writes_the_manifest(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "_generate_one", die)
+        out = tmp_path / "out"
+        code = cli.main(
+            ["generate", "--inline", SMALL, "--n-datasets", "2", "--out-dir", str(out),
+             "--jobs", "2"]
+        )
+        assert code == cli.EXIT_VALIDATION
+        entries = json.loads((out / "manifest.json").read_text())["entries"]
+        assert [(e["index"], e["status"]) for e in entries] == [
+            (0, "worker-failure"), (1, "worker-failure")
+        ]
+        assert list(entries[0]) == ["archetype", "index", "seed", "distort", "wrap",
+                                    "status", "error"]
+        assert "terminated abruptly" in entries[0]["error"]
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.count("error: cli_small[") == 2
+
+    def test_parallel_distort_after_one_in_process(self, tmp_path):
+        # the first distort makes this process's row-chunk pool; the --jobs
+        # workers and a plain forked child each make their own instead of
+        # waiting forever on threads that a child does not have
+        code = """
+import os, signal, sys
+import numpy as np
+from clustergen import cli
+from clustergen.postprocess import distort
+x = np.random.default_rng(0).normal(size=(4096, 3))
+first = distort(x)
+pid = os.fork()
+if pid == 0:
+    signal.alarm(60)  # a child that waits forever ends instead
+    os._exit(0 if np.array_equal(distort(x), first) else 1)
+assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
+archetype = '{"name": "big", "n_clusters": 3, "n_samples": 4096}'
+sys.exit(cli.main(["generate", "--inline", archetype, "--n-datasets", "2", "--jobs", "2",
+                   "--distort", "--out-dir", "out"]))
+"""
+        result = run_python(["-c", code], tmp_path, timeout=120)
+        assert result.returncode == 0, result.stderr
+        assert sorted(p.name for p in (tmp_path / "out").glob("*.csv")) == [
+            "big_000.csv", "big_001.csv"
+        ]
 
     def test_widest_band_converges(self, tmp_path):
         # a rate that never halves leaves this pair just outside the band (loss 9.2e-3)
@@ -787,15 +848,8 @@ def run_with_memory_limit(argv, cwd):
     """Run the CLI in a child process whose address space is capped at 3 GiB."""
     resource = pytest.importorskip("resource")
     limit = 3 * 2**30
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {
-        **os.environ,
-        "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
-        "OPENBLAS_NUM_THREADS": "1",
-    }
-    return subprocess.run(
-        [sys.executable, "-m", "clustergen.cli", *argv],
-        cwd=cwd, env=env, capture_output=True, text=True, timeout=300,
+    return run_python(
+        ["-m", "clustergen.cli", *argv], cwd, env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
     )
 
@@ -836,3 +890,33 @@ class TestMemoryFailure:
         monkeypatch.setattr(cli, "load_archetypes_jsonl", exhaust)
         assert cli.main(["generate", "--archetypes", "x", "--out-dir", "o"]) == 1
         assert capsys.readouterr().err == "error: out of memory\n"
+
+
+BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+# golden_high of tests/test_golden.py, and a dim-500 archetype: OpenBLAS's
+# threaded paths round apart from its one-thread paths in Cholesky from dim
+# ~128, and in matmul, QR and eigh from dim ~500
+BLAS_ARCHETYPES = [
+    '{"name": "golden_high", "n_clusters": 5, "dim": 200, "n_samples": 100,'
+    ' "aspect_ref": 2.0, "aspect_maxmin": 2.0, "radius_maxmin": 2.0}',
+    '{"name": "d500", "n_clusters": 3, "dim": 500, "n_samples": 60}',
+]
+
+
+class TestBlasThreads:
+    def test_bytes_do_not_depend_on_the_blas_thread_setting(self, tmp_path):
+        write_jsonl(tmp_path / "a.jsonl", BLAS_ARCHETYPES)
+        (tmp_path / "d500.json").write_text(BLAS_ARCHETYPES[1])
+        env = {k: v for k, v in os.environ.items() if k not in BLAS_VARIABLES}
+        outputs = {}
+        for threads in (None, "1", "2", "4"):
+            child_env = {**env, **({} if threads is None else {"OPENBLAS_NUM_THREADS": threads})}
+            run = tmp_path / str(threads)
+            for argv in (["generate", "--archetypes", "a.jsonl", "--out-dir", str(run)],
+                         ["validate-overlap", "--archetype", "d500.json", "--exact",
+                          "--out", str(run / "d500.overlap.csv")]):
+                result = run_python(["-m", "clustergen.cli", *argv], tmp_path, child_env)
+                assert result.returncode == 0, result.stderr
+            outputs[threads] = {p.name: p.read_bytes() for p in run.glob("*.csv")}
+        assert sorted(outputs[None]) == ["d500.overlap.csv", "d500_000.csv", "golden_high_000.csv"]
+        assert all(files == outputs[None] for files in outputs.values())

@@ -1,15 +1,22 @@
+import os
+import sys
+import threading
+
 import numpy as np
 import pytest
 
+from clustergen import postprocess
 from clustergen.archetype import Archetype
 from clustergen.mixture import sample_mixture_model
 from clustergen.postprocess import (
     _BLOCKS,
+    _CHUNK_ROWS,
     _LAYER_NORM_EPS,
     _PROJECTION_COLUMNS,
     _WIDTH,
     DistortNetwork,
     _Block,
+    _row_chunks,
     distort,
     wrap_around_sphere,
 )
@@ -181,7 +188,11 @@ class TestDistortBitIdentity:
     """The buffer-reusing forward pass moves no bit against the folded arithmetic
     in plain float32 NumPy."""
 
-    SHAPES = [(1, 1), (120, 3), (4000, 2), (6000, 10)]
+    # from 2048 rows up, forward runs in row chunks on a machine of 2 or more cores
+    SHAPES = [
+        (1, 1), (120, 3), (4000, 2), (6000, 10),
+        (2048, 1), (2048, 2), (6000, 2), (20000, 3), (6000, 200),
+    ]
 
     @pytest.mark.parametrize("n,p", SHAPES, ids=[f"{n}x{p}" for n, p in SHAPES])
     def test_forward_matches_reference(self, n, p):
@@ -194,6 +205,88 @@ class TestDistortBitIdentity:
         X = np.random.default_rng(n * p).uniform(-50.0, 50.0, size=(n, p))
         net = DistortNetwork.create(p, seed=11)
         assert np.array_equal(distort(X, seed=11), reference_distort(X, net))
+
+
+def one_pass(net, x):
+    """The network over all rows of `x` in one pass, with no row chunks."""
+    y = np.empty(x.shape)
+    net._rows(np.asarray(x, dtype=np.float32), y)
+    return y
+
+
+@pytest.fixture()
+def set_threads():
+    """`postprocess._set_threads`, with this process's default pool restored afterwards."""
+    pid = os.getpid()
+    saved = postprocess._POOLS.pop(pid, None)
+    yield postprocess._set_threads
+    made = postprocess._POOLS.pop(pid, None)
+    if made is not None:
+        made[1].shutdown()
+    if saved is not None:
+        postprocess._POOLS[pid] = saved
+
+
+class TestDistortChunks:
+    """`forward` splits its rows into chunks of at least 1024 rows at multiples
+    of 64, and the result has the bits of one pass over all rows."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_any_split_of_large_chunks_concatenates_to_one_pass(self, seed):
+        rng = np.random.default_rng(seed)
+        for p in (1, 2, 3, 7, 16, 57, 128, 200)[seed % 4::4]:
+            chunks = int(rng.integers(2, 5))
+            n = int(rng.integers(chunks * _CHUNK_ROWS, 10_001))
+            # chunks of 1024 rows, plus a random share of the other whole 64-row blocks
+            blocks = 16 + rng.multinomial(n // 64 - 16 * chunks, [1 / chunks] * chunks)
+            bounds = [0, *(np.cumsum(blocks[:-1]) * 64).tolist(), n]
+            net = DistortNetwork.create(p, seed=seed)
+            x = rng.standard_normal((n, p))
+            parts = [one_pass(net, x[a:b]) for a, b in zip(bounds, bounds[1:])]
+            assert np.array_equal(np.concatenate(parts), one_pass(net, x)), (n, p, bounds)
+
+    @pytest.mark.parametrize("n", [0, 1, 1000, 2047, 2048, 2111, 3090, 3120, 6000, 20001])
+    @pytest.mark.parametrize("threads", [1, 2, 3, 4, 8])
+    def test_chunk_bounds(self, n, threads):
+        bounds = _row_chunks(n, threads)
+        assert bounds[0] == 0 and bounds[-1] == n
+        assert len(bounds) - 1 == max(1, min(threads, n // _CHUNK_ROWS))
+        assert all(a % 64 == 0 for a in bounds[:-1])
+        if len(bounds) > 2:
+            assert min(np.diff(bounds)) >= _CHUNK_ROWS
+
+    @pytest.mark.parametrize("n,p", [(2048, 2), (6000, 10), (9000, 57)])
+    def test_bytes_do_not_depend_on_the_thread_count(self, set_threads, n, p):
+        x = np.random.default_rng(n).standard_normal((n, p))
+        net = DistortNetwork.create(p, seed=5)
+        expected = one_pass(net, x)
+        for threads in (1, 2, 3, 4):
+            set_threads(threads)
+            assert np.array_equal(net.forward(x), expected), threads
+
+    def test_concurrent_callers_get_their_own_bytes(self, set_threads):
+        # more callers and pool threads than cores, switching threads often
+        set_threads(3)
+        inputs = [np.random.default_rng(i).standard_normal((4096, 3)) for i in range(6)]
+        expected = [distort(x, seed=i) for i, x in enumerate(inputs)]
+        results = [None] * len(inputs)
+
+        def run(i):
+            results[i] = distort(inputs[i], seed=i)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=run, args=(i,)) for i in range(len(inputs))]
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in callers)
+        for got, want in zip(results, expected):
+            assert np.array_equal(got, want)
 
 
 class TestWrapAroundSphere:
