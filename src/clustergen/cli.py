@@ -2,10 +2,10 @@
 
 Exit codes are a stable contract: 0 success, 1 validation failure
 (usage errors, write, memory and worker failures included), 2
-convergence failure, 3 NL/API failure.  `generate` and `bench` record a
-failed dataset (see `_FAILURES`), keep every other dataset's output and
-exit with the largest code.  `nl --dry-run` prints the "params" and
-"identifier" prompts without any network traffic.
+convergence failure, 3 NL/API failure, as `_FAILURES` maps them.
+`generate` and `bench` record a failed dataset, keep every other
+dataset's output and exit with the largest code.  `nl --dry-run` prints
+the "params" and "identifier" prompts without any network traffic.
 
 Every command runs the bundled OpenBLAS on one thread (see `_pin_blas`);
 the cores are used by `--jobs` and by `distort`'s row chunks instead.
@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
-import ctypes
 import datetime
 import functools
 import hashlib
@@ -68,22 +67,6 @@ def _write_text(path: str, text: str) -> None:
     _write_atomic(path, lambda tmp: pathlib.Path(tmp).write_text(text, encoding="utf-8"))
 
 
-@functools.cache
-def _blas_set_threads():
-    """The bundled OpenBLAS's thread-count setter, or None where NumPy has none.
-
-    Looked up on first use, so importing this module costs nothing more.
-    """
-    try:
-        from numpy._core import _multiarray_umath
-        setter = ctypes.CDLL(_multiarray_umath.__file__).scipy_openblas_set_num_threads64_
-    except (ImportError, OSError, AttributeError):
-        return None
-    setter.argtypes = [ctypes.c_int]
-    setter.restype = None
-    return setter
-
-
 def _pin_blas() -> None:
     """Run NumPy's bundled OpenBLAS on one thread.
 
@@ -91,9 +74,9 @@ def _pin_blas() -> None:
     from dim ~128, matmul, QR and eigh from dim ~500), so one seed gives the
     same bytes on every machine only at a fixed thread count.
     """
-    setter = _blas_set_threads()
-    if setter is not None:
-        setter(1)
+    blas = postprocess._openblas()
+    if blas is not None:
+        blas[0](1)
 
 
 def _init_worker(jobs: int) -> None:
@@ -103,9 +86,10 @@ def _init_worker(jobs: int) -> None:
     postprocess._set_threads(max(1, postprocess._usable_cores() // jobs))
 
 
-# The exceptions that fail one dataset, with its manifest status and exit
-# code; `generate` and `bench` record them and go on with the other datasets.
+# Each failure's manifest status and exit code: `main` exits with the code,
+# and `generate` and `bench` record a failed dataset and go on with the others.
 _FAILURES = (
+    (NLError, "nl-failure", EXIT_NL),
     (NonConvergenceError, "convergence-failure", EXIT_CONVERGENCE),
     (MemoryError, "memory-failure", EXIT_VALIDATION),
     (OSError, "write-failure", EXIT_VALIDATION),  # the dataset's CSV could not be written
@@ -115,29 +99,20 @@ _FAILURES = (
 _FAILURE_TYPES = tuple(kind for kind, _, _ in _FAILURES)
 
 
-def _failure(exc: BaseException) -> tuple[str, int]:
-    """(manifest status, exit code) of an exception in `_FAILURE_TYPES`."""
-    return next((status, code) for kind, status, code in _FAILURES if isinstance(exc, kind))
-
-
-def _entry(a: Archetype, index, seed, do_distort, do_wrap) -> dict:
-    """The manifest fields of a dataset that do not depend on its outcome."""
-    return {
-        "archetype": a.name,
-        "index": index,
-        "seed": seed,
-        "distort": bool(do_distort),
-        "wrap": bool(do_wrap),
-    }
+def _failure(exc: BaseException) -> tuple[dict, int]:
+    """The manifest status and error text of an exception in `_FAILURE_TYPES`,
+    and its exit code; a bare MemoryError, which has no text, reads "out of memory"."""
+    status, code = next((s, c) for kind, s, c in _FAILURES if isinstance(exc, kind))
+    error = str(exc) or ("out of memory" if isinstance(exc, MemoryError) else "")
+    return {"status": status, "error": error}, code
 
 
 def _generate_one(a: Archetype, index, seed, out_dir, do_distort, do_wrap):
-    """Worker: one dataset from one archetype, as (manifest entry, exit code).
+    """Worker: one dataset from one archetype, as (outcome fields, exit code).
 
-    Expected failures are recorded in the entry, not raised, so a process
+    Expected failures are recorded in the fields, not raised, so a process
     pool and a plain `map` give the parent the same records.
     """
-    entry = _entry(a, index, seed, do_distort, do_wrap)
     try:
         rng = np.random.default_rng(seed)
         model = sample_mixture_model(a, rng)
@@ -151,9 +126,8 @@ def _generate_one(a: Archetype, index, seed, out_dir, do_distort, do_wrap):
         path = os.path.join(out_dir, f"{a.name}_{index:03d}.csv")
         _write_atomic(path, lambda tmp: dataset_to_csv(dataset, tmp))
     except _FAILURE_TYPES as exc:
-        status, code = _failure(exc)
-        return {**entry, "status": status, "error": str(exc)}, code
-    return {**entry, "path": os.path.basename(path), "status": "ok"}, EXIT_OK
+        return _failure(exc)
+    return {"path": os.path.basename(path), "status": "ok"}, EXIT_OK
 
 
 def _load_jobs(args) -> list[tuple[Archetype, int, int]]:
@@ -186,28 +160,30 @@ def cmd_generate(args) -> int:
             max_workers=args.jobs, initializer=_init_worker, initargs=(args.jobs,)
         ) as pool:
             futures = [pool.submit(_generate_one, *call) for call in calls]
-            results = [_collect(future, call) for future, call in zip(futures, calls)]
+            outcomes = [_collect(future) for future in futures]
     else:
-        results = [_generate_one(*call) for call in calls]
-    manifest["entries"] = [entry for entry, _ in results]
+        outcomes = [_generate_one(*call) for call in calls]
+    manifest["entries"] = [
+        {"archetype": a.name, "index": index, "seed": seed, "distort": do_distort,
+         "wrap": do_wrap, **fields}
+        for (a, index, seed, _, do_distort, do_wrap), (fields, _) in zip(calls, outcomes)
+    ]
     for e in manifest["entries"]:
         if e["status"] != "ok":
             print(f"error: {e['archetype']}[{e['index']}]: {e['error']}", file=sys.stderr)
     _write_text(os.path.join(args.out_dir, "manifest.json"), json.dumps(manifest, indent=2) + "\n")
     written = sum(e["status"] == "ok" for e in manifest["entries"])
     print(f"wrote {written}/{n} datasets to {args.out_dir}")
-    return max((code for _, code in results), default=EXIT_OK)
+    return max((code for _, code in outcomes), default=EXIT_OK)
 
 
-def _collect(future, call):
-    """A worker's (entry, exit code); a dataset lost with its worker process
-    (killed, say, by the out-of-memory killer) is a `worker-failure`."""
+def _collect(future):
+    """A worker's (outcome fields, exit code); a dataset lost with its worker
+    process (killed, say, by the out-of-memory killer) is a `worker-failure`."""
     try:
         return future.result()
     except concurrent.futures.process.BrokenProcessPool as exc:
-        a, index, seed, _, do_distort, do_wrap = call
-        entry = _entry(a, index, seed, do_distort, do_wrap)
-        return {**entry, "status": "worker-failure", "error": str(exc)}, EXIT_VALIDATION
+        return {"status": "worker-failure", "error": str(exc)}, EXIT_VALIDATION
 
 
 def cmd_validate_overlap(args) -> int:
@@ -279,12 +255,12 @@ def _svg_scatter(dataset: Dataset) -> str:
     if dataset.n_samples:
         x, y = dataset.points[:, 0], dataset.points[:, 1]
         span = max(np.ptp(x), np.ptp(y), 1e-12)
-        sx = lambda v: margin + (v - x.min()) / span * (width - 2 * margin)
-        sy = lambda v: height - margin - (v - y.min()) / span * (height - 2 * margin)
-        for row, label in zip(dataset.points, dataset.labels):
+        cx = margin + (x - x.min()) / span * (width - 2 * margin)
+        cy = height - margin - (y - y.min()) / span * (height - 2 * margin)
+        for px, py, label in zip(cx.tolist(), cy.tolist(), dataset.labels.tolist()):
             color = _PALETTE[int(label) % len(_PALETTE)]
             parts.append(
-                f'<circle cx="{sx(row[0]):.2f}" cy="{sy(row[1]):.2f}" r="3" '
+                f'<circle cx="{px:.2f}" cy="{py:.2f}" r="3" '
                 f'fill="{color}" fill-opacity="0.7"/>'
             )
     parts.append("</svg>")
@@ -313,8 +289,9 @@ def cmd_bench(args) -> int:
             dataset = sample_dataset(model, rng)
             scores = evaluate_dataset(dataset.points, dataset.labels, a.n_clusters, rng)
         except _FAILURE_TYPES as exc:  # the other datasets keep their rows
-            print(f"error: {a.name}[{index}]: {exc}", file=sys.stderr)
-            code = max(code, _failure(exc)[1])
+            fields, failed = _failure(exc)
+            print(f"error: {a.name}[{index}]: {fields['error']}", file=sys.stderr)
+            code = max(code, failed)
             continue
         rows.append(
             f"{a.name},{seed},{a.max_overlap!r},"
@@ -429,18 +406,10 @@ def main(argv=None) -> int:
     _pin_blas()
     try:
         return args.func(args)
-    except NLError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NL
-    except NonConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONVERGENCE
-    except (ArchetypeValidationError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except MemoryError as exc:
-        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
-        return EXIT_VALIDATION
+    except _FAILURE_TYPES as exc:
+        fields, code = _failure(exc)
+        print(f"error: {fields['error']}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

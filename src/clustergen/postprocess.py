@@ -30,14 +30,14 @@ rows do: 288 splits into 2-4 chunks as `forward` makes them (dim 1-200, n
 2048-20000) and 60 random such splits matched the unsplit pass bit for bit.
 Smaller chunks need not: chunks of 16 rows moved bits in 9 of 24 shapes and
 of 64 rows in 1 of 24, and a short last chunk (n's remainder after chunks of
-16-1024 rows) in 1-9 of 12.  Inputs of fewer than 2048 rows run whole.  Each
-process keeps its own pool of threads, made on first use; a forked child
-makes a new one, since its parent's threads do not exist in it.
+16-1024 rows) in 1-9 of 12.  Inputs of fewer than 2048 rows run whole.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
+import ctypes
+import functools
 import os
 from dataclasses import dataclass
 
@@ -51,10 +51,27 @@ _PROJECTION_COLUMNS = 16
 # multiples of 64 rows; smaller chunks can move bits (see above).
 _CHUNK_ROWS = 1024
 
-# Each process's (threads, pool of threads - 1 workers), by process id.  A
-# forked child finds no entry under its own id, so it never submits work to
-# its parent's pool, whose threads it does not have.
-_POOLS: dict[int, tuple[int, concurrent.futures.Executor]] = {}
+# This process's `forward` threads when `_set_threads` has set them, else None.
+_THREADS: int | None = None
+
+
+@functools.cache
+def _openblas():
+    """The bundled OpenBLAS's thread-count (setter, getter), or None where
+    NumPy has no such pair.
+
+    Looked up on first use, so importing this module costs nothing more.
+    """
+    try:
+        from numpy._core import _multiarray_umath
+        lib = ctypes.CDLL(_multiarray_umath.__file__)
+        setter = lib.scipy_openblas_set_num_threads64_
+        getter = lib.scipy_openblas_get_num_threads64_
+    except (ImportError, OSError, AttributeError):
+        return None
+    setter.argtypes, setter.restype = [ctypes.c_int], None
+    getter.argtypes, getter.restype = [], ctypes.c_int
+    return setter, getter
 
 
 def _usable_cores() -> int:
@@ -64,17 +81,17 @@ def _usable_cores() -> int:
 
 
 def _set_threads(threads: int) -> None:
-    """Run this process's `forward` chunks on `threads` threads: the caller's
-    and `threads - 1` pool workers.  By default every usable core is used."""
-    # the executor starts no thread before its first task
-    pool = concurrent.futures.ThreadPoolExecutor(max(1, threads - 1), "clustergen-distort")
-    _POOLS[os.getpid()] = threads, pool
+    """Run this process's `forward` chunks on at most `threads` threads: a
+    `--jobs` worker's share of the usable cores."""
+    global _THREADS
+    _THREADS = threads
 
 
-def _threads_and_pool() -> tuple[int, concurrent.futures.Executor]:
-    if os.getpid() not in _POOLS:
-        _set_threads(_usable_cores())
-    return _POOLS[os.getpid()]
+def _threads() -> int:
+    """`forward`'s threads: those `_set_threads` set, else the usable cores
+    over the BLAS threads of each chunk's matmuls, so chunks share no core."""
+    blas = _openblas()
+    return _THREADS or max(1, _usable_cores() // (blas[1]() if blas else 1))
 
 
 def _row_chunks(n: int, threads: int) -> list[int]:
@@ -135,21 +152,17 @@ class DistortNetwork:
         The input is cast to float32 once, and the network runs in float32
         from the embedding to the projection.  The rows are split into
         chunks of at least 1024 rows, one per thread (see the module
-        docstring); the calling thread runs the first chunk and this
-        process's pool the others, and the result has the bits of one pass
-        over all rows.
+        docstring); the calling thread runs the first chunk and a pool that
+        lives for this call the others, and the result has the bits of one
+        pass over all rows.
         """
         x = np.asarray(x, dtype=np.float32)
         y = np.empty((x.shape[0], self.projection_bias.shape[0]))
-        threads, pool = _threads_and_pool()
-        bounds = _row_chunks(x.shape[0], threads)
-        rest = [
-            pool.submit(self._rows, x[a:b], y[a:b]) for a, b in zip(bounds[1:], bounds[2:])
-        ]
-        try:
+        bounds = _row_chunks(x.shape[0], _threads())
+        # no thread starts for one chunk, and every thread is joined on exit
+        with concurrent.futures.ThreadPoolExecutor(max(1, len(bounds) - 2)) as pool:
+            rest = [pool.submit(self._rows, x[a:b], y[a:b]) for a, b in zip(bounds[1:], bounds[2:])]
             self._rows(x[: bounds[1]], y[: bounds[1]])
-        finally:
-            concurrent.futures.wait(rest)
         for future in rest:
             future.result()
         return y

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -15,7 +16,7 @@ from clustergen.archetype import Archetype
 from clustergen.distributions import RadialDistribution
 from clustergen.mixture import Cluster, MixtureModel, sample_mixture_model, sample_orientation
 from clustergen.overlap import pairwise_overlaps
-from clustergen.sampling import dataset_from_csv
+from clustergen.sampling import Dataset, dataset_from_csv
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -244,9 +245,9 @@ class TestGenerate:
         assert err.count("error: cli_small[") == 2
 
     def test_parallel_distort_after_one_in_process(self, tmp_path):
-        # the first distort makes this process's row-chunk pool; the --jobs
-        # workers and a plain forked child each make their own instead of
-        # waiting forever on threads that a child does not have
+        # a distort in this process, then in a plain forked child and in the
+        # --jobs workers: none of them waits forever on threads that a
+        # forked child does not have
         code = """
 import os, signal, sys
 import numpy as np
@@ -565,6 +566,16 @@ class TestPlot:
         assert "labels must be integers" in capsys.readouterr().err
         assert not svg_path.exists()
 
+    def test_many_points_take_linear_time(self):
+        # 200,000 points: a scale that recomputes the minima per point takes over a minute
+        rng = np.random.default_rng(0)
+        n = 200_000
+        dataset = Dataset(rng.normal(size=(n, 2)), rng.integers(0, 5, n), "many")
+        start = time.perf_counter()
+        svg = cli._svg_scatter(dataset)
+        assert time.perf_counter() - start < 10
+        assert svg.count("<circle ") == n
+
     def test_empty_dataset_axes_only(self, tmp_path):
         csv_path = tmp_path / "empty.csv"
         csv_path.write_text("x1,x2,label\n")
@@ -882,6 +893,20 @@ class TestMemoryFailure:
         assert result.stderr.count("error: huge[0]: ") == 1
         rows = (tmp_path / "b.csv").read_text().strip().splitlines()
         assert [row.split(",")[0] for row in rows[1:]] == ["ok"]
+
+    def test_bare_memory_error_reads_out_of_memory(self, tmp_path, monkeypatch, capsys):
+        # str(MemoryError()) is "", so the record and the error lines need a text
+        def exhaust(*args, **kwargs):
+            raise MemoryError()
+
+        monkeypatch.setattr(cli, "sample_dataset", exhaust)
+        out = tmp_path / "out"
+        assert cli.main(["generate", "--inline", SMALL, "--out-dir", str(out)]) == 1
+        (entry,) = json.loads((out / "manifest.json").read_text())["entries"]
+        assert (entry["status"], entry["error"]) == ("memory-failure", "out of memory")
+        assert capsys.readouterr().err == "error: cli_small[0]: out of memory\n"
+        assert cli.main(["bench", "--inline", SMALL, "--n-datasets", "1"]) == 1
+        assert capsys.readouterr().err == "error: cli_small[0]: out of memory\n"
 
     def test_stray_memory_error_is_one_line(self, monkeypatch, capsys):
         def exhaust(*args, **kwargs):

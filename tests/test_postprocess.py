@@ -1,4 +1,3 @@
-import os
 import sys
 import threading
 
@@ -215,16 +214,23 @@ def one_pass(net, x):
 
 
 @pytest.fixture()
-def set_threads():
-    """`postprocess._set_threads`, with this process's default pool restored afterwards."""
-    pid = os.getpid()
-    saved = postprocess._POOLS.pop(pid, None)
-    yield postprocess._set_threads
-    made = postprocess._POOLS.pop(pid, None)
-    if made is not None:
-        made[1].shutdown()
-    if saved is not None:
-        postprocess._POOLS[pid] = saved
+def set_threads(monkeypatch):
+    """`postprocess._set_threads`, with this process's thread setting restored afterwards."""
+    monkeypatch.setattr(postprocess, "_THREADS", postprocess._THREADS)
+    return postprocess._set_threads
+
+
+def chunk_threads(monkeypatch, net, x):
+    """The thread count that `net.forward(x)` splits its rows for."""
+    seen = []
+
+    def spy(n, threads):
+        seen.append(threads)
+        return _row_chunks(n, threads)
+
+    monkeypatch.setattr(postprocess, "_row_chunks", spy)
+    net.forward(x)
+    return seen
 
 
 class TestDistortChunks:
@@ -287,6 +293,36 @@ class TestDistortChunks:
         assert not any(t.is_alive() for t in callers)
         for got, want in zip(results, expected):
             assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("threads", [1, 2, 4])
+    def test_no_thread_outlives_the_call(self, set_threads, threads):
+        set_threads(threads)
+        x = np.random.default_rng(0).standard_normal((6000, 10))
+        before = threading.active_count()
+        distort(x)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("cores,blas,threads", [(4, 1, 4), (4, 2, 2), (4, 3, 1), (2, 4, 1)])
+    def test_blas_threads_divide_the_cores(self, monkeypatch, cores, blas, threads):
+        # each chunk's matmuls run on the BLAS threads, so the chunks get the rest
+        monkeypatch.setattr(postprocess, "_usable_cores", lambda: cores)
+        monkeypatch.setattr(postprocess, "_openblas", lambda: (None, lambda: blas))
+        net = DistortNetwork.create(2, seed=0)
+        x = np.random.default_rng(1).standard_normal((6000, 2))
+        assert chunk_threads(monkeypatch, net, x) == [threads]
+
+    def test_without_the_blas_getter_every_core_is_used(self, monkeypatch):
+        monkeypatch.setattr(postprocess, "_usable_cores", lambda: 3)
+        monkeypatch.setattr(postprocess, "_openblas", lambda: None)
+        net = DistortNetwork.create(2, seed=0)
+        assert chunk_threads(monkeypatch, net, np.zeros((6000, 2))) == [3]
+
+    def test_a_set_share_overrides_the_blas_rule(self, monkeypatch, set_threads):
+        monkeypatch.setattr(postprocess, "_usable_cores", lambda: 4)
+        monkeypatch.setattr(postprocess, "_openblas", lambda: (None, lambda: 2))
+        set_threads(3)
+        net = DistortNetwork.create(2, seed=0)
+        assert chunk_threads(monkeypatch, net, np.zeros((6000, 2))) == [3]
 
 
 class TestWrapAroundSphere:

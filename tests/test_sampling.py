@@ -223,12 +223,14 @@ class TestRadialDistribution:
 
 
 def modules_loaded_after(code, *argv):
-    """The scipy and urllib.request modules loaded once `code` has run in a
-    fresh interpreter (this test session has imported SciPy itself)."""
+    """The scipy, urllib.request and process-pool modules (multiprocessing and
+    concurrent.futures.process) loaded once `code` has run in a fresh
+    interpreter (this test session has imported SciPy itself)."""
     code += (
         "\nimport json, sys"
         "\nprint(json.dumps(sorted(m for m, module in sys.modules.items() if module"
-        " and (m.split('.')[0] == 'scipy' or m == 'urllib.request'))))"
+        " and (m.split('.')[0] in ('scipy', 'multiprocessing')"
+        " or m in ('urllib.request', 'concurrent.futures.process')))))"
     )
     src = str(Path(clustergen.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
