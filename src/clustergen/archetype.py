@@ -259,12 +259,15 @@ def _geometric_pairs(ref: float, ratio: float, count: int, rng: np.random.Genera
     return values
 
 
-def _sum_pairs(ref: float, lo: float, hi: float, count: int, rng: np.random.Generator) -> np.ndarray:
-    """`count` values in pairs (s, 2*ref - s), s triangular on [lo, hi] with mode ref.
+def _sum_pairs(ref: float, e: float, count: int, rng: np.random.Generator) -> np.ndarray:
+    """`count` values in pairs (s, 2*ref - s), s triangular with mode ref on
+    [2*ref*e/(1+e), 2*ref/(1+e)], where e = 1/M in (0, 1] for a max/min ratio M.
 
     Every pair sums to 2*ref, so the values average ref; an odd count ends
-    with ref.  No draw is made when hi <= lo.
+    with ref.  Neither bound forms M, so no ratio overflows.  No draw is
+    made when the bounds meet.
     """
+    lo, hi = 2.0 * ref * e / (1.0 + e), 2.0 * ref / (1.0 + e)
     n = count // 2
     s = rng.triangular(lo, ref, hi, size=n) if hi > lo else np.full(n, float(ref))
     values = np.empty(count)
@@ -284,8 +287,7 @@ def sample_group_sizes(a: Archetype, rng: np.random.Generator) -> np.ndarray:
     k, n = a.n_clusters, a.n_samples
     if n < k:
         raise ValueError(f"n_samples={n} cannot cover n_clusters={k}")
-    ref, M = n / k, a.imbalance_ratio
-    real = _sum_pairs(ref, 2.0 * ref / (1.0 + M), 2.0 * ref * M / (1.0 + M), k, rng)
+    real = _sum_pairs(n / k, 1.0 / a.imbalance_ratio, k, rng)
     sizes = np.floor(real).astype(int)
     fractions = real - sizes
     shortfall = n - int(sizes.sum())
@@ -328,7 +330,7 @@ def sample_cluster_radii(a: Archetype, rng: np.random.Generator) -> np.ndarray:
     and no dim, scale or ratio overflows or underflows.
     """
     e = math.exp(-a.dim * math.log(a.radius_maxmin))  # 1/M, in (0, 1]
-    volumes = _sum_pairs(1.0, 2.0 * e / (1.0 + e), 2.0 / (1.0 + e), a.n_clusters, rng)
+    volumes = _sum_pairs(1.0, e, a.n_clusters, rng)
     return a.scale * volumes ** (1.0 / a.dim)
 
 

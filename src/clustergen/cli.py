@@ -3,12 +3,14 @@
 Exit codes are a stable contract: 0 success, 1 validation failure
 (usage errors, write, memory and worker failures included), 2
 convergence failure, 3 NL/API failure, as `_FAILURES` maps them.
-`generate` and `bench` record a failed dataset, keep every other
-dataset's output and exit with the largest code.  `nl --dry-run` prints
-the "params" and "identifier" prompts without any network traffic.
+`generate` and `bench` run every dataset through `_each`: a failed one,
+a lost `--jobs` worker's included, is recorded, every other dataset keeps
+its output, and the run exits with the largest code.  `nl --dry-run`
+prints the "params" and "identifier" prompts without any network traffic.
 
 Every command runs the bundled OpenBLAS on one thread (see `_pin_blas`);
-the cores are used by `--jobs` and by `distort`'s row chunks instead.
+the cores go to the `--jobs` workers, at most one per dataset, and to
+`distort`'s row chunks instead.
 """
 
 from __future__ import annotations
@@ -79,11 +81,11 @@ def _pin_blas() -> None:
         blas[0](1)
 
 
-def _init_worker(jobs: int) -> None:
-    """Start a `--jobs` worker: one BLAS thread, and its share of the usable
-    cores for `distort`, so that threads times jobs stays within the cores."""
+def _init_worker(workers: int) -> None:
+    """Start one of `workers` pool processes: one BLAS thread, and its share of
+    the usable cores for `distort`, so that threads times workers stays within the cores."""
     _pin_blas()
-    postprocess._set_threads(max(1, postprocess._usable_cores() // jobs))
+    postprocess._set_threads(max(1, postprocess._usable_cores() // workers))
 
 
 # Each failure's manifest status and exit code: `main` exits with the code,
@@ -95,6 +97,8 @@ _FAILURES = (
     (OSError, "write-failure", EXIT_VALIDATION),  # the dataset's CSV could not be written
     (ArchetypeValidationError, "validation-failure", EXIT_VALIDATION),
     (ValueError, "validation-failure", EXIT_VALIDATION),
+    # a --jobs worker process died (killed, say, by the out-of-memory killer)
+    (concurrent.futures.BrokenExecutor, "worker-failure", EXIT_VALIDATION),
 )
 _FAILURE_TYPES = tuple(kind for kind, _, _ in _FAILURES)
 
@@ -107,26 +111,46 @@ def _failure(exc: BaseException) -> tuple[dict, int]:
     return {"status": status, "error": error}, code
 
 
-def _generate_one(a: Archetype, index, seed, out_dir, do_distort, do_wrap):
-    """Worker: one dataset from one archetype, as (outcome fields, exit code).
-
-    Expected failures are recorded in the fields, not raised, so a process
-    pool and a plain `map` give the parent the same records.
-    """
+def _recorded(work, *args):
+    """`work(*args)`, or the (outcome fields, exit code) of the failure it raised."""
     try:
-        rng = np.random.default_rng(seed)
-        model = sample_mixture_model(a, rng)
-        dataset = sample_dataset(model, rng)
-        points = dataset.points
-        if do_distort:
-            points = distort(points, seed=seed)
-        if do_wrap:
-            points = wrap_around_sphere(points)
-        dataset = Dataset(points, dataset.labels, dataset.archetype_name)
-        path = os.path.join(out_dir, f"{a.name}_{index:03d}.csv")
-        _write_atomic(path, lambda tmp: dataset_to_csv(dataset, tmp))
+        return work(*args)
     except _FAILURE_TYPES as exc:
         return _failure(exc)
+
+
+def _each(work, calls, workers: int) -> tuple[list[tuple[dict, int]], int]:
+    """Every `work(*call)`'s (outcome fields, exit code) in call order, and the
+    largest code; a failed dataset goes to stderr, named by its call's leading
+    (archetype, index).  On `workers` > 1 processes each worker records its own
+    failures, and the parent those of a lost worker and of calls a broken pool refused."""
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(
+            max_workers=workers, initializer=_init_worker, initargs=(workers,)
+        ) as pool:
+            started = [_recorded(pool.submit, _recorded, work, *call) for call in calls]
+            outcomes = [s if isinstance(s, tuple) else _recorded(s.result) for s in started]
+    else:
+        outcomes = [_recorded(work, *call) for call in calls]
+    for (a, index, *_), (fields, code) in zip(calls, outcomes):
+        if code != EXIT_OK:
+            print(f"error: {a.name}[{index}]: {fields['error']}", file=sys.stderr)
+    return outcomes, max((code for _, code in outcomes), default=EXIT_OK)
+
+
+def _generate_one(a: Archetype, index, seed, out_dir, do_distort, do_wrap):
+    """One dataset from one archetype, written to its CSV, as (outcome fields, exit code)."""
+    rng = np.random.default_rng(seed)
+    model = sample_mixture_model(a, rng)
+    dataset = sample_dataset(model, rng)
+    points = dataset.points
+    if do_distort:
+        points = distort(points, seed=seed)
+    if do_wrap:
+        points = wrap_around_sphere(points)
+    dataset = Dataset(points, dataset.labels, dataset.archetype_name)
+    path = os.path.join(out_dir, f"{a.name}_{index:03d}.csv")
+    _write_atomic(path, lambda tmp: dataset_to_csv(dataset, tmp))
     return {"path": os.path.basename(path), "status": "ok"}, EXIT_OK
 
 
@@ -151,39 +175,17 @@ def cmd_generate(args) -> int:
         "created_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "master_seed": args.seed,
     }
-    n = len(jobs)
-    calls = [
-        (a, index, seed, args.out_dir, args.distort, args.wrap) for a, index, seed in jobs
-    ]
-    if args.jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(
-            max_workers=args.jobs, initializer=_init_worker, initargs=(args.jobs,)
-        ) as pool:
-            futures = [pool.submit(_generate_one, *call) for call in calls]
-            outcomes = [_collect(future) for future in futures]
-    else:
-        outcomes = [_generate_one(*call) for call in calls]
+    calls = [(a, index, seed, args.out_dir, args.distort, args.wrap) for a, index, seed in jobs]
+    # at most one worker per dataset: a fork pool starts all of them at once
+    outcomes, code = _each(_generate_one, calls, min(args.jobs, len(calls)))
     manifest["entries"] = [
-        {"archetype": a.name, "index": index, "seed": seed, "distort": do_distort,
-         "wrap": do_wrap, **fields}
-        for (a, index, seed, _, do_distort, do_wrap), (fields, _) in zip(calls, outcomes)
+        {"archetype": a.name, "index": index, "seed": seed, "distort": args.distort,
+         "wrap": args.wrap, **fields}
+        for (a, index, seed), (fields, _) in zip(jobs, outcomes)
     ]
-    for e in manifest["entries"]:
-        if e["status"] != "ok":
-            print(f"error: {e['archetype']}[{e['index']}]: {e['error']}", file=sys.stderr)
     _write_text(os.path.join(args.out_dir, "manifest.json"), json.dumps(manifest, indent=2) + "\n")
-    written = sum(e["status"] == "ok" for e in manifest["entries"])
-    print(f"wrote {written}/{n} datasets to {args.out_dir}")
-    return max((code for _, code in outcomes), default=EXIT_OK)
-
-
-def _collect(future):
-    """A worker's (outcome fields, exit code); a dataset lost with its worker
-    process (killed, say, by the out-of-memory killer) is a `worker-failure`."""
-    try:
-        return future.result()
-    except concurrent.futures.process.BrokenProcessPool as exc:
-        return {"status": "worker-failure", "error": str(exc)}, EXIT_VALIDATION
+    print(f"wrote {sum(c == EXIT_OK for _, c in outcomes)}/{len(calls)} datasets to {args.out_dir}")
+    return code
 
 
 def cmd_validate_overlap(args) -> int:
@@ -279,24 +281,21 @@ def cmd_plot(args) -> int:
     return EXIT_OK
 
 
+def _score_one(a: Archetype, _index, seed):
+    """One dataset's `bench` row, as (outcome fields, exit code)."""
+    rng = np.random.default_rng(seed)
+    model = sample_mixture_model(a, rng)
+    dataset = sample_dataset(model, rng)
+    scores = evaluate_dataset(dataset.points, dataset.labels, a.n_clusters, rng)
+    row = (f"{a.name},{seed},{a.max_overlap!r},"
+           f"{scores['ami']:.6f},{scores['ari']:.6f},{scores['silhouette']:.6f}")
+    return {"row": row}, EXIT_OK
+
+
 def cmd_bench(args) -> int:
+    outcomes, code = _each(_score_one, _load_jobs(args), 1)
     rows = ["archetype,seed,max_overlap,ami,ari,silhouette"]
-    code = EXIT_OK
-    for a, index, seed in _load_jobs(args):
-        rng = np.random.default_rng(seed)
-        try:
-            model = sample_mixture_model(a, rng)
-            dataset = sample_dataset(model, rng)
-            scores = evaluate_dataset(dataset.points, dataset.labels, a.n_clusters, rng)
-        except _FAILURE_TYPES as exc:  # the other datasets keep their rows
-            fields, failed = _failure(exc)
-            print(f"error: {a.name}[{index}]: {fields['error']}", file=sys.stderr)
-            code = max(code, failed)
-            continue
-        rows.append(
-            f"{a.name},{seed},{a.max_overlap!r},"
-            f"{scores['ami']:.6f},{scores['ari']:.6f},{scores['silhouette']:.6f}"
-        )
+    rows += [fields["row"] for fields, c in outcomes if c == EXIT_OK]
     text = "\n".join(rows) + "\n"
     if args.out:
         _write_text(args.out, text)

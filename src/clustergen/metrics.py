@@ -107,15 +107,25 @@ def kmeans(X, k: int, rng: np.random.Generator) -> np.ndarray:
     over `rng.choice` does: rng.integers(n), then one rng.random() per
     further centre, or rng.integers(n, size=k − j) for the rest once every
     row coincides with a centre.  The first strictly lowest WCSS wins.
-    Beyond X and its centred copy, memory is O(n·k).
+    Beyond X and its centred copy, memory is O(n·k).  An X holding a NaN,
+    or whose squared distances could overflow, is refused with a ValueError.
 
     Returns integer labels covering [0, k') with no empty class; k' < k
     only when a cluster emptied out.
     """
     X = np.asarray(X, dtype=float)
-    n = X.shape[0]
+    n, d = X.shape
     if k > n:
         raise ValueError(f"k={k} exceeds the number of points n={n}")
+    # centred, every coordinate lies within ±2m, so each squared distance
+    # below is at most 16·d·m² and each sum of n of them 16·n·d·m²; a NaN
+    # makes m NaN, which no restart could score
+    m, limit = max(X.max(), -X.min()), math.sqrt(np.finfo(float).max / (16 * n * d))
+    if not m <= limit:
+        raise ValueError(
+            f"K-Means would overflow: |X| reaches {m:.3g}, but the squared distances "
+            f"of {n} points in {d} dimensions stay finite only up to {limit:.3g}"
+        )
     centred = X - X.mean(axis=0)  # ‖c‖² − 2·x·c cancels less near the origin
     sq = np.einsum("ij,ij->i", centred, centred)
     best_assignment, best_score = None, np.inf

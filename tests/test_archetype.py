@@ -324,6 +324,19 @@ class TestGroupSizes:
         assert int(sizes.sum()) == 2**53
         assert sizes.min() >= 1
 
+    @pytest.mark.parametrize("spec", [
+        '{"name":"a","n_clusters":4,"imbalance_ratio":1e308}',
+        '{"name":"a","n_clusters":2,"n_samples":9007199254740992,"imbalance_ratio":1e300}',
+    ])
+    def test_huge_imbalance_ratio_gives_sizes(self, spec):
+        # 2·ref·M once overflowed to inf: the sizes became INT_MIN and the
+        # repair loop, one count per pass, never ended (RuntimeWarnings are errors)
+        a = Archetype.from_json(spec)
+        for seed in range(5):
+            sizes = sample_group_sizes(a, np.random.default_rng(seed))
+            assert int(sizes.sum()) == a.n_samples
+            assert sizes.min() >= 1
+
     def test_same_seed_same_multiset(self):
         a = make_archetype(imbalance_ratio=3)
         first = sample_group_sizes(a, np.random.default_rng(99))

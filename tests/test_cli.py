@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import io
 import json
@@ -44,6 +45,38 @@ NONCONVERGING = json.dumps(
 def die(*args):
     """A `_generate_one` whose worker process dies at once."""
     os._exit(9)
+
+
+@pytest.fixture
+def fake_pool(monkeypatch):
+    """A `ProcessPoolExecutor` stand-in that starts no process: it records its
+    arguments and runs each call here.  From call `accepts` + 1 on, `submit`
+    raises BrokenExecutor, as a pool that a lost worker broke does."""
+
+    class Pool:
+        made = []
+        accepts = None
+
+        def __init__(self, max_workers, initializer, initargs):
+            self.max_workers, self.initargs, self.submitted = max_workers, initargs, 0
+            Pool.made.append(self)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            self.submitted += 1
+            if Pool.accepts is not None and self.submitted > Pool.accepts:
+                raise concurrent.futures.BrokenExecutor("the pool is broken")
+            future = concurrent.futures.Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    return Pool
 
 
 def run_python(args, cwd, env=os.environ, timeout=300, **kwargs):
@@ -243,6 +276,46 @@ class TestGenerate:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert err.count("error: cli_small[") == 2
+
+    def test_datasets_a_broken_pool_refused_are_in_the_manifest(
+        self, tmp_path, fake_pool, capsys
+    ):
+        fake_pool.accepts = 1
+        out = tmp_path / "out"
+        code = cli.main(
+            ["generate", "--inline", SMALL, "--n-datasets", "3", "--out-dir", str(out),
+             "--jobs", "2"]
+        )
+        assert code == cli.EXIT_VALIDATION
+        entries = json.loads((out / "manifest.json").read_text())["entries"]
+        assert [(e["index"], e["status"]) for e in entries] == [
+            (0, "ok"), (1, "worker-failure"), (2, "worker-failure")
+        ]
+        assert entries[1]["error"] == "the pool is broken"
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err == "".join(f"error: cli_small[{i}]: the pool is broken\n" for i in (1, 2))
+        assert sorted(p.name for p in out.glob("*.csv")) == ["cli_small_000.csv"]
+
+    @pytest.mark.parametrize(
+        "n_datasets,jobs,workers", [(1, 64, None), (2, 64, 2), (3, 64, 3), (5, 4, 4)]
+    )
+    def test_at_most_one_worker_per_dataset(
+        self, tmp_path, fake_pool, n_datasets, jobs, workers
+    ):
+        # a fork pool starts all its workers at the first submit; one
+        # dataset runs in this process, and the bytes stay the serial ones
+        argv = ["generate", "--inline", SMALL, "--n-datasets", str(n_datasets), "--seed", "4"]
+        assert cli.main([*argv, "--out-dir", str(tmp_path / "s")]) == cli.EXIT_OK
+        assert cli.main(
+            [*argv, "--out-dir", str(tmp_path / "p"), "--jobs", str(jobs)]
+        ) == cli.EXIT_OK
+        assert [(p.max_workers, p.initargs) for p in fake_pool.made] == (
+            [] if workers is None else [(workers, (workers,))]
+        )
+        for path in (tmp_path / "s").glob("*.csv"):
+            assert (tmp_path / "p" / path.name).read_bytes() == path.read_bytes()
+        assert len(list((tmp_path / "p").glob("*.csv"))) == n_datasets
 
     def test_parallel_distort_after_one_in_process(self, tmp_path):
         # a distort in this process, then in a plain forked child and in the
@@ -846,6 +919,14 @@ class TestExitCodeMapping:
         assert code == 2
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["entries"][0]["status"] == "convergence-failure"
+
+    def test_stray_broken_executor_is_one_line(self, monkeypatch, capsys):
+        def broken(*args, **kwargs):
+            raise concurrent.futures.BrokenExecutor("the pool is broken")
+
+        monkeypatch.setattr(cli, "load_archetypes_jsonl", broken)
+        assert cli.main(["generate", "--archetypes", "x", "--out-dir", "o"]) == 1
+        assert capsys.readouterr().err == "error: the pool is broken\n"
 
 
 # the second dataset needs 100 million points in 100 dimensions, 75 GiB

@@ -313,6 +313,22 @@ class TestKmeans:
             tracemalloc.stop()
         assert peak < 1.5 * X.nbytes
 
+    def test_overflowing_squares_are_refused(self):
+        # every restart's WCSS was NaN, so kmeans returned a 0-d array
+        X = np.random.default_rng(0).standard_normal((3000, 2)) * 1e200
+        with pytest.raises(ValueError, match="K-Means would overflow: .* 3000 points in 2 dim"):
+            kmeans(X, 3, rng=np.random.default_rng(0))
+        with pytest.raises(ValueError, match="K-Means would overflow"):
+            evaluate_dataset(X, np.zeros(3000, dtype=int), 3, np.random.default_rng(0))
+        # a NaN left every WCSS NaN in the same way
+        Y = X / 1e200
+        Y[5, 1] = np.nan
+        with pytest.raises(ValueError, match="reaches nan"):
+            kmeans(Y, 3, rng=np.random.default_rng(0))
+        # just inside the limit of 4.33e151, nothing overflows (RuntimeWarnings are errors)
+        X *= 1.1e151 / 1e200
+        assert kmeans(X, 3, rng=np.random.default_rng(0)).shape == (3000,)
+
     def test_far_from_origin_matches_reference(self):
         rng = np.random.default_rng(16)
         X = rng.normal(size=(300, 3)) + 4.0 * rng.normal(size=(4, 3))[rng.integers(0, 4, 300)]
