@@ -8,9 +8,10 @@ a lost `--jobs` worker's included, is recorded, every other dataset keeps
 its output, and the run exits with the largest code.  `nl --dry-run`
 prints the "params" and "identifier" prompts without any network traffic.
 
-Every command runs the bundled OpenBLAS on one thread (see `_pin_blas`);
-the cores go to the `--jobs` workers, at most one per dataset, and to
-`distort`'s row chunks instead.
+Every command and every `--jobs` worker calls `postprocess._pin_blas`, so
+the bundled OpenBLAS runs on one thread and the cores go instead to the
+`--jobs` workers, at most one per dataset, and within each process to
+`distort`'s row chunks.
 """
 
 from __future__ import annotations
@@ -69,25 +70,6 @@ def _write_text(path: str, text: str) -> None:
     _write_atomic(path, lambda tmp: pathlib.Path(tmp).write_text(text, encoding="utf-8"))
 
 
-def _pin_blas() -> None:
-    """Run NumPy's bundled OpenBLAS on one thread.
-
-    Its threaded paths round differently from its one-thread paths (Cholesky
-    from dim ~128, matmul, QR and eigh from dim ~500), so one seed gives the
-    same bytes on every machine only at a fixed thread count.
-    """
-    blas = postprocess._openblas()
-    if blas is not None:
-        blas[0](1)
-
-
-def _init_worker(workers: int) -> None:
-    """Start one of `workers` pool processes: one BLAS thread, and its share of
-    the usable cores for `distort`, so that threads times workers stays within the cores."""
-    _pin_blas()
-    postprocess._set_threads(max(1, postprocess._usable_cores() // workers))
-
-
 # Each failure's manifest status and exit code: `main` exits with the code,
 # and `generate` and `bench` record a failed dataset and go on with the others.
 _FAILURES = (
@@ -126,7 +108,7 @@ def _each(work, calls, workers: int) -> tuple[list[tuple[dict, int]], int]:
     failures, and the parent those of a lost worker and of calls a broken pool refused."""
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(
-            max_workers=workers, initializer=_init_worker, initargs=(workers,)
+            max_workers=workers, initializer=postprocess._pin_blas, initargs=(workers,)
         ) as pool:
             started = [_recorded(pool.submit, _recorded, work, *call) for call in calls]
             outcomes = [s if isinstance(s, tuple) else _recorded(s.result) for s in started]
@@ -402,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    _pin_blas()
+    postprocess._pin_blas()
     try:
         return args.func(args)
     except _FAILURE_TYPES as exc:

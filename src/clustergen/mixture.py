@@ -10,7 +10,7 @@ places the centers so the pairwise overlap constraints hold exactly.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -186,29 +186,20 @@ def sample_mixture_model(a: arch.Archetype, rng: np.random.Generator) -> Mixture
     families = arch.assign_distributions(a, rng)
     group_sizes = arch.sample_group_sizes(a, rng)
 
-    center = np.zeros(dim)
-    model = MixtureModel(
-        clusters=[
-            Cluster(
-                center=center,
-                axes=orientations[j],
-                axis_lengths=lengths[j],
-                radial_distribution=RadialDistribution(families[j]),
-            )
+    def placed_at(centers):
+        clusters = [
+            Cluster(centers[j], orientations[j], lengths[j], RadialDistribution(families[j]))
             for j in range(k)
-        ],
-        group_sizes=group_sizes,
-        archetype_name=a.name,
-    )
+        ]
+        return MixtureModel(clusters, group_sizes, a.name)
+
     if k == 1:
-        return model
+        return placed_at(np.zeros((1, dim)))
 
     bounds = placement.OverlapBounds.from_overlaps(a.max_overlap, a.min_overlap)
     for _ in range(placement.MAX_RESTARTS + 1):
-        centers = placement.init_centers(k, dim, radii, None, rng)
-        start = replace(
-            model, clusters=[replace(c, center=centers[j]) for j, c in enumerate(model.clusters)]
-        )
+        # by position: perfbench/spans.py reads the config and the generator from it
+        start = placed_at(placement.init_centers(k, dim, radii, None, rng))
         try:
             model, _ = placement.optimize_centers(start, bounds, None, rng)
             return model

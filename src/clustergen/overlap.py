@@ -177,8 +177,8 @@ def _checked(centers, covs):
     """centers and covs as k x d and k x d x d float arrays, refusing inseparable pairs.
 
     Raises ValueError when a center is not finite, when two centers
-    coincide, or when some pair's averaged covariance has a condition
-    number above 1e12 (or NaN).
+    coincide, or when some pair's averaged covariance is zero or has a
+    condition number above 1e12 (or NaN).
     """
     centers = np.asarray(centers, dtype=float).reshape(len(centers), -1)
     covs = np.asarray(covs, dtype=float).reshape(-1, centers.shape[1], centers.shape[1])
@@ -188,7 +188,8 @@ def _checked(centers, covs):
         if not np.all(np.any(centers[j] - centers[i], axis=1)):
             raise ValueError("cluster centers coincide; no separating axis exists")
         eig = np.linalg.eigvalsh(mean)  # ascending
-        if not np.all(eig[:, 0] * _MAX_CONDITION >= eig[:, -1]):
+        # a zero matrix passes the ratio (0 >= 0), and no other matrix with eig[:, 0] <= 0 does
+        if not np.all((eig[:, 0] > 0) & (eig[:, 0] * _MAX_CONDITION >= eig[:, -1])):
             raise ValueError("averaged covariance is numerically singular")
     return centers, covs
 
@@ -247,13 +248,18 @@ class OverlapReport:
 def _reports(centers, covs, include_exact=False) -> list[OverlapReport]:
     """One report per pair i < j, in `np.triu_indices` order: every estimator's one path.
 
-    The inputs are checked (`_checked`) and every pair factored once
+    The inputs are checked (`_checked`), divided by a power of two near
+    the largest axis length and its square, and every pair factored once
     (`pair_inverses`); one kernel evaluates the LDA and center-difference
     axes (`_table_separations`), and the exact oracle, if asked, reads the
     LDA's factors and quantiles.  A variance along either axis that is not
     positive (a q that is not finite) refuses the whole input.
     """
     centers, covs = _checked(centers, covs)
+    # q is scale-free, and this division is exact: it moves no bit at
+    # ordinary scales and keeps delta'S delta off underflow and overflow at any
+    e = np.frexp(np.sqrt(np.abs(covs).max()))[1]
+    centers, covs = np.ldexp(centers, -e), np.ldexp(covs, -2 * e)
     inverses = pair_inverses(covs)
     iu, ju = inverses.iu, inverses.ju
     delta = centers[ju] - centers[iu]

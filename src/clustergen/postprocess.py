@@ -31,6 +31,13 @@ rows do: 288 splits into 2-4 chunks as `forward` makes them (dim 1-200, n
 Smaller chunks need not: chunks of 16 rows moved bits in 9 of 24 shapes and
 of 64 rows in 1 of 24, and a short last chunk (n's remainder after chunks of
 16-1024 rows) in 1-9 of 12.  Inputs of fewer than 2048 rows run whole.
+
+This module owns a process's core budget.  `_pin_blas(processes)` pins the
+bundled OpenBLAS to one thread and records how many processes share the
+usable cores; `forward` then runs `cores // (processes * BLAS threads)`
+chunks at most (`_threads`): every core in a CLI process, `cores // N` in
+each worker of `generate --jobs N`, and the cores over its BLAS threads for
+a library caller that never pins.
 """
 
 from __future__ import annotations
@@ -51,8 +58,8 @@ _PROJECTION_COLUMNS = 16
 # multiples of 64 rows; smaller chunks can move bits (see above).
 _CHUNK_ROWS = 1024
 
-# This process's `forward` threads when `_set_threads` has set them, else None.
-_THREADS: int | None = None
+# How many processes share the usable cores, as `_pin_blas` last recorded.
+_PROCESSES = 1
 
 
 @functools.cache
@@ -80,18 +87,27 @@ def _usable_cores() -> int:
     return os.cpu_count() or 1
 
 
-def _set_threads(threads: int) -> None:
-    """Run this process's `forward` chunks on at most `threads` threads: a
-    `--jobs` worker's share of the usable cores."""
-    global _THREADS
-    _THREADS = threads
+def _pin_blas(processes: int = 1) -> None:
+    """Run the bundled OpenBLAS on one thread, in one of `processes` processes
+    that share the usable cores.
+
+    Its threaded paths round differently from its one-thread paths (Cholesky
+    from dim ~128, matmul, QR and eigh from dim ~500), so one seed gives the
+    same bytes on every machine only at a fixed thread count.
+    """
+    global _PROCESSES
+    _PROCESSES = processes
+    blas = _openblas()
+    if blas is not None:
+        blas[0](1)
 
 
 def _threads() -> int:
-    """`forward`'s threads: those `_set_threads` set, else the usable cores
-    over the BLAS threads of each chunk's matmuls, so chunks share no core."""
+    """`forward`'s threads: this process's share of the usable cores (see
+    `_pin_blas`) over the BLAS threads of each chunk's matmuls, so that no
+    two chunks, here or in another process, share a core."""
     blas = _openblas()
-    return _THREADS or max(1, _usable_cores() // (blas[1]() if blas else 1))
+    return max(1, _usable_cores() // (_PROCESSES * (blas[1]() if blas else 1)))
 
 
 def _row_chunks(n: int, threads: int) -> list[int]:

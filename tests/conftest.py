@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from clustergen.archetype import load_archetypes_jsonl
-from clustergen.cli import _pin_blas
+from clustergen.postprocess import _pin_blas
 
 FIXTURES = Path(__file__).parent / "fixtures"
 

@@ -486,6 +486,17 @@ class TestValidateOverlap:
         if code == cli.EXIT_VALIDATION:
             assert "numerically singular" in capsys.readouterr().err
 
+    def test_model_of_zero_axis_lengths_exits_1(self, tmp_path, capsys):
+        # a zero averaged covariance passes the condition ratio as 0 >= 0
+        clusters = [
+            Cluster(np.array(center), np.eye(2), np.zeros(2), RadialDistribution("normal"))
+            for center in ([0.0, 0.0], [1.0, 0.0])
+        ]
+        model_path = tmp_path / "model.json"
+        model_path.write_text(MixtureModel(clusters, np.array([10, 10]), "zero").to_json())
+        assert cli.main(["validate-overlap", "--model", str(model_path)]) == cli.EXIT_VALIDATION
+        assert capsys.readouterr().err == "error: averaged covariance is numerically singular\n"
+
     @pytest.mark.parametrize("edit,message", [
         (lambda m: {"clusters": []}, "missing key 'archetype_name'"),
         (lambda m: without(m, "group_sizes"), "missing key 'group_sizes'"),

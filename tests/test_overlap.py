@@ -501,6 +501,19 @@ class TestPairwiseReports:
         pairwise_overlaps(model, include_exact=True)
         assert batches == [32, 32, 2]
 
+    @pytest.mark.parametrize("power", [-330, -300, -200, 200, 300, 330])
+    def test_reports_do_not_depend_on_a_power_of_two_scale(self, power):
+        # in raw units delta'S delta goes as 2^(4 power): it underflows or
+        # overflows at |power| = 300, inside the validated scales 1e-100-1e100
+        model = sample_mixture_model(Archetype(name="scaled", n_clusters=6, dim=7),
+                                     np.random.default_rng(31))
+        scaled = replace(model, clusters=[
+            replace(c, center=np.ldexp(c.center, power), axis_lengths=np.ldexp(c.axis_lengths, power))
+            for c in model.clusters
+        ])
+        expected = pairwise_overlaps(model, include_exact=True)
+        assert pairwise_overlaps(scaled, include_exact=True) == expected
+
     def test_coincident_centers_rejected(self):
         clusters = [spherical_cluster(c, 1.0, 2) for c in ([0, 0], [3, 0], [0, 0])]
         model = MixtureModel(clusters, np.full(3, 10), "twins")
@@ -590,13 +603,15 @@ class TestRefusals:
             (([1, 1], [1, 1], np.eye(2), np.eye(2)), "coincide"),
             (([0, 0], [1, 0], np.diag([1.0, 0.0]), np.diag([1.0, 0.0])), "singular"),
             (([0, 0], [1, 0], CONDITION_2E12, CONDITION_2E12), "singular"),
+            # its condition ratio reads 0 >= 0
+            (([0, 0], [1, 0], np.zeros((2, 2)), np.zeros((2, 2))), "singular"),
             (([0, 0], [0, 1], np.diag([1.0, -0.5]), np.eye(2)), "positive definite"),
             # positive along the center difference, negative along the LDA axis
             (([0, 0], [1, 1.2], np.diag([1.0, -0.5]), np.diag([1.0, 2.0])), "positive definite"),
             (([0, np.nan], [1, 1], np.eye(2), np.eye(2)), "centers must be finite"),
             (([0, 0], [np.inf, 1], np.eye(2), np.eye(2)), "centers must be finite"),
         ],
-        ids=["coincident", "singular", "condition-2e12", "indefinite", "indefinite-lda-axis",
+        ids=["coincident", "singular", "condition-2e12", "zero", "indefinite", "indefinite-lda-axis",
              "nan-center", "inf-center"],
     )
     def test_refused(self, name, pair, match):

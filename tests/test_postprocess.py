@@ -1,3 +1,4 @@
+import concurrent.futures
 import sys
 import threading
 
@@ -215,9 +216,15 @@ def one_pass(net, x):
 
 @pytest.fixture()
 def set_threads(monkeypatch):
-    """`postprocess._set_threads`, with this process's thread setting restored afterwards."""
-    monkeypatch.setattr(postprocess, "_THREADS", postprocess._THREADS)
-    return postprocess._set_threads
+    """Set the thread count that `forward` splits its rows for, for this test only,
+    whatever the machine's core count."""
+    return lambda threads: monkeypatch.setattr(postprocess, "_threads", lambda: threads)
+
+
+def pool_worker_budget():
+    """A pool worker's `forward` threads and BLAS threads (None without a BLAS getter)."""
+    blas = postprocess._openblas()
+    return postprocess._threads(), blas[1]() if blas else None
 
 
 def chunk_threads(monkeypatch, net, x):
@@ -317,12 +324,25 @@ class TestDistortChunks:
         net = DistortNetwork.create(2, seed=0)
         assert chunk_threads(monkeypatch, net, np.zeros((6000, 2))) == [3]
 
-    def test_a_set_share_overrides_the_blas_rule(self, monkeypatch, set_threads):
-        monkeypatch.setattr(postprocess, "_usable_cores", lambda: 4)
-        monkeypatch.setattr(postprocess, "_openblas", lambda: (None, lambda: 2))
-        set_threads(3)
+    @pytest.mark.parametrize(
+        "cores,processes,blas,threads", [(4, 2, 1, 2), (4, 3, 1, 1), (8, 2, 2, 2), (2, 4, 1, 1)]
+    )
+    def test_processes_divide_the_cores(self, monkeypatch, cores, processes, blas, threads):
+        # `generate --jobs N` runs N processes, and each one's chunks get its share
+        monkeypatch.setattr(postprocess, "_usable_cores", lambda: cores)
+        monkeypatch.setattr(postprocess, "_openblas", lambda: (None, lambda: blas))
+        monkeypatch.setattr(postprocess, "_PROCESSES", processes)
         net = DistortNetwork.create(2, seed=0)
-        assert chunk_threads(monkeypatch, net, np.zeros((6000, 2))) == [3]
+        assert chunk_threads(monkeypatch, net, np.zeros((6000, 2))) == [threads]
+
+    def test_a_pool_worker_gets_its_share_of_the_cores_and_one_blas_thread(self):
+        # two processes at most, as a `--jobs 2` run starts them
+        with concurrent.futures.ProcessPoolExecutor(
+            2, initializer=postprocess._pin_blas, initargs=(2,)
+        ) as pool:
+            threads, blas = pool.submit(pool_worker_budget).result(timeout=60)
+        assert threads == max(1, postprocess._usable_cores() // 2)
+        assert blas == (None if postprocess._openblas() is None else 1)
 
 
 class TestWrapAroundSphere:

@@ -1,10 +1,15 @@
 """Property tests: every validated archetype places within its overlap band
-or fails with NonConvergenceError, and `generate` exits 0 or 2.
+or fails with NonConvergenceError, and `generate` and `validate-overlap
+--archetype` exit 0 or 2, the latter with every estimate it reports finite.
 
-The examples are derandomized, so every run tests the same archetypes;
-`max_examples` keeps the whole file to a few seconds.
+The strategies span the validated range: `scale` log-uniform over
+1e-100-1e100, the aspect and radius ratios log-uniform up to 1e3 (so the
+largest aspect drawn is up to 3.2e4), and `imbalance_ratio` up to 1e6.  The
+examples are derandomized, so every run tests the same archetypes;
+`max_examples` keeps the whole file to about ten seconds.
 """
 
+import csv
 import json
 import math
 import tempfile
@@ -56,13 +61,13 @@ def archetypes(draw, max_clusters, dims):
         n_clusters=k,
         dim=draw(dims),
         n_samples=draw(st.just(k) | st.integers(k, 30 * k)),
-        aspect_ref=draw(st.floats(1.0, 20.0)),
-        aspect_maxmin=draw(st.floats(1.0, 20.0)),
-        radius_maxmin=draw(st.floats(1.0, 20.0)),
-        scale=draw(log_uniform(1e-3, 1e3)),
+        aspect_ref=draw(log_uniform(1.0, 1e3)),
+        aspect_maxmin=draw(log_uniform(1.0, 1e3)),
+        radius_maxmin=draw(log_uniform(1.0, 1e3)),
+        scale=draw(log_uniform(1e-100, 1e100)),
         max_overlap=max_overlap,
         min_overlap=max_overlap * draw(st.floats(1e-3, 0.99)),
-        imbalance_ratio=draw(st.floats(1.0, 30.0)),
+        imbalance_ratio=draw(log_uniform(1.0, 1e6)),
         distributions=tuple(families),
         distribution_proportions=None if weights is None else tuple(
             w / sum(weights) for w in weights
@@ -126,7 +131,21 @@ def test_generate_exits_0_or_2(a, seed, n_datasets, jobs):
              "--n-datasets", str(n_datasets), "--jobs", str(jobs), "--out-dir", out]
         )
         statuses = [e["status"] for e in json.loads((Path(out) / "manifest.json").read_text())["entries"]]
+        archetype, report = Path(out) / "a.json", Path(out) / "overlap.csv"
+        archetype.write_text(a.to_json())
+        validate_code = cli.main(
+            ["validate-overlap", "--archetype", str(archetype), "--seed", str(seed),
+             "--out", str(report)]
+        )
+        pairs = [] if validate_code else list(csv.DictReader(report.open(encoding="utf-8")))
     assert code in (cli.EXIT_OK, cli.EXIT_CONVERGENCE)
     assert len(statuses) == n_datasets
     assert set(statuses) <= {"ok", "convergence-failure"}
     assert (code == cli.EXIT_CONVERGENCE) == ("convergence-failure" in statuses)
+    assert validate_code in (cli.EXIT_OK, cli.EXIT_CONVERGENCE)
+    assert len(pairs) == (0 if validate_code else a.n_clusters * (a.n_clusters - 1) // 2)
+    # alpha_exact, the costly oracle, stays blank here; test_overlap checks it at extreme scales
+    assert all(
+        math.isfinite(float(pair[column]))
+        for pair in pairs for column in ("q_lda", "alpha_lda", "alpha_c2c")
+    )
