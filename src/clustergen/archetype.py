@@ -242,6 +242,15 @@ def validate_archetype(a: Archetype) -> list[str]:
     return v
 
 
+def _paired(first: np.ndarray, second: np.ndarray, ref: float, count: int) -> np.ndarray:
+    """`count` values: first[0], second[0], first[1], ..., ending with ref if count is odd."""
+    n = len(first)
+    values = np.full(count, float(ref))
+    values[0 : 2 * n : 2] = first
+    values[1 : 2 * n : 2] = second
+    return values
+
+
 def _geometric_pairs(ref: float, ratio: float, count: int, rng: np.random.Generator) -> np.ndarray:
     """`count` values in pairs (ref*e^u, ref^2/(ref*e^u)), u triangular on ±ln(ratio)/2.
 
@@ -252,11 +261,7 @@ def _geometric_pairs(ref: float, ratio: float, count: int, rng: np.random.Genera
     n = count // 2
     u = rng.triangular(-half_span, 0.0, half_span, size=n) if half_span > 0 else np.zeros(n)
     first = ref * np.exp(u)
-    values = np.empty(count)
-    values[0 : 2 * n : 2] = first
-    values[1 : 2 * n : 2] = ref * ref / first
-    values[2 * n :] = ref
-    return values
+    return _paired(first, ref * ref / first, ref, count)
 
 
 def _sum_pairs(ref: float, e: float, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -270,11 +275,7 @@ def _sum_pairs(ref: float, e: float, count: int, rng: np.random.Generator) -> np
     lo, hi = 2.0 * ref * e / (1.0 + e), 2.0 * ref / (1.0 + e)
     n = count // 2
     s = rng.triangular(lo, ref, hi, size=n) if hi > lo else np.full(n, float(ref))
-    values = np.empty(count)
-    values[0 : 2 * n : 2] = s
-    values[1 : 2 * n : 2] = 2.0 * ref - s
-    values[2 * n :] = ref
-    return values
+    return _paired(s, 2.0 * ref - s, ref, count)
 
 
 def sample_group_sizes(a: Archetype, rng: np.random.Generator) -> np.ndarray:

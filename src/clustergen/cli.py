@@ -1,7 +1,7 @@
 """Command-line interface: generate, validate-overlap, nl, plot, bench, hyperparams.
 
-Exit codes are a stable contract: 0 success, 1 validation failure
-(usage errors, write, memory and worker failures included), 2
+Exit codes are a stable contract: 0 success, 1 validation failure (usage,
+`hyperparams --bounds`, write, memory and worker errors included), 2
 convergence failure, 3 NL/API failure, as `_FAILURES` maps them.
 `generate` and `bench` run every dataset through `_each`: a failed one,
 a lost `--jobs` worker's included, is recorded, every other dataset keeps
@@ -120,10 +120,24 @@ def _each(work, calls, workers: int) -> tuple[list[tuple[dict, int]], int]:
     return outcomes, max((code for _, code in outcomes), default=EXIT_OK)
 
 
+def _model(a: Archetype, seed: int) -> tuple[np.random.Generator, MixtureModel]:
+    """The generator seeded with `seed`, and the model it has drawn from `a`."""
+    rng = np.random.default_rng(seed)
+    return rng, sample_mixture_model(a, rng)
+
+
+def _emit(rows, out) -> None:
+    """`rows` as lines, written to the file `out` or, without one, to stdout."""
+    text = "\n".join(rows) + "\n"
+    if out:
+        _write_text(out, text)
+    else:
+        sys.stdout.write(text)
+
+
 def _generate_one(a: Archetype, index, seed, out_dir, do_distort, do_wrap):
     """One dataset from one archetype, written to its CSV, as (outcome fields, exit code)."""
-    rng = np.random.default_rng(seed)
-    model = sample_mixture_model(a, rng)
+    rng, model = _model(a, seed)
     dataset = sample_dataset(model, rng)
     points = dataset.points
     if do_distort:
@@ -172,20 +186,12 @@ def cmd_generate(args) -> int:
 
 def cmd_validate_overlap(args) -> int:
     if args.model:
-        with open(args.model, "r", encoding="utf-8") as fh:
-            model = MixtureModel.from_json(fh.read())
+        model = MixtureModel.from_json(pathlib.Path(args.model).read_text(encoding="utf-8"))
     else:
-        with open(args.archetype, "r", encoding="utf-8") as fh:
-            a = Archetype.from_json(fh.read())
-        rng = np.random.default_rng(args.seed)
-        model = sample_mixture_model(a, rng)
+        a = Archetype.from_json(pathlib.Path(args.archetype).read_text(encoding="utf-8"))
+        _, model = _model(a, args.seed)
     reports = pairwise_overlaps(model, include_exact=args.exact)
-    rows = overlap_report_rows(reports)
-    text = "\n".join(rows) + "\n"
-    if args.out:
-        _write_text(args.out, text)
-    else:
-        sys.stdout.write(text)
+    _emit(overlap_report_rows(reports), args.out)
     if not reports:
         print("note: single-cluster model has no pairwise overlaps", file=sys.stderr)
         return EXIT_OK
@@ -265,8 +271,7 @@ def cmd_plot(args) -> int:
 
 def _score_one(a: Archetype, _index, seed):
     """One dataset's `bench` row, as (outcome fields, exit code)."""
-    rng = np.random.default_rng(seed)
-    model = sample_mixture_model(a, rng)
+    rng, model = _model(a, seed)
     dataset = sample_dataset(model, rng)
     scores = evaluate_dataset(dataset.points, dataset.labels, a.n_clusters, rng)
     row = (f"{a.name},{seed},{a.max_overlap!r},"
@@ -276,27 +281,16 @@ def _score_one(a: Archetype, _index, seed):
 
 def cmd_bench(args) -> int:
     outcomes, code = _each(_score_one, _load_jobs(args), 1)
-    rows = ["archetype,seed,max_overlap,ami,ari,silhouette"]
-    rows += [fields["row"] for fields, c in outcomes if c == EXIT_OK]
-    text = "\n".join(rows) + "\n"
-    if args.out:
-        _write_text(args.out, text)
-    else:
-        sys.stdout.write(text)
+    rows = [fields["row"] for fields, c in outcomes if c == EXIT_OK]
+    _emit(["archetype,seed,max_overlap,ami,ari,silhouette", *rows], args.out)
     return code
 
 
 def cmd_hyperparams(args) -> int:
-    with open(args.archetype, "r", encoding="utf-8") as fh:
-        a = Archetype.from_json(fh.read())
+    a = Archetype.from_json(pathlib.Path(args.archetype).read_text(encoding="utf-8"))
     bounds = json.loads(args.bounds) if args.bounds else None
-    rng = np.random.default_rng(args.seed)
-    try:
-        variants = sample_hyperparams(a, args.n_variants, bounds, rng)
-    except ValueError as exc:
-        raise ArchetypeValidationError([str(exc)]) from exc
-    for variant in variants:
-        print(variant.to_json())
+    variants = sample_hyperparams(a, args.n_variants, bounds, np.random.default_rng(args.seed))
+    _emit([variant.to_json() for variant in variants], None)
     return EXIT_OK
 
 
@@ -329,12 +323,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("generate", help="sample datasets from archetypes")
-    src = p.add_mutually_exclusive_group(required=True)
-    src.add_argument("--archetypes", help="JSONL file, one archetype per line")
-    src.add_argument("--inline", help="single archetype as inline JSON")
-    p.add_argument("--n-datasets", type=_positive_int, default=1)
-    p.add_argument("--seed", type=int, default=0)
+    def datasets(name: str, summary: str, n_datasets: int) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=summary)
+        src = p.add_mutually_exclusive_group(required=True)
+        src.add_argument("--archetypes", help="JSONL file, one archetype per line")
+        src.add_argument("--inline", help="single archetype as inline JSON")
+        p.add_argument("--n-datasets", type=_positive_int, default=n_datasets)
+        p.add_argument("--seed", type=int, default=0)
+        return p
+
+    p = datasets("generate", "sample datasets from archetypes", 1)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--distort", action="store_true", help="apply the random-network transform")
     p.add_argument("--wrap", action="store_true", help="wrap datasets around the sphere")
@@ -363,12 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("out")
     p.set_defaults(func=cmd_plot)
 
-    p = sub.add_parser("bench", help="K-Means difficulty harness over archetypes")
-    src = p.add_mutually_exclusive_group(required=True)
-    src.add_argument("--archetypes")
-    src.add_argument("--inline")
-    p.add_argument("--n-datasets", type=_positive_int, default=10)
-    p.add_argument("--seed", type=int, default=0)
+    p = datasets("bench", "K-Means difficulty harness over archetypes", 10)
     p.add_argument("--out")
     p.set_defaults(func=cmd_bench)
 

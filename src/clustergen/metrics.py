@@ -138,12 +138,16 @@ def kmeans(X, k: int, rng: np.random.Generator) -> np.ndarray:
     return np.unique(best_assignment, return_inverse=True)[1]
 
 
-def _contingency(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _contingency(a, b) -> tuple[np.ndarray, int]:
+    """The counts of each (a label, b label) pair of two labelings, and their length."""
+    a, b = np.asarray(a, dtype=int), np.asarray(b, dtype=int)
+    if a.shape != b.shape:
+        raise ValueError(f"labelings differ in length: {a.shape} vs {b.shape}")
     _, ai = np.unique(a, return_inverse=True)
     _, bi = np.unique(b, return_inverse=True)
     table = np.zeros((ai.max() + 1, bi.max() + 1), dtype=np.int64)
     np.add.at(table, (ai, bi), 1)
-    return table
+    return table, a.size
 
 
 def _entropy(counts: np.ndarray, n: int) -> float:
@@ -191,12 +195,10 @@ def _expected_mutual_information(table: np.ndarray, n: int) -> float:
 
 
 def ami(a, b) -> float:
-    """Adjusted mutual information, arithmetic-mean normalization."""
-    a, b = np.asarray(a, dtype=int), np.asarray(b, dtype=int)
-    if a.shape != b.shape:
-        raise ValueError(f"labelings differ in length: {a.shape} vs {b.shape}")
-    n = a.size
-    table = _contingency(a, b)
+    """Adjusted mutual information, arithmetic-mean normalization; 0.0 where the
+    expected mutual information reaches the mean entropy, as on two all-singleton
+    labelings (which `ari` scores 1.0)."""
+    table, n = _contingency(a, b)
     h_a = _entropy(table.sum(axis=1), n)
     h_b = _entropy(table.sum(axis=0), n)
     if h_a == 0.0 and h_b == 0.0:  # both trivial partitions
@@ -204,18 +206,14 @@ def ami(a, b) -> float:
     mi = _mutual_information(table, n)
     emi = _expected_mutual_information(table, n)
     denominator = 0.5 * (h_a + h_b) - emi
-    if abs(denominator) < 1e-15:
+    if abs(denominator) <= 1e-12 * (h_a + h_b):  # rounding of 0, relative to the entropies
         return 0.0
     return (mi - emi) / denominator
 
 
 def ari(a, b) -> float:
     """Adjusted Rand index via the pair-counting formula."""
-    a, b = np.asarray(a, dtype=int), np.asarray(b, dtype=int)
-    if a.shape != b.shape:
-        raise ValueError(f"labelings differ in length: {a.shape} vs {b.shape}")
-    table = _contingency(a, b)
-    n = a.size
+    table, n = _contingency(a, b)
 
     def comb2(x):
         return x * (x - 1) / 2.0

@@ -73,6 +73,7 @@ def render_prompt(template_id: str, description: str) -> str:
 
 def _http_transport(url: str, payload: dict, headers: dict, timeout: float):
     # imported here so that the CLI's offline commands never load the HTTP stack
+    import http.client
     import urllib.error
     import urllib.request
 
@@ -81,9 +82,11 @@ def _http_transport(url: str, payload: dict, headers: dict, timeout: float):
     )
     try:
         with urllib.request.urlopen(request, timeout=timeout) as response:
-            return response.status, response.read().decode("utf-8")
+            return response.status, response.read().decode("utf-8", errors="replace")
     except urllib.error.HTTPError as exc:
         return exc.code, exc.read().decode("utf-8", errors="replace")
+    except http.client.HTTPException as exc:  # a reply that is not HTTP: retried like a lost link
+        raise OSError(f"malformed HTTP reply: {exc!r}") from exc
 
 
 def complete(prompt: str, config: ClientConfig | None = None, transport=None) -> str:

@@ -212,7 +212,7 @@ def optimize_centers(
     for epoch in range(MAX_EPOCHS + 1):
         loss, grad = _loss_and_gradient(centers, covs, inverses, bounds)
         trace.append(loss)
-        if loss <= _LOSS_SLACK:
+        if grad is None:  # the loss is at most _LOSS_SLACK
             clusters = [replace(c, center=centers[j]) for j, c in enumerate(model.clusters)]
             return replace(model, clusters=clusters), trace
         if epoch == MAX_EPOCHS or not np.isfinite(loss):

@@ -3,9 +3,9 @@
 Points follow the direction-times-radius scheme: a uniform direction on
 the unit sphere is stretched by the cluster's axes and scaled by a draw
 from the normalized radial distribution.  The normal family is the one
-exception: there the radius follows chi(dim) rather than |N(0,1)|, which
-makes the sampled cluster an exact multivariate normal with the cluster's
-covariance, so the Gaussian overlap formulas hold in-sample.
+exception: there the radius follows chi(dim) / 0.99858, the family's 68.2%
+constant, so the sampled cluster is a multivariate normal whose covariance
+is 1/0.99858² ≈ 1.00285 times the cluster's (ROADMAP item 10).
 
 `dataset_to_csv` writes the bytes of `"%.17g" % v` for every float, but
 formats blocks of values with NumPy instead of CPython.  A value with

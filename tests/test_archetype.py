@@ -539,6 +539,15 @@ class TestSampleHyperparams:
         with pytest.raises(ValueError, match="center"):
             sample_hyperparams(a, 1, {"dim": (50, 60)}, np.random.default_rng(0))
 
+    def test_rejection_sampling_gives_up(self):
+        # a Poisson draw around 1e9 lands on 1e9 about once in 80,000 draws
+        a = make_archetype(n_samples=10**9)
+        with pytest.raises(ValueError, match=(
+            r"^rejection sampling for n_samples into \[1000000000, 1000000000\] "
+            r"failed after 10000 attempts$"
+        )):
+            sample_hyperparams(a, 1, {"n_samples": (10**9, 10**9)}, np.random.default_rng(0))
+
 
 class TestJsonRoundTrip:
     def test_round_trip_idempotent(self):

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from clustergen import cli
+from clustergen import cli, nl
 from clustergen.archetype import Archetype
 from clustergen.distributions import RadialDistribution
 from clustergen.mixture import Cluster, MixtureModel, sample_mixture_model, sample_orientation
@@ -594,6 +594,18 @@ class TestNlCommand:
         assert err.startswith("error: malformed API response: content is ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("reply", ["malformed", "non_utf8"])
+    def test_reply_that_is_not_chat_exits_3(self, canned_http, monkeypatch, capsys, reply):
+        # a status line that is not HTTP is retried like a lost connection; a
+        # body that is not UTF-8 is an NL failure, not a validation failure
+        monkeypatch.setattr(nl.time, "sleep", lambda seconds: None)
+        monkeypatch.setenv("CLUSTERGEN_API_KEY", "test")
+        code = cli.main(["nl", "some description", "--base-url", canned_http(reply)])
+        assert code == cli.EXIT_NL
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+
 
 class TestPlot:
     def _write_dataset(self, tmp_path, n=30):
@@ -815,6 +827,16 @@ class TestHyperparams:
         code = cli.main(["hyperparams", "--archetype", str(arch_path), "--bounds", bounds])
         assert code == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_unknown_bounds_key_is_a_plain_validation_failure(self, tmp_path, capsys):
+        arch_path = tmp_path / "a.json"
+        arch_path.write_text(SMALL)
+        code = cli.main(
+            ["hyperparams", "--archetype", str(arch_path), "--bounds", '{"foo": [1, 2]}']
+        )
+        assert code == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err == "error: bounds given for unknown hyperparameter(s): ['foo']\n"
 
 
 class TestNonObjectArchetype:

@@ -363,6 +363,16 @@ class TestAmi:
         with pytest.raises(ValueError, match="length"):
             ami(np.array([0, 1]), np.array([0, 1, 0]))
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 10, 11, 50])
+    def test_all_singletons_score_zero(self, n):
+        # every relabeling keeps n singletons, so the mutual information equals
+        # its expectation and the adjusted index has no range: 0.0 at every n,
+        # though the two differ by rounding in either direction; ari counts no
+        # disagreeing pair and gives 1.0
+        a = np.arange(n)
+        assert ami(a, a[::-1]) == 0.0
+        assert ari(a, a[::-1]) == 1.0
+
 
 class TestAri:
     def test_length_mismatch_rejected(self):

@@ -7,6 +7,7 @@ import pytest
 from clustergen import nl
 from clustergen.errors import (
     NLAuthError,
+    NLNetworkError,
     NLParseError,
     NLRateLimitError,
     NLValidationError,
@@ -89,6 +90,72 @@ class TestComplete:
         assert raw == "recovered"
         assert transport.calls == 2
         assert sleeps == [0.5]
+
+    def test_network_error_on_every_attempt(self, monkeypatch):
+        sleeps, calls = [], []
+        monkeypatch.setattr(nl.time, "sleep", sleeps.append)
+
+        def transport(url, payload, headers, timeout):
+            calls.append(url)
+            raise ConnectionRefusedError("refused")
+
+        with pytest.raises(NLNetworkError) as excinfo:
+            complete("prompt", ClientConfig(api_key="k"), transport)
+        assert str(excinfo.value).count("network error: refused") == 3
+        assert len(calls) == 3
+        assert sleeps == [0.5, 1.0]
+
+    def test_client_error_fails_after_one_call(self, fake_transport_factory, monkeypatch):
+        sleeps = []
+        monkeypatch.setattr(nl.time, "sleep", sleeps.append)
+        transport = fake_transport_factory({"params": "x", "identifier": "x"}, statuses=[401])
+        with pytest.raises(NLNetworkError, match="^API returned HTTP 401: "):
+            complete("prompt", ClientConfig(api_key="k"), transport)
+        assert transport.calls == 1
+        assert sleeps == []  # a 4xx other than 429 is not retried
+
+    def test_non_json_body_is_parse_error(self):
+        def transport(url, payload, headers, timeout):
+            return 200, "<html>not JSON</html>"
+
+        with pytest.raises(NLParseError, match="^malformed API response: ") as excinfo:
+            complete("prompt", ClientConfig(api_key="k"), transport)
+        assert excinfo.value.raw_response == "<html>not JSON</html>"
+
+
+class TestHttpTransport:
+    """The real transport against canned replies from a localhost server."""
+
+    @staticmethod
+    def send(base_url):
+        payload = {"messages": [{"role": "user", "content": "prompt"}]}
+        headers = {"Content-Type": "application/json"}
+        return nl._http_transport(base_url + "/chat/completions", payload, headers, 5.0)
+
+    def test_chat_reply(self, canned_http):
+        status, body = self.send(canned_http("chat"))
+        assert status == 200
+        assert json.loads(body)["choices"][0]["message"]["content"] == "canned"
+
+    def test_server_error_returns_status_and_body(self, canned_http):
+        assert self.send(canned_http("503")) == (503, "overloaded")
+
+    def test_non_utf8_body_decodes_with_replacement(self, canned_http):
+        status, body = self.send(canned_http("non_utf8"))
+        assert status == 200
+        assert body == "\ufffd\ufffd not UTF-8 \ufffd("
+
+    def test_malformed_status_line_is_os_error(self, canned_http):
+        # an OSError, so that `complete` retries it like a lost connection
+        with pytest.raises(OSError, match="^malformed HTTP reply: BadStatusLine"):
+            self.send(canned_http("malformed"))
+
+    def test_complete_retries_a_malformed_reply(self, canned_http, monkeypatch):
+        monkeypatch.setattr(nl.time, "sleep", lambda seconds: None)
+        config = ClientConfig(base_url=canned_http("malformed"), api_key="k")
+        with pytest.raises(NLNetworkError) as excinfo:
+            complete("prompt", config)
+        assert str(excinfo.value).count("network error: malformed HTTP reply") == 3
 
 
 class TestParseArchetypeJson:

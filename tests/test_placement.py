@@ -58,7 +58,12 @@ def anisotropic_covs(k, dim, rng):
 
 
 def start_model(a, rng):
-    """A model with `a`'s geometry, drawn in `sample_mixture_model`'s order, at initial centers."""
+    """A model with `a`'s geometry at initial centers, all of the normal family.
+
+    The geometry is drawn in `sample_mixture_model`'s order, but without its
+    `assign_distributions` and `sample_group_sizes` draws, so for k > 1 these
+    initial centers are not the ones `sample_mixture_model` starts from.
+    """
     k, dim = a.n_clusters, a.dim
     aspects = arch.sample_aspect_ratios(a, rng)
     radii = arch.sample_cluster_radii(a, rng)
