@@ -4,22 +4,30 @@ Together these reproduce the overlap-predicts-difficulty relationship at
 desk scale: K-Means recovers labels, the adjusted indices score agreement
 against ground truth, and the silhouette quantifies geometric separation.
 No metric builds an n×n array.  Silhouette computes distances in square
-tiles over the upper triangle only, adding each tile and its mirror to
-per-class sums, in O(tile² + n·k) memory, so `bench` scores 100k-point
-datasets.  K-Means takes each k-means++ step as one matrix-vector
-product from row norms computed once, and each Lloyd step as two matmuls
-(the assignment and the centroid sums), with no other pass over the n×d
-data; beyond X and its centred copy it holds O(n·k) floats.
+tiles over the upper triangle only, on the process's threads (see
+`postprocess._threads`), and adds each tile and its mirror to per-class
+sums in one fixed order, in O(threads·tile² + n·k) memory, so `bench`
+scores 100k-point datasets with the same bits at any thread count.
+K-Means takes each k-means++ step as one matrix-vector product from row
+norms computed once, and each Lloyd step as two matmuls (the assignment
+and the centroid sums), with no other pass over the n×d data; beyond X
+and its centred copy it holds O(n·k) floats.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 
 import numpy as np
 
+from . import postprocess
+
 # Side of the square distance tiles silhouette computes: 256² floats is 512 KiB.
 _TILE = 256
+# Silhouette runs its tiles on threads from this many tile rows on (n > 1792
+# at 256-row tiles); a smaller triangle does not repay a thread's start.
+_THREADED_TILE_ROWS = 8
 # K-Means restarts; the best WCSS of these wins.
 _N_INIT = 10
 # Lloyd stops after this many iterations, or once the WCSS falls by no
@@ -138,9 +146,20 @@ def kmeans(X, k: int, rng: np.random.Generator) -> np.ndarray:
     return np.unique(best_assignment, return_inverse=True)[1]
 
 
+def _labels(labels) -> np.ndarray:
+    """`labels` as integers; a labeling with a label that is not a whole number,
+    such as 0.7 or NaN, is refused with a ValueError."""
+    labels = np.asarray(labels)
+    with np.errstate(invalid="ignore"):  # a NaN or inf casts to garbage, which differs
+        whole = labels.astype(int)
+    if not np.array_equal(whole, labels):
+        raise ValueError("labels must be whole numbers")
+    return whole
+
+
 def _contingency(a, b) -> tuple[np.ndarray, int]:
     """The counts of each (a label, b label) pair of two labelings, and their length."""
-    a, b = np.asarray(a, dtype=int), np.asarray(b, dtype=int)
+    a, b = _labels(a), _labels(b)
     if a.shape != b.shape:
         raise ValueError(f"labelings differ in length: {a.shape} vs {b.shape}")
     _, ai = np.unique(a, return_inverse=True)
@@ -235,15 +254,26 @@ def silhouette(X, labels) -> float:
     """Mean silhouette score (Rousseeuw 1987).
 
     A point in a singleton class, or whose mean distances a (own class) and
-    b (nearest other class) are both 0, scores 0.
+    b (nearest other class) are both 0, scores 0.  An X that is not an n×d
+    matrix or holds a NaN or infinity, and labels that are not n whole
+    numbers, are refused with a ValueError.
 
     Distances are computed in square tiles of side `_TILE`, each from one
     matmul.  Only tiles on or above the diagonal are computed: a tile adds
     its rows' per-class sums, and its transpose adds those of its columns.
-    Memory is O(tile² + n·k), never n×n.
+    From `_THREADED_TILE_ROWS` tile rows on, the tiles run on the process's
+    threads (`postprocess._threads`), each in its own tile buffer, and their
+    sums are added in the serial order, so no bit depends on the thread
+    count.  Memory is O(threads·tile² + n·k), never n×n.
     """
     X = np.asarray(X, dtype=float)
-    labels = np.asarray(labels, dtype=int)
+    if X.ndim != 2:
+        raise ValueError(f"expected an n x d matrix, got shape {X.shape}")
+    if not np.all(np.isfinite(X)):
+        raise ValueError("X contains non-finite values")
+    labels = _labels(labels)
+    if labels.shape != X.shape[:1]:
+        raise ValueError(f"expected {X.shape[0]} labels, one per point, got shape {labels.shape}")
     classes, inverse = np.unique(labels, return_inverse=True)
     if classes.size < 2:
         raise ValueError("silhouette requires at least two label classes")
@@ -257,24 +287,36 @@ def silhouette(X, labels) -> float:
     # one matmul per tile gives ‖x‖² + ‖y‖² − 2x·y
     left = np.hstack([X, sq, ones])
     right = np.hstack([-2.0 * X, ones, sq])
+    blocks = [slice(i, min(i + _TILE, n)) for i in range(0, n, _TILE)]
+    tiles = [(rows, cols) for i, rows in enumerate(blocks) for cols in blocks[i:]]
+    local = threading.local()
+
+    def tile_sums(tile):
+        """The per-class distance sums of a tile's rows, and of its columns
+        off the diagonal (None on it)."""
+        rows, cols = tile
+        buffer = getattr(local, "tile", None)
+        if buffer is None:
+            buffer = local.tile = np.empty(_TILE * _TILE)
+        height, width = rows.stop - rows.start, cols.stop - cols.start
+        d = buffer[: height * width].reshape(height, width)  # contiguous
+        np.matmul(left[rows], right[cols].T, out=d)
+        np.maximum(d, 0.0, out=d)
+        np.sqrt(d, out=d)
+        if rows == cols:
+            np.fill_diagonal(d, 0.0)
+            return d @ onehot[cols], None
+        # the mirrored tile (J, I) is dᵀ
+        return d @ onehot[cols], d.T @ onehot[rows]
+
+    threads = postprocess._threads() if len(blocks) >= _THREADED_TILE_ROWS else 1
     # per-point sum of distances to each class
     class_sums = np.zeros((n, k))
-    tile = np.empty(_TILE * _TILE)
-    tile_sums = np.empty((_TILE, k))
-    for i in range(0, n, _TILE):
-        rows = slice(i, min(i + _TILE, n))
-        for j in range(i, n, _TILE):
-            cols = slice(j, min(j + _TILE, n))
-            height, width = rows.stop - i, cols.stop - j
-            d = tile[: height * width].reshape(height, width)  # contiguous
-            np.matmul(left[rows], right[cols].T, out=d)
-            np.maximum(d, 0.0, out=d)
-            np.sqrt(d, out=d)
-            if i == j:
-                np.fill_diagonal(d, 0.0)
-            class_sums[rows] += np.matmul(d, onehot[cols], out=tile_sums[:height])
-            if i != j:  # the mirrored tile (J, I) is dᵀ
-                class_sums[cols] += np.matmul(d.T, onehot[rows], out=tile_sums[:width])
+    sums = postprocess._ordered(tile_sums, tiles, threads)
+    for (rows, cols), (row_sums, col_sums) in zip(tiles, sums):
+        class_sums[rows] += row_sums
+        if col_sums is not None:
+            class_sums[cols] += col_sums
     counts = np.bincount(inverse)
     own = counts[inverse]
     point = np.arange(n)

@@ -34,10 +34,13 @@ of 64 rows in 1 of 24, and a short last chunk (n's remainder after chunks of
 
 This module owns a process's core budget.  `_pin_blas(processes)` pins the
 bundled OpenBLAS to one thread and records how many processes share the
-usable cores; `forward` then runs `cores // (processes * BLAS threads)`
-chunks at most (`_threads`): every core in a CLI process, `cores // N` in
-each worker of `generate --jobs N`, and the cores over its BLAS threads for
-a library caller that never pins.
+usable cores; `_threads` is then `cores // (processes * BLAS threads)`:
+every core in a CLI process, `cores // N` in each worker of `generate
+--jobs N`, and the cores over its BLAS threads for a library caller that
+never pins.  Both threaded steps, `forward`'s row chunks and the distance
+tiles of `metrics.silhouette`, run on that many threads through `_ordered`,
+which yields each item's result in item order from a pool that lives only
+for the call.
 """
 
 from __future__ import annotations
@@ -54,6 +57,8 @@ _LAYER_NORM_EPS = 1e-5
 _WIDTH = 128
 _BLOCKS = 16
 _PROJECTION_COLUMNS = 16
+# How many items each of `_ordered`'s threads may run ahead of the one it yields.
+_AHEAD = 4
 # The fewest rows in a chunk of `forward`, whose chunks also start at
 # multiples of 64 rows; smaller chunks can move bits (see above).
 _CHUNK_ROWS = 1024
@@ -103,11 +108,37 @@ def _pin_blas(processes: int = 1) -> None:
 
 
 def _threads() -> int:
-    """`forward`'s threads: this process's share of the usable cores (see
-    `_pin_blas`) over the BLAS threads of each chunk's matmuls, so that no
-    two chunks, here or in another process, share a core."""
+    """The threads of `forward` and `metrics.silhouette`: this process's
+    share of the usable cores (see `_pin_blas`) over the BLAS threads of each
+    item's matmuls, so that no two items, here or in another process, share
+    a core."""
     blas = _openblas()
     return max(1, _usable_cores() // (_PROCESSES * (blas[1]() if blas else 1)))
+
+
+def _ordered(work, items, threads: int):
+    """Yield `work(item)` for each of the sequence `items`, in order, on `threads` threads.
+
+    The calling thread runs every `threads`-th item itself, the first among
+    them; a pool of `threads - 1` that lives only for this generator runs
+    the others, at most `_AHEAD * threads` items ahead of the one yielded.
+    An item's error is raised as its result is due, and no pool thread
+    outlives the generator.  One thread, or one item, starts no pool.
+    """
+    if threads < 2 or len(items) < 2:
+        yield from map(work, items)
+        return
+    pool = concurrent.futures.ThreadPoolExecutor(threads - 1)
+    try:
+        futures, submitted = {}, 0
+        for index, item in enumerate(items):
+            while submitted < min(len(items), index + 1 + _AHEAD * threads):
+                if submitted % threads:
+                    futures[submitted] = pool.submit(work, items[submitted])
+                submitted += 1
+            yield futures.pop(index).result() if index % threads else work(item)
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def _row_chunks(n: int, threads: int) -> list[int]:
@@ -168,19 +199,16 @@ class DistortNetwork:
         The input is cast to float32 once, and the network runs in float32
         from the embedding to the projection.  The rows are split into
         chunks of at least 1024 rows, one per thread (see the module
-        docstring); the calling thread runs the first chunk and a pool that
-        lives for this call the others, and the result has the bits of one
-        pass over all rows.
+        docstring); the calling thread runs the first chunk and `_ordered`'s
+        pool the others, and the result has the bits of one pass over all
+        rows.
         """
         x = np.asarray(x, dtype=np.float32)
         y = np.empty((x.shape[0], self.projection_bias.shape[0]))
         bounds = _row_chunks(x.shape[0], _threads())
-        # no thread starts for one chunk, and every thread is joined on exit
-        with concurrent.futures.ThreadPoolExecutor(max(1, len(bounds) - 2)) as pool:
-            rest = [pool.submit(self._rows, x[a:b], y[a:b]) for a, b in zip(bounds[1:], bounds[2:])]
-            self._rows(x[: bounds[1]], y[: bounds[1]])
-        for future in rest:
-            future.result()
+        chunks = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+        for _ in _ordered(lambda rows: self._rows(x[rows], y[rows]), chunks, len(chunks)):
+            pass
         return y
 
     def _rows(self, x: np.ndarray, y: np.ndarray) -> None:

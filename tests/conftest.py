@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from clustergen import postprocess
 from clustergen.archetype import load_archetypes_jsonl
 from clustergen.postprocess import _pin_blas
 
@@ -17,6 +18,13 @@ def pytest_sessionstart(session):
     """One BLAS thread, as every CLI command runs, so the tests check the
     bytes that users get whatever the machine's core count."""
     _pin_blas()
+
+
+@pytest.fixture()
+def set_threads(monkeypatch):
+    """Set the thread count of `forward` and `silhouette` (`postprocess._threads`),
+    for this test only, whatever the machine's core count."""
+    return lambda threads: monkeypatch.setattr(postprocess, "_threads", lambda: threads)
 
 
 @pytest.fixture(scope="session")

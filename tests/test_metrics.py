@@ -7,13 +7,16 @@ implementations.
 """
 
 import math
+import re
+import sys
+import threading
 import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from clustergen import metrics
+from clustergen import metrics, postprocess
 from clustergen.metrics import ami, ari, evaluate_dataset, kmeans, silhouette
 from clustergen.mixture import sample_mixture_model
 from clustergen.sampling import sample_dataset
@@ -397,6 +400,12 @@ class TestAri:
             b = random_nondegenerate_labels(rng, n, int(rng.integers(2, 5)))
             assert ari(a, b) == pytest.approx(ari_bruteforce(a, b), abs=1e-10)
 
+    def test_fractional_labels_are_refused(self):
+        with pytest.raises(ValueError, match="^labels must be whole numbers$"):
+            ari([0, 0.5, 1], [0, 1, 1])
+        with pytest.raises(ValueError, match="^labels must be whole numbers$"):
+            ami([0, 1, 1], [0, 1, np.nan])
+
     def test_accepts_labeling_objects(self):
         # kmeans labelings and plain lists go in without conversion
         X = np.array([[0.0, 0.0], [0.1, 0.0], [9.0, 0.0], [9.1, 0.0]])
@@ -481,20 +490,117 @@ class TestSilhouette:
                 silhouette_bruteforce(X, labels), abs=1e-10
             )
 
-    def test_small_blocks_against_bruteforce(self, monkeypatch):
-        # 7-row tiles at n=50: seven full tiles and a ragged one-row tile per side
-        monkeypatch.setattr(metrics, "_TILE", 7)
+    def test_small_blocks_against_bruteforce(self, monkeypatch, set_threads):
+        # 7-row tiles at n=50: seven full tiles and a ragged one-row tile per
+        # side; n=49 and n=50 (7 and 8 tile rows) lie either side of the
+        # threaded choice, and n=100 refills the pool's window many times.
+        # At every thread count the sums are added in one order: the same bits.
         rng = np.random.default_rng(13)
-        X = rng.normal(size=(50, 3))
         labels = np.repeat(np.arange(6), [1, 4, 20, 10, 14, 1])
-        assert silhouette(X, labels) == pytest.approx(
-            silhouette_bruteforce(X, labels), abs=1e-10
-        )
-        monkeypatch.setattr(metrics, "_TILE", 2)
-        for X, labels in random_silhouette_cases(rng, 10):
-            assert silhouette(X, labels) == pytest.approx(
-                silhouette_bruteforce(X, labels), abs=1e-10
-            )
+        X = rng.normal(size=(50, 3))
+        sevens = [(X, labels), (X[:49], labels[:49])]
+        sevens.append((rng.normal(size=(100, 3)), rng.integers(0, 5, size=100)))
+        for tile, cases in ((7, sevens), (2, list(random_silhouette_cases(rng, 10)))):
+            monkeypatch.setattr(metrics, "_TILE", tile)
+            for X, labels in cases:
+                set_threads(1)
+                serial = silhouette(X, labels)
+                assert serial == pytest.approx(silhouette_bruteforce(X, labels), abs=1e-10)
+                for threads in (2, 3, 4):
+                    set_threads(threads)
+                    assert silhouette(X, labels) == serial, (tile, X.shape, threads)
+
+    @pytest.mark.parametrize("n,threaded", [(49, False), (50, True), (100, True)])
+    def test_threads_from_eight_tile_rows(self, monkeypatch, set_threads, n, threaded):
+        monkeypatch.setattr(metrics, "_TILE", 7)
+        set_threads(3)
+        ordered, seen = postprocess._ordered, []
+
+        def spy(work, items, threads):
+            seen.append(threads)
+            return ordered(work, items, threads)
+
+        monkeypatch.setattr(postprocess, "_ordered", spy)
+        rng = np.random.default_rng(n)
+        silhouette(rng.normal(size=(n, 2)), rng.integers(0, 3, size=n))
+        assert seen == [3 if threaded else 1]
+
+    def test_concurrent_callers_get_their_own_bits(self, set_threads):
+        # more callers and pool threads than cores, switching threads often
+        rng = np.random.default_rng(19)
+        inputs = [(rng.normal(size=(2000, 3)), rng.integers(0, 4, size=2000)) for _ in range(6)]
+        set_threads(1)
+        expected = [silhouette(X, labels) for X, labels in inputs]
+        set_threads(3)
+        results = [None] * len(inputs)
+
+        def run(i):
+            results[i] = silhouette(*inputs[i])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=run, args=(i,)) for i in range(len(inputs))]
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in callers)
+        assert results == expected
+
+    def test_a_pool_tile_error_reaches_the_caller(self, monkeypatch, set_threads):
+        ordered, caller = postprocess._ordered, threading.current_thread()
+
+        def failing(work, items, threads):
+            def tile(item):
+                if threading.current_thread() is not caller:
+                    raise RuntimeError("a pool tile failed")
+                return work(item)
+
+            return ordered(tile, items, threads)
+
+        monkeypatch.setattr(postprocess, "_ordered", failing)
+        set_threads(2)
+        rng = np.random.default_rng(20)
+        X, labels = rng.normal(size=(2000, 2)), rng.integers(0, 3, size=2000)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="a pool tile failed"):
+            silhouette(X, labels)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_points_are_refused(self, value):
+        # a NaN or infinity once scored 0.0
+        X = np.random.default_rng(21).normal(size=(10, 2))
+        X[3, 1] = value
+        with pytest.raises(ValueError, match="^X contains non-finite values$"):
+            silhouette(X, np.arange(10) % 2)
+
+    def test_points_must_be_a_matrix(self):
+        # once an AxisError
+        with pytest.raises(ValueError, match=r"^expected an n x d matrix, got shape \(10,\)$"):
+            silhouette(np.arange(10.0), np.arange(10) % 2)
+
+    @pytest.mark.parametrize("shape", [(9,), (10, 1)], ids=["short", "2-D"])
+    def test_labels_not_one_per_point_are_refused(self, shape):
+        # both once raised a raw IndexError
+        labels = np.arange(9 if shape == (9,) else 10).reshape(shape) % 2
+        message = f"expected 10 labels, one per point, got shape {shape}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            silhouette(np.zeros((10, 2)), labels)
+
+    @pytest.mark.parametrize("label", [0.7, np.nan, np.inf, 1e300])
+    def test_fractional_labels_are_refused(self, label):
+        # 0.7 was truncated to class 0
+        X = np.random.default_rng(22).normal(size=(6, 2))
+        labels = np.array([0.0, 0.0, 1.0, 1.0, 2.0, label])
+        with pytest.raises(ValueError, match="^labels must be whole numbers$"):
+            silhouette(X, labels)
+        # whole floats are labels like any other
+        labels[-1] = 2.0
+        assert silhouette(X, labels) == silhouette(X, labels.astype(int))
 
     @pytest.mark.parametrize("offset", [-1, 0, 1, metrics._TILE + 1],
                              ids=["tile-1", "tile", "tile+1", "2tile+1"])

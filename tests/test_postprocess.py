@@ -9,6 +9,7 @@ from clustergen import postprocess
 from clustergen.archetype import Archetype
 from clustergen.mixture import sample_mixture_model
 from clustergen.postprocess import (
+    _AHEAD,
     _BLOCKS,
     _CHUNK_ROWS,
     _LAYER_NORM_EPS,
@@ -16,6 +17,7 @@ from clustergen.postprocess import (
     _WIDTH,
     DistortNetwork,
     _Block,
+    _ordered,
     _row_chunks,
     distort,
     wrap_around_sphere,
@@ -214,13 +216,6 @@ def one_pass(net, x):
     return y
 
 
-@pytest.fixture()
-def set_threads(monkeypatch):
-    """Set the thread count that `forward` splits its rows for, for this test only,
-    whatever the machine's core count."""
-    return lambda threads: monkeypatch.setattr(postprocess, "_threads", lambda: threads)
-
-
 def pool_worker_budget():
     """A pool worker's `forward` threads and BLAS threads (None without a BLAS getter)."""
     blas = postprocess._openblas()
@@ -238,6 +233,39 @@ def chunk_threads(monkeypatch, net, x):
     monkeypatch.setattr(postprocess, "_row_chunks", spy)
     net.forward(x)
     return seen
+
+
+class TestOrdered:
+    @pytest.mark.parametrize("threads", [1, 2, 3, 4])
+    def test_results_come_in_item_order(self, threads):
+        # the calling thread runs items 0, threads, 2·threads, ...; the pool the rest
+        caller, by_caller = threading.current_thread(), []
+
+        def work(i):
+            if threading.current_thread() is caller:
+                by_caller.append(i)
+            return i * i
+
+        assert list(_ordered(work, range(100), threads)) == [i * i for i in range(100)]
+        assert by_caller == list(range(0, 100, threads))
+
+    @pytest.mark.parametrize("threads", [2, 3])
+    def test_the_pool_runs_a_few_items_ahead(self, threads):
+        started = []
+
+        def work(i):
+            started.append(i)
+            return i
+
+        for index in _ordered(work, range(100), threads):
+            assert max(started) <= index + _AHEAD * threads
+
+    def test_an_abandoned_generator_leaves_no_thread(self):
+        before = threading.active_count()
+        results = _ordered(lambda i: i, range(100), 3)
+        assert next(results) == 0 and next(results) == 1
+        results.close()
+        assert threading.active_count() == before
 
 
 class TestDistortChunks:
