@@ -278,6 +278,18 @@ def _sum_pairs(ref: float, e: float, count: int, rng: np.random.Generator) -> np
     return _paired(s, 2.0 * ref - s, ref, count)
 
 
+def _largest_remainder(shares: np.ndarray, total: int) -> np.ndarray:
+    """The floors of `shares`, one more for the largest fractional parts up to `total`
+    (one less for the largest floors where rounding overshoots it); first listed wins ties."""
+    counts = np.floor(shares).astype(int)
+    shortfall = total - int(counts.sum())
+    if shortfall < 0:
+        counts[np.argsort(-counts, kind="stable")[:-shortfall]] -= 1
+    else:
+        counts[np.argsort(counts - shares, kind="stable")[:shortfall]] += 1
+    return counts
+
+
 def sample_group_sizes(a: Archetype, rng: np.random.Generator) -> np.ndarray:
     """Integer cluster sizes summing exactly to n_samples.
 
@@ -288,14 +300,7 @@ def sample_group_sizes(a: Archetype, rng: np.random.Generator) -> np.ndarray:
     k, n = a.n_clusters, a.n_samples
     if n < k:
         raise ValueError(f"n_samples={n} cannot cover n_clusters={k}")
-    real = _sum_pairs(n / k, 1.0 / a.imbalance_ratio, k, rng)
-    sizes = np.floor(real).astype(int)
-    fractions = real - sizes
-    shortfall = n - int(sizes.sum())
-    if shortfall < 0:  # float rounding pushed a floor above its share
-        sizes[np.argsort(-sizes, kind="stable")[:-shortfall]] -= 1
-    else:
-        sizes[np.argsort(-fractions, kind="stable")[:shortfall]] += 1
+    sizes = _largest_remainder(_sum_pairs(n / k, 1.0 / a.imbalance_ratio, k, rng), n)
     # flooring can zero out a tiny cluster; pull counts from the largest
     while (sizes < 1).any():
         sizes[np.argmin(sizes)] += 1
@@ -370,10 +375,7 @@ def assign_distributions(a: Archetype, rng: np.random.Generator) -> list[str]:
         props = np.full(len(names), 1.0 / len(names))
     else:
         props = np.asarray(a.distribution_proportions, dtype=float)
-    ideal = props * k
-    counts = np.floor(ideal).astype(int)
-    fractions = ideal - counts
-    counts[np.argsort(-fractions, kind="stable")[: k - int(counts.sum())]] += 1
+    counts = _largest_remainder(props * k, k)
     assigned = [name for name, c in zip(names, counts) for _ in range(c)]
     order = rng.permutation(k)
     return [assigned[i] for i in order]

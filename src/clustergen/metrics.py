@@ -11,7 +11,7 @@ scores 100k-point datasets with the same bits at any thread count.
 K-Means takes each k-means++ step as one matrix-vector product from row
 norms computed once, and each Lloyd step as two matmuls (the assignment
 and the centroid sums), with no other pass over the n×d data; beyond X
-and its centred copy it holds O(n·k) floats.
+and its centred copy (`postprocess._points`) it holds O(n·k) floats.
 """
 
 from __future__ import annotations
@@ -115,26 +115,16 @@ def kmeans(X, k: int, rng: np.random.Generator) -> np.ndarray:
     over `rng.choice` does: rng.integers(n), then one rng.random() per
     further centre, or rng.integers(n, size=k − j) for the rest once every
     row coincides with a centre.  The first strictly lowest WCSS wins.
-    Beyond X and its centred copy, memory is O(n·k).  An X holding a NaN,
-    or whose squared distances could overflow, is refused with a ValueError.
+    Beyond X and its centred copy, which `postprocess._points` rescales so
+    that any finite X gets its scale-1 labels, memory is O(n·k).
 
     Returns integer labels covering [0, k') with no empty class; k' < k
     only when a cluster emptied out.
     """
-    X = np.asarray(X, dtype=float)
-    n, d = X.shape
-    if k > n:
-        raise ValueError(f"k={k} exceeds the number of points n={n}")
-    # centred, every coordinate lies within ±2m, so each squared distance
-    # below is at most 16·d·m² and each sum of n of them 16·n·d·m²; a NaN
-    # makes m NaN, which no restart could score
-    m, limit = max(X.max(), -X.min()), math.sqrt(np.finfo(float).max / (16 * n * d))
-    if not m <= limit:
-        raise ValueError(
-            f"K-Means would overflow: |X| reaches {m:.3g}, but the squared distances "
-            f"of {n} points in {d} dimensions stay finite only up to {limit:.3g}"
-        )
-    centred = X - X.mean(axis=0)  # ‖c‖² − 2·x·c cancels less near the origin
+    centred, _ = postprocess._points(X)
+    if k > len(centred):
+        raise ValueError(f"k={k} exceeds the number of points n={len(centred)}")
+    centred -= centred.mean(axis=0)  # ‖c‖² − 2·x·c cancels less near the origin
     sq = np.einsum("ij,ij->i", centred, centred)
     best_assignment, best_score = None, np.inf
     for _ in range(_N_INIT):
@@ -146,10 +136,13 @@ def kmeans(X, k: int, rng: np.random.Generator) -> np.ndarray:
     return np.unique(best_assignment, return_inverse=True)[1]
 
 
-def _labels(labels) -> np.ndarray:
-    """`labels` as integers; a labeling with a label that is not a whole number,
-    such as 0.7 or NaN, is refused with a ValueError."""
+def _labels(labels, n: int | None = None) -> np.ndarray:
+    """`labels` as n integers (any n when None), one per point; any other shape,
+    or a label that is not a whole number, such as 0.7 or NaN, is a ValueError."""
     labels = np.asarray(labels)
+    n = labels.size if n is None else n
+    if labels.shape != (n,):
+        raise ValueError(f"expected {n} labels, one per point, got shape {labels.shape}")
     with np.errstate(invalid="ignore"):  # a NaN or inf casts to garbage, which differs
         whole = labels.astype(int)
     if not np.array_equal(whole, labels):
@@ -254,9 +247,9 @@ def silhouette(X, labels) -> float:
     """Mean silhouette score (Rousseeuw 1987).
 
     A point in a singleton class, or whose mean distances a (own class) and
-    b (nearest other class) are both 0, scores 0.  An X that is not an n×d
-    matrix or holds a NaN or infinity, and labels that are not n whole
-    numbers, are refused with a ValueError.
+    b (nearest other class) are both 0, scores 0.  X is rescaled by
+    `postprocess._points`, so any finite X gets its scale-1 score; labels
+    that are not n whole numbers are refused with a ValueError.
 
     Distances are computed in square tiles of side `_TILE`, each from one
     matmul.  Only tiles on or above the diagonal are computed: a tile adds
@@ -266,19 +259,12 @@ def silhouette(X, labels) -> float:
     sums are added in the serial order, so no bit depends on the thread
     count.  Memory is O(threads·tile² + n·k), never n×n.
     """
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2:
-        raise ValueError(f"expected an n x d matrix, got shape {X.shape}")
-    if not np.all(np.isfinite(X)):
-        raise ValueError("X contains non-finite values")
-    labels = _labels(labels)
-    if labels.shape != X.shape[:1]:
-        raise ValueError(f"expected {X.shape[0]} labels, one per point, got shape {labels.shape}")
-    classes, inverse = np.unique(labels, return_inverse=True)
+    X, _ = postprocess._points(X)
+    classes, inverse = np.unique(_labels(labels, X.shape[0]), return_inverse=True)
     if classes.size < 2:
         raise ValueError("silhouette requires at least two label classes")
     # centring keeps ‖x‖²+‖y‖²−2x·y from cancelling far from the origin
-    X = X - X.mean(axis=0)
+    X -= X.mean(axis=0)
     n, k = X.shape[0], classes.size
     onehot = np.zeros((n, k))
     onehot[np.arange(n), inverse] = 1.0

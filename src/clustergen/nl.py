@@ -163,8 +163,6 @@ def parse_archetype_json(raw: str, defaults: dict | None = None) -> tuple[Archet
         result = Archetype.from_dict(merged)
     except ArchetypeValidationError as exc:
         raise NLValidationError(exc.violations, raw) from exc
-    except TypeError as exc:
-        raise NLValidationError([str(exc)], raw) from exc
     return result, applied
 
 

@@ -116,6 +116,23 @@ def _threads() -> int:
     return max(1, _usable_cores() // (_PROCESSES * (blas[1]() if blas else 1)))
 
 
+def _points(X) -> tuple[np.ndarray, int]:
+    """A fresh float copy of X divided by 2**e, and e, the `np.frexp` exponent
+    of its largest |x|: the copy's largest |x| lies in [1/2, 1), so no square
+    of it overflows or underflows, and the division is exact, so a scale-free
+    step gets on it X's bits wherever X's squares stay in range.  Anything
+    but a finite n x d matrix with d >= 1 is refused with a ValueError."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] < 1:
+        raise ValueError(f"expected an n x d matrix, got shape {X.shape}")
+    # both reductions carry a NaN through, with no temporary the size of X
+    largest = np.maximum(X.max(initial=0.0), -X.min(initial=0.0))
+    if not np.isfinite(largest):
+        raise ValueError("input contains non-finite values")
+    e = int(np.frexp(largest)[1])
+    return np.ldexp(X, -e), e
+
+
 def _ordered(work, items, threads: int):
     """Yield `work(item)` for each of the sequence `items`, in order, on `threads` threads.
 
@@ -250,41 +267,37 @@ def distort(X: np.ndarray, seed: int = 0) -> np.ndarray:
 
     Columns are standardized before the embedding and the standardization
     is inverted afterwards, so distortion strength does not depend on the
-    dataset's absolute scale.  The standardization and its inversion run
+    dataset's absolute scale: `distort(2**k * X) == 2**k * distort(X)` for
+    any finite X (see `_points`) whose columns all vary; a constant column
+    is divided by 1 in X's units.  The standardization and its inversion run
     in float64 and the network in float32 (see `DistortNetwork.forward`);
     the output is float64 with the input's shape, empty for no rows.
     """
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] < 1:
-        raise ValueError(f"expected an n x p matrix, got shape {X.shape}")
-    if not np.all(np.isfinite(X)):
-        raise ValueError("input contains non-finite values")
+    X, e = _points(X)
     if X.shape[0] == 0:
-        return np.empty(X.shape)
-    mean = X.mean(axis=0)
-    std = X.std(axis=0)
-    std[std == 0] = 1.0
-    net = DistortNetwork.create(X.shape[1], seed)
-    out = net.forward((X - mean) / std)
-    return out * std + mean
+        return X
+    mean, std = X.mean(axis=0), X.std(axis=0)
+    std[std == 0] = np.ldexp(1.0, -e)  # 1 in X's units
+    X -= mean
+    X /= std
+    X = X.astype(np.float32)  # the network's input, in place of the float64 copy
+    out = DistortNetwork.create(X.shape[1], seed).forward(X)
+    out *= std
+    out += mean
+    return np.ldexp(out, e, out=out)
 
 
 def wrap_around_sphere(X: np.ndarray) -> np.ndarray:
     """Inverse stereographic embedding onto the unit sphere in dim+1.
 
-    Rows are centered and divided by their median norm (1 when that is 0 or
-    there are no rows) so the data sits mid-sphere, then mapped by
-    s(x) = (2x, |x|^2 - 1) / (|x|^2 + 1).  Every output row has unit norm.
+    Rows are centered and divided by their median norm (1 in X's units when
+    that is 0) so the data sits mid-sphere, then mapped by s(x) = (2x,
+    |x|^2 - 1) / (|x|^2 + 1).  Every output row has unit norm.  Any finite X
+    maps as 2**k * X does (see `_points`), unless its median norm is 0.
     """
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2:
-        raise ValueError(f"expected an n x p matrix, got shape {X.shape}")
-    if not np.all(np.isfinite(X)):
-        raise ValueError("input contains non-finite values")
-    centered = X - X.mean(axis=0) if X.shape[0] else X
-    prescale = float(np.median(np.linalg.norm(centered, axis=1))) if X.shape[0] else 1.0
-    if prescale <= 0:
-        prescale = 1.0
-    y = centered / prescale
+    y, e = _points(X)
+    if y.shape[0]:
+        y -= y.mean(axis=0)
+        y /= float(np.median(np.linalg.norm(y, axis=1))) or np.ldexp(1.0, -e)
     sq = np.sum(y * y, axis=1, keepdims=True)
     return np.hstack([2.0 * y, sq - 1.0]) / (sq + 1.0)

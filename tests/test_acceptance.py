@@ -30,8 +30,7 @@ from clustergen.placement import (
 )
 from clustergen.postprocess import DistortNetwork, distort, wrap_around_sphere
 from clustergen.sampling import sample_dataset
-from tests.conftest import FakeChatTransport
-from tests.test_metrics import ami_bruteforce, ari_bruteforce, random_nondegenerate_labels
+from test_metrics import ami_bruteforce, ari_bruteforce, random_nondegenerate_labels
 
 
 def random_cov(dim, rng, max_aspect=3.0):
@@ -293,7 +292,8 @@ class TestAcceptance:
         print("\nPASS criterion 9: AMI/ARI equal brute-force oracles on 200 "
               "random contingency cases (<= 1e-10)")
 
-    def test_10_nl_pipeline_fixture_mode(self, nl_fixtures, benchmark_archetypes):
+    def test_10_nl_pipeline_fixture_mode(self, nl_fixtures, benchmark_archetypes,
+                                         fake_transport_factory):
         """Recorded responses reproduce the six benchmark archetypes field-for-field."""
         expected_by_name = {a.name: a for a in benchmark_archetypes}
         config = ClientConfig(api_key="fixture")
@@ -301,7 +301,7 @@ class TestAcceptance:
         assert len(descriptions) == 6
         for description in descriptions:
             recorded = nl_fixtures[description]
-            transport = FakeChatTransport(
+            transport = fake_transport_factory(
                 {"identifier": recorded["identifier"], "params": recorded["params"]}
             )
             result, _ = describe_to_archetype(description, config, transport)

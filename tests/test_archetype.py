@@ -6,6 +6,7 @@ import pytest
 
 from clustergen.archetype import (
     Archetype,
+    _largest_remainder,
     assign_distributions,
     sample_aspect_ratios,
     sample_axis_lengths,
@@ -342,6 +343,26 @@ class TestGroupSizes:
         first = sample_group_sizes(a, np.random.default_rng(99))
         second = sample_group_sizes(a, np.random.default_rng(99))
         assert sorted(first) == sorted(second)
+
+
+class TestLargestRemainder:
+    @pytest.mark.parametrize("shares, total, counts", [
+        ([1.5, 2.5, 1.0], 6, [2, 3, 1]),
+        ([1.5, 1.5, 2.0], 5, [2, 1, 2]),  # a tie goes to the first listed
+        ([0.7, 0.2, 0.1], 1, [1, 0, 0]),
+        ([2.0, 3.0], 5, [2, 3]),
+    ])
+    def test_floors_plus_the_largest_fractional_parts(self, shares, total, counts):
+        assert _largest_remainder(np.array(shares), total).tolist() == counts
+
+    @pytest.mark.parametrize("shares, total, counts", [
+        ([3.0, 5.0, 2.0], 9, [3, 4, 2]),
+        ([4.0, 4.0, 2.0], 9, [3, 4, 2]),  # a tie gives back from the first listed
+        ([4.0, 4.0, 2.0], 8, [3, 3, 2]),
+    ])
+    def test_floors_above_the_total_give_back_from_the_largest(self, shares, total, counts):
+        # float rounding can put the floors of shares meant to sum to the total above it
+        assert _largest_remainder(np.array(shares), total).tolist() == counts
 
 
 class TestAspectRatios:

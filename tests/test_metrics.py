@@ -316,21 +316,14 @@ class TestKmeans:
             tracemalloc.stop()
         assert peak < 1.5 * X.nbytes
 
-    def test_overflowing_squares_are_refused(self):
-        # every restart's WCSS was NaN, so kmeans returned a 0-d array
-        X = np.random.default_rng(0).standard_normal((3000, 2)) * 1e200
-        with pytest.raises(ValueError, match="K-Means would overflow: .* 3000 points in 2 dim"):
-            kmeans(X, 3, rng=np.random.default_rng(0))
-        with pytest.raises(ValueError, match="K-Means would overflow"):
-            evaluate_dataset(X, np.zeros(3000, dtype=int), 3, np.random.default_rng(0))
-        # a NaN left every WCSS NaN in the same way
-        Y = X / 1e200
-        Y[5, 1] = np.nan
-        with pytest.raises(ValueError, match="reaches nan"):
-            kmeans(Y, 3, rng=np.random.default_rng(0))
-        # just inside the limit of 4.33e151, nothing overflows (RuntimeWarnings are errors)
-        X *= 1.1e151 / 1e200
-        assert kmeans(X, 3, rng=np.random.default_rng(0)).shape == (3000,)
+    @pytest.mark.parametrize("k", [300, -300, 600, -600, 900, -900])
+    def test_any_power_of_two_scale_gives_the_scale_1_labels(self, k):
+        # beyond 2**±512 the squares overflow or underflow: 2**600 was
+        # refused, and at 2**-600 all points fell in one class
+        rng = np.random.default_rng(0)
+        X = rng.normal(size=(3000, 4)) + 3.0 * rng.normal(size=(3, 4))[rng.integers(0, 3, 3000)]
+        expected = kmeans(X, 3, rng=np.random.default_rng(1))
+        assert np.array_equal(kmeans(np.ldexp(X, k), 3, rng=np.random.default_rng(1)), expected)
 
     def test_far_from_origin_matches_reference(self):
         rng = np.random.default_rng(16)
@@ -366,6 +359,12 @@ class TestAmi:
         with pytest.raises(ValueError, match="length"):
             ami(np.array([0, 1]), np.array([0, 1, 0]))
 
+    def test_two_dimensional_labelings_are_refused(self):
+        # both were flattened, and identical ones scored 1.0
+        message = "expected 6 labels, one per point, got shape (3, 2)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ami(np.zeros((3, 2), int), np.zeros((3, 2), int))
+
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 10, 11, 50])
     def test_all_singletons_score_zero(self, n):
         # every relabeling keeps n singletons, so the mutual information equals
@@ -381,6 +380,12 @@ class TestAri:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match=r"^labelings differ in length: \(2,\) vs \(3,\)$"):
             ari(np.array([0, 1]), np.array([0, 1, 0]))
+
+    def test_two_dimensional_labelings_are_refused(self):
+        # both were flattened, and two trivial ones scored 1.0
+        message = "expected 6 labels, one per point, got shape (3, 2)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ari(np.zeros((3, 2), int), np.ones((3, 2), int))
 
     def test_identical_labelings(self):
         labels = np.array([0, 1, 0, 1, 2])
@@ -575,8 +580,17 @@ class TestSilhouette:
         # a NaN or infinity once scored 0.0
         X = np.random.default_rng(21).normal(size=(10, 2))
         X[3, 1] = value
-        with pytest.raises(ValueError, match="^X contains non-finite values$"):
+        with pytest.raises(ValueError, match="^input contains non-finite values$"):
             silhouette(X, np.arange(10) % 2)
+
+    @pytest.mark.parametrize("k", [300, -300, 600, -600, 900, -900])
+    def test_any_power_of_two_scale_gives_the_scale_1_score(self, k):
+        # beyond 2**±512 the squared norms overflow or underflow, and the
+        # score once read 0.0
+        rng = np.random.default_rng(23)
+        labels = rng.integers(0, 3, size=3000)
+        X = rng.normal(size=(3000, 4)) + 3.0 * rng.normal(size=(3, 4))[labels]
+        assert silhouette(np.ldexp(X, k), labels) == silhouette(X, labels)
 
     def test_points_must_be_a_matrix(self):
         # once an AxisError

@@ -198,6 +198,19 @@ class TestParseArchetypeJson:
         with pytest.raises(NLValidationError, match="unknown"):
             parse_archetype_json(raw, defaults={"name": "x"})
 
+    @pytest.mark.parametrize("field, value, violation", [
+        ("n_clusters", "5", "n_clusters must be a positive integer"),
+        ("distributions", 3, "distributions must be a nonempty list"),
+        ("distribution_proportions", [0.5, "x"], "distribution_proportions must be a list"),
+        ("name", 7, "name 7 is not a valid identifier"),
+    ])
+    def test_junk_typed_params_are_validation_errors(self, field, value, violation):
+        # validation turns each into a violation before anything uses its type
+        raw = json.dumps({"name": "x", "n_clusters": 3, field: value})
+        with pytest.raises(NLValidationError) as excinfo:
+            parse_archetype_json(raw)
+        assert any(v.startswith(violation) for v in excinfo.value.violations)
+
 
 # (response text, the object it holds as JSON text, or None when it holds none)
 FIRST_OBJECT_CASES = [

@@ -5,7 +5,7 @@ import threading
 import numpy as np
 import pytest
 
-from clustergen import postprocess
+from clustergen import metrics, postprocess
 from clustergen.archetype import Archetype
 from clustergen.mixture import sample_mixture_model
 from clustergen.postprocess import (
@@ -144,8 +144,16 @@ class TestDistort:
             distort(X, seed=0)
 
     def test_one_dimensional_input_rejected(self):
-        with pytest.raises(ValueError, match=r"^expected an n x p matrix, got shape \(3,\)$"):
+        with pytest.raises(ValueError, match=r"^expected an n x d matrix, got shape \(3,\)$"):
             distort(np.zeros(3), seed=0)
+
+    @pytest.mark.parametrize("k", [300, -300, 600, -600, 900, -900])
+    def test_scales_with_any_power_of_two(self, k):
+        # beyond 2**±512 the column variances overflow or underflow: the
+        # output was inf at 2**600, and at 2**-600 it ignored the data
+        rng = np.random.default_rng(8)
+        X = rng.normal(size=(3000, 4)) * [1.0, 3.0, 0.5, 2.0]
+        assert np.array_equal(distort(np.ldexp(X, k), seed=3), np.ldexp(distort(X, seed=3), k))
 
     def test_separated_clusters_stay_separable(self):
         # nearest-centroid accuracy on distorted well-separated data
@@ -375,8 +383,15 @@ class TestDistortChunks:
 
 class TestWrapAroundSphere:
     def test_one_dimensional_input_rejected(self):
-        with pytest.raises(ValueError, match=r"^expected an n x p matrix, got shape \(3,\)$"):
+        with pytest.raises(ValueError, match=r"^expected an n x d matrix, got shape \(3,\)$"):
             wrap_around_sphere(np.zeros(3))
+
+    @pytest.mark.parametrize("k", [300, -300, 600, -600, 900, -900])
+    def test_any_power_of_two_scale_maps_as_scale_1(self, k):
+        # beyond 2**±512 the row norms overflow or underflow, and every row
+        # once landed on one pole
+        X = np.random.default_rng(9).normal(size=(3000, 4))
+        assert np.array_equal(wrap_around_sphere(np.ldexp(X, k)), wrap_around_sphere(X))
 
     def test_nan_input_rejected(self):
         with pytest.raises(ValueError, match="^input contains non-finite values$"):
@@ -423,3 +438,47 @@ class TestWrapAroundSphere:
         # the median norm is 0 here, so the rows are divided by 1 instead
         wrapped = wrap_around_sphere(np.zeros((3, 2)))
         np.testing.assert_array_equal(wrapped, np.tile([0.0, 0.0, -1.0], (3, 1)))
+
+
+POINT_FUNCTIONS = {
+    "distort": distort,
+    "wrap_around_sphere": wrap_around_sphere,
+    "kmeans": lambda X: metrics.kmeans(X, 1, rng=np.random.default_rng(0)),
+    "silhouette": lambda X: metrics.silhouette(X, np.arange(len(X)) % 2),
+}
+
+
+def with_value(value):
+    X = np.random.default_rng(12).normal(size=(6, 2))
+    X[4, 1] = value
+    return X
+
+
+class TestPoints:
+    """`distort`, `wrap_around_sphere`, `kmeans` and `silhouette` take their
+    points through `_points`, and refuse the same inputs with its messages."""
+
+    BAD = {
+        "1-D": (np.zeros(3), r"^expected an n x d matrix, got shape \(3,\)$"),
+        "no columns": (np.zeros((4, 0)), r"^expected an n x d matrix, got shape \(4, 0\)$"),
+        "nan": (with_value(np.nan), "^input contains non-finite values$"),
+        "+inf": (with_value(np.inf), "^input contains non-finite values$"),
+        "-inf": (with_value(-np.inf), "^input contains non-finite values$"),
+    }
+
+    @pytest.mark.parametrize("function", POINT_FUNCTIONS.values(), ids=POINT_FUNCTIONS.keys())
+    @pytest.mark.parametrize("case", BAD.values(), ids=BAD.keys())
+    def test_refusals_share_one_message(self, function, case):
+        # kmeans once raised "not enough values to unpack" on a 1-D X
+        X, message = case
+        with pytest.raises(ValueError, match=message):
+            function(X)
+
+    @pytest.mark.parametrize("scale", [0.0, 1e-300, 0.75, 1.0, 3.0, 1e300])
+    def test_a_fresh_copy_divided_by_the_largest_power_of_two(self, scale):
+        X = np.random.default_rng(13).normal(size=(5, 3)) * scale
+        scaled, e = postprocess._points(X)
+        assert not np.shares_memory(scaled, X)
+        assert np.array_equal(np.ldexp(scaled, e), X)
+        largest = np.abs(scaled).max()
+        assert largest == 0.0 if scale == 0.0 else 0.5 <= largest < 1.0
