@@ -17,6 +17,7 @@ and its centred copy (`postprocess._points`) it holds O(n·k) floats.
 from __future__ import annotations
 
 import math
+import numbers
 import threading
 
 import numpy as np
@@ -119,9 +120,12 @@ def kmeans(X, k: int, rng: np.random.Generator) -> np.ndarray:
     that any finite X gets its scale-1 labels, memory is O(n·k).
 
     Returns integer labels covering [0, k') with no empty class; k' < k
-    only when a cluster emptied out.
+    only when a cluster emptied out.  A k that is not a positive integer,
+    or exceeds n, is a ValueError.
     """
     centred, _ = postprocess._points(X)
+    if not isinstance(k, numbers.Integral) or k < 1:
+        raise ValueError(f"k must be a positive integer, got {k!r}")
     if k > len(centred):
         raise ValueError(f"k={k} exceeds the number of points n={len(centred)}")
     centred -= centred.mean(axis=0)  # ‖c‖² − 2·x·c cancels less near the origin
@@ -151,10 +155,14 @@ def _labels(labels, n: int | None = None) -> np.ndarray:
 
 
 def _contingency(a, b) -> tuple[np.ndarray, int]:
-    """The counts of each (a label, b label) pair of two labelings, and their length."""
+    """The counts of each (a label, b label) pair of two labelings, and their length.
+
+    Labelings of different lengths, or of none, are a ValueError."""
     a, b = _labels(a), _labels(b)
     if a.shape != b.shape:
         raise ValueError(f"labelings differ in length: {a.shape} vs {b.shape}")
+    if not a.size:
+        raise ValueError("labelings must hold at least one label")
     _, ai = np.unique(a, return_inverse=True)
     _, bi = np.unique(b, return_inverse=True)
     table = np.zeros((ai.max() + 1, bi.max() + 1), dtype=np.int64)

@@ -20,6 +20,8 @@ One factor per pair, W = L^{-1} for (S1+S2)/2 = LL', serves LDA,
 placement and the oracle; no inverse of a pair average is formed.  Every
 estimator is one checked pass over every pair at once (`_reports`), the
 single-pair functions being its k = 2 case, so all refuse the same inputs.
+The pass forms each pair's center difference once, and every kernel takes
+that difference, divided by an exact power of two, as its one pair input.
 """
 
 from __future__ import annotations
@@ -118,7 +120,7 @@ def pair_inverses(covs) -> PairInverses:
     inverted in place to W (`_invert_lower`), at every d: the only pair
     factorization in the package.  So every averaged covariance A must be
     positive definite, or LinAlgError (a ValueError) is raised; callers
-    meet this, as `_checked` refuses a condition number above 1e12 and
+    meet this, as `_reports` refuses a condition number above 1e12 and
     validated geometry (aspect ratios at most 1e6) keeps every pair below
     it.  The pairs go a batch of `_pair_averages` at a time, and a pair's
     factor does not depend on the batch it lands in.
@@ -156,51 +158,29 @@ def _table_separations(delta, covs, iu, ju, axes):
     return np.abs(margin) / denom, axes * np.copysign(1.0 / denom, margin)[:, None]
 
 
-def pairwise_separations(centers, covs, inverses: PairInverses):
+def pairwise_separations(delta, covs, inverses: PairInverses):
     """LDA separations of every pair i < j at once, packed like `inverses.whitening`.
 
-    Returns (q, axes): q[p] >= 0 is the separation quantile of (iu[p],
-    ju[p]) along their LDA axis W'(W delta), W = inverses.whitening[p], and
-    axes[p] is that axis oriented from iu[p] toward ju[p] and pre-divided
-    by the quantile denominator, so q[p] = axes[p] @ (mu_ju - mu_iu),
-    grad_{mu_ju} q[p] = axes[p] and grad_{mu_iu} q[p] = -axes[p] with the
-    axis held fixed.  Inputs are not checked; the estimators below check
-    theirs in `_checked`.
+    delta[p] = mu_ju - mu_iu for the pair (iu[p], ju[p]).  Returns (q, axes):
+    q[p] >= 0 is the pair's separation quantile along their LDA axis
+    W'(W delta[p]), W = inverses.whitening[p], and axes[p] is that axis
+    oriented from iu[p] toward ju[p] and pre-divided by the quantile
+    denominator, so q[p] = axes[p] @ delta[p], grad_{mu_ju} q[p] = axes[p]
+    and grad_{mu_iu} q[p] = -axes[p] with the axis held fixed.  Inputs are
+    not checked; the estimators below check theirs in `_reports`.
     """
-    iu, ju, w = inverses.iu, inverses.ju, inverses.whitening
-    delta = centers[ju] - centers[iu]
+    w = inverses.whitening
     axes = (w.transpose(0, 2, 1) @ (w @ delta[:, :, None]))[:, :, 0]
-    return _table_separations(delta, covs, iu, ju, axes)
+    return _table_separations(delta, covs, inverses.iu, inverses.ju, axes)
 
 
-def _checked(centers, covs):
-    """centers and covs as k x d and k x d x d float arrays, refusing inseparable pairs.
-
-    Raises ValueError when a center is not finite, when two centers
-    coincide, or when some pair's averaged covariance is zero or has a
-    condition number above 1e12 (or NaN).
-    """
-    centers = np.asarray(centers, dtype=float).reshape(len(centers), -1)
-    covs = np.asarray(covs, dtype=float).reshape(-1, centers.shape[1], centers.shape[1])
-    if not np.all(np.isfinite(centers)):
-        raise ValueError("cluster centers must be finite")
-    for _, i, j, mean in _pair_averages(covs):
-        if not np.all(np.any(centers[j] - centers[i], axis=1)):
-            raise ValueError("cluster centers coincide; no separating axis exists")
-        eig = np.linalg.eigvalsh(mean)  # ascending
-        # a zero matrix passes the ratio (0 >= 0), and no other matrix with eig[:, 0] <= 0 does
-        if not np.all((eig[:, 0] > 0) & (eig[:, 0] * _MAX_CONDITION >= eig[:, -1])):
-            raise ValueError("averaged covariance is numerically singular")
-    return centers, covs
-
-
-def _exact(centers, covs, q_lda, inverses):
-    """Largest q over the axis family a(t) of every checked pair i < j.
+def _exact(delta, covs, q_lda, inverses):
+    """Largest q over the axis family a(t) of every checked pair i < j; delta[p] = mu_j - mu_i.
 
     No pair is factored again: a batch of `_pair_batches` at a time, with
     the LDA's factor W = L^{-1} of (S_i + S_j)/2 = LL', W S_i W' = V diag(m) V',
     so W S_j W' = V diag(2 - m) V' as W (S_i + S_j) W' = 2I.  Then, with
-    g = V'W(mu_j - mu_i) and D = t*m + (1-t)*(2 - m), a(t)'delta = sum g^2/D,
+    g = V'W delta and D = t*m + (1-t)*(2 - m), a(t)'delta = sum g^2/D,
     s_i^2 = a(t)'S_i a(t) = sum m g^2/D^2 and s_j^2 = sum (2 - m) g^2/D^2, each a
     sum of d terms.  The maximum is the member with t*s_i = (1-t)*s_j (see
     `exact_overlap_oracle`), below which t*s_i - (1-t)*s_j is negative and
@@ -210,11 +190,11 @@ def _exact(centers, covs, q_lda, inverses):
     the t = 1/2 member, so no q falls below q_lda.  With m clipped to [0, 2]
     every D is positive and every q finite, so the oracle refuses nothing.
     """
-    m, g2 = np.empty((2, q_lda.size, centers.shape[1]))
-    for rows, i, j in _pair_batches(*centers.shape):
+    m, g2 = np.empty((2, *delta.shape))
+    for rows, i, j in _pair_batches(len(covs), delta.shape[1]):
         w = inverses.whitening[rows]
         m[rows], v = np.linalg.eigh(w @ covs[i] @ w.transpose(0, 2, 1))
-        g2[rows] = ((centers[j] - centers[i])[:, None, :] @ w.transpose(0, 2, 1) @ v)[:, 0] ** 2
+        g2[rows] = (delta[rows, None, :] @ w.transpose(0, 2, 1) @ v)[:, 0] ** 2
     m.clip(0.0, 2.0, out=m)  # W S_i W' and 2I - W S_i W' are positive semidefinite
     mj = 2.0 - m
 
@@ -244,32 +224,48 @@ class OverlapReport:
     alpha_exact: float | None = None
 
 
-@np.errstate(invalid="ignore", divide="ignore")
+@np.errstate(invalid="ignore", divide="ignore", over="ignore")
 def _reports(centers, covs, include_exact=False) -> list[OverlapReport]:
     """One report per pair i < j, in `np.triu_indices` order: every estimator's one path.
 
-    The inputs are checked (`_checked`), divided by a power of two near
-    the largest axis length and its square, and every pair factored once
-    (`pair_inverses`); one kernel evaluates the LDA and center-difference
-    axes (`_table_separations`), and the exact oracle, if asked, reads the
-    LDA's factors and quantiles.  A variance along either axis that is not
-    positive (a q that is not finite) refuses the whole input.
+    Each pair's delta = mu_j - mu_i is formed once and divided by the power
+    of two of its largest |entry|: q is linear in delta, so the division
+    is exact, and every q of the pair is multiplied back.  Every pair is
+    factored once (`pair_inverses`); one kernel evaluates the LDA and
+    center-difference axes (`_table_separations`), and the exact oracle,
+    if asked, reads the LDA's factors and quantiles.  Raises ValueError
+    when a center is not finite, when two centers coincide or their
+    difference overflows, when some pair's averaged covariance is zero or
+    has a condition number above 1e12 (or NaN), or when a variance along
+    either axis is not positive (a q that is not finite).  A q past the
+    largest float reads inf, and its alpha 0.
     """
-    centers, covs = _checked(centers, covs)
-    # q is scale-free, and this division is exact: it moves no bit at
-    # ordinary scales and keeps delta'S delta off underflow and overflow at any
-    e = np.frexp(np.sqrt(np.abs(covs).max()))[1]
-    centers, covs = np.ldexp(centers, -e), np.ldexp(covs, -2 * e)
-    inverses = pair_inverses(covs)
-    iu, ju = inverses.iu, inverses.ju
+    centers = np.asarray(centers, dtype=float).reshape(len(centers), -1)
+    covs = np.asarray(covs, dtype=float).reshape(-1, centers.shape[1], centers.shape[1])
+    if not np.all(np.isfinite(centers)):
+        raise ValueError("cluster centers must be finite")
+    iu, ju = np.triu_indices(len(centers), 1)
     delta = centers[ju] - centers[iu]
-    q_lda = pairwise_separations(centers, covs, inverses)[0]
+    if not np.all(np.isfinite(delta)):
+        raise ValueError("cluster center differences overflow the float range")
+    if not np.all(np.any(delta, axis=1)):
+        raise ValueError("cluster centers coincide; no separating axis exists")
+    for _, _, _, mean in _pair_averages(covs):
+        eig = np.linalg.eigvalsh(mean)  # ascending
+        # a zero matrix passes the ratio (0 >= 0), and no other matrix with eig[:, 0] <= 0 does
+        if not np.all((eig[:, 0] > 0) & (eig[:, 0] * _MAX_CONDITION >= eig[:, -1])):
+            raise ValueError("averaged covariance is numerically singular")
+    e = np.frexp(np.abs(delta).max(axis=1))[1]
+    delta = np.ldexp(delta, -e[:, None])
+    inverses = pair_inverses(covs)
+    q_lda = pairwise_separations(delta, covs, inverses)[0]
     q_c2c = _table_separations(delta, covs, iu, ju, delta)[0]
     if not np.all(np.isfinite([q_lda, q_c2c])):
         raise ValueError("covariance matrices must be symmetric positive definite")
     exact = [None] * q_lda.size
     if include_exact:
-        exact = (2.0 * normal_sf(_exact(centers, covs, q_lda, inverses))).tolist()
+        exact = (2.0 * normal_sf(np.ldexp(_exact(delta, covs, q_lda, inverses), e))).tolist()
+    q_lda, q_c2c = np.ldexp(q_lda, e), np.ldexp(q_c2c, e)
     columns = (iu, ju, q_lda, 2.0 * normal_sf(q_lda), 2.0 * normal_sf(q_c2c))
     return [OverlapReport(*row) for row in zip(*(c.tolist() for c in columns), exact)]
 

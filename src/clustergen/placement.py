@@ -142,7 +142,7 @@ def _loss_and_gradient(centers, covs, inverses: PairInverses, bounds: OverlapBou
     gradient of c_iu and -w * axes[p] to that of c_ju: w is the penalty
     slope for a crowding push and minus it for an isolation pull.
     """
-    q, axes = pairwise_separations(centers, covs, inverses)
+    q, axes = pairwise_separations(centers[inverses.ju] - centers[inverses.iu], covs, inverses)
     if not q.size:  # one cluster: no pair, no constraint
         return 0.0, None
     q_of = q[inverses.pairs]  # row i: q_ij for every j != i

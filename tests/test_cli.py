@@ -497,6 +497,20 @@ class TestValidateOverlap:
         assert cli.main(["validate-overlap", "--model", str(model_path)]) == cli.EXIT_VALIDATION
         assert capsys.readouterr().err == "error: averaged covariance is numerically singular\n"
 
+    @pytest.mark.parametrize("apart,alpha", [(1e170, 0.0), (1e-170, 1.0)])
+    def test_model_of_unit_clusters_far_or_near_exits_0(self, tmp_path, capsys, apart, alpha):
+        # q = apart / 2: its square, or that of its inverse, is past the largest float
+        clusters = [
+            Cluster(np.array(center), np.eye(2), np.ones(2), RadialDistribution("normal"))
+            for center in ([0.0, 0.0], [apart, 0.0])
+        ]
+        model_path = tmp_path / "model.json"
+        model_path.write_text(MixtureModel(clusters, np.array([10, 10]), "far").to_json())
+        assert cli.main(["validate-overlap", "--model", str(model_path), "--exact"]) == cli.EXIT_OK
+        (row,) = csv.DictReader(io.StringIO(capsys.readouterr().out))
+        assert float(row["q_lda"]) == apart / 2
+        assert [float(row[c]) for c in ("alpha_lda", "alpha_c2c", "alpha_exact")] == [alpha] * 3
+
     @pytest.mark.parametrize("edit,message", [
         (lambda m: {"clusters": []}, "missing key 'archetype_name'"),
         (lambda m: without(m, "group_sizes"), "missing key 'group_sizes'"),

@@ -223,6 +223,16 @@ class TestKmeans:
         with pytest.raises(ValueError, match="exceeds"):
             kmeans(np.zeros((3, 2)), 4, rng=np.random.default_rng(0))
 
+    @pytest.mark.parametrize("k", [0, -1, 2.5, 2.0, "2", None])
+    def test_k_not_a_positive_integer_rejected(self, k):
+        with pytest.raises(ValueError, match=rf"^k must be a positive integer, got {re.escape(repr(k))}$"):
+            kmeans(np.zeros((3, 2)), k, rng=np.random.default_rng(0))
+
+    def test_k_as_numpy_integer_accepted(self):
+        X = np.random.default_rng(2).normal(size=(30, 3))
+        expected = kmeans(X, 3, rng=np.random.default_rng(0))
+        np.testing.assert_array_equal(kmeans(X, np.int64(3), rng=np.random.default_rng(0)), expected)
+
     def test_deterministic_per_seed(self):
         rng = np.random.default_rng(4)
         X = rng.normal(size=(100, 2))
@@ -359,6 +369,10 @@ class TestAmi:
         with pytest.raises(ValueError, match="length"):
             ami(np.array([0, 1]), np.array([0, 1, 0]))
 
+    def test_empty_labelings_are_refused(self):
+        with pytest.raises(ValueError, match="^labelings must hold at least one label$"):
+            ami([], [])
+
     def test_two_dimensional_labelings_are_refused(self):
         # both were flattened, and identical ones scored 1.0
         message = "expected 6 labels, one per point, got shape (3, 2)"
@@ -377,6 +391,10 @@ class TestAmi:
 
 
 class TestAri:
+    def test_empty_labelings_are_refused(self):
+        with pytest.raises(ValueError, match="^labelings must hold at least one label$"):
+            ari([], [])
+
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match=r"^labelings differ in length: \(2,\) vs \(3,\)$"):
             ari(np.array([0, 1]), np.array([0, 1, 0]))

@@ -254,7 +254,7 @@ class TestCachedPairKernel:
             others, q, axes = separations_of(centers, covs, i)
             for m, j in enumerate(others):
                 check(q[m], axes[m], i, j)
-        q, axes = pairwise_separations(centers, covs, inverses)
+        q, axes = pairwise_separations(centers[inverses.ju] - centers[inverses.iu], covs, inverses)
         assert q.size == k * (k - 1) // 2
         for p, (i, j) in enumerate(zip(inverses.iu, inverses.ju)):
             check(q[p], axes[p], i, j)
@@ -359,10 +359,10 @@ class TestExactOracle:
 
     @staticmethod
     def exact_q(mu1, mu2, S1, S2):
-        centers, covs = overlap._checked([mu1, mu2], [S1, S2])
+        delta, covs = np.atleast_2d(np.subtract(mu2, mu1)), np.stack([S1, S2])
         inverses = pair_inverses(covs)
-        q_lda = pairwise_separations(centers, covs, inverses)[0]
-        return overlap._exact(centers, covs, q_lda, inverses)[0]
+        q_lda = pairwise_separations(delta, covs, inverses)[0]
+        return overlap._exact(delta, covs, q_lda, inverses)[0]
 
     def test_singular_covariances_with_regular_average(self):
         # each pair is whitened by its average, which is regular, not by
@@ -426,12 +426,13 @@ class TestExactOracle:
         # 11 at d = 2; keeping a value of every pair per step would not fit
         k, dim = 400, 2
         model = random_model(k, dim, np.random.default_rng(400))
-        centers, covs = overlap._checked(model.centers, model.covariances())
+        centers, covs = model.centers, model.covariances()
         inverses = pair_inverses(covs)
-        q_lda = pairwise_separations(centers, covs, inverses)[0]
+        delta = centers[inverses.ju] - centers[inverses.iu]
+        q_lda = pairwise_separations(delta, covs, inverses)[0]
         tracemalloc.start()
         try:
-            overlap._exact(centers, covs, q_lda, inverses)
+            overlap._exact(delta, covs, q_lda, inverses)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -541,7 +542,9 @@ class TestBatchedMatchesScalar:
         model = random_model(k, dim, np.random.default_rng(100 * k + dim))
         centers, covs = model.centers, model.covariances()
         reports = pairwise_overlaps(model, include_exact=True)
-        q_placement, _ = pairwise_separations(centers, covs, pair_inverses(covs))
+        inverses = pair_inverses(covs)
+        delta = centers[inverses.ju] - centers[inverses.iu]
+        q_placement, _ = pairwise_separations(delta, covs, inverses)
         assert [r.q_lda for r in reports] == q_placement.tolist()
         for r in reports:
             pair = (centers[r.i], centers[r.j], covs[r.i], covs[r.j])
@@ -589,7 +592,7 @@ CONDITION_2E12 = np.diag([1.0, 1.0 / 2e12])
 
 
 class TestRefusals:
-    """Every estimator refuses the same inputs with the same message."""
+    """Every estimator refuses the same inputs with the same message, and reports the rest."""
 
     @pytest.fixture(autouse=True)
     def covariance_as_given(self, monkeypatch):
@@ -610,13 +613,34 @@ class TestRefusals:
             (([0, 0], [1, 1.2], np.diag([1.0, -0.5]), np.diag([1.0, 2.0])), "positive definite"),
             (([0, np.nan], [1, 1], np.eye(2), np.eye(2)), "centers must be finite"),
             (([0, 0], [np.inf, 1], np.eye(2), np.eye(2)), "centers must be finite"),
+            # each center is finite, their difference is not
+            (([1e308, 0], [-1e308, 0], np.eye(2), np.eye(2)), "differences overflow"),
         ],
         ids=["coincident", "singular", "condition-2e12", "zero", "indefinite", "indefinite-lda-axis",
-             "nan-center", "inf-center"],
+             "nan-center", "inf-center", "overflowing-difference"],
     )
     def test_refused(self, name, pair, match):
         with pytest.raises(ValueError, match=match):
             ESTIMATORS[name](*pair)
+
+    @pytest.mark.parametrize("name", [n for n in ESTIMATORS if n != "monte_carlo_overlap"])
+    @pytest.mark.parametrize(
+        "apart, length",
+        [(1e170, 1.0), (1e-170, 1.0), (1e100, 1e-100), (1e-100, 1e100), (1e300, 1e-20)],
+    )
+    def test_reported_beyond_the_range_of_quadratic_forms(self, name, apart, length):
+        # spherical clusters of axis length `length`, `apart` apart: q = apart / (2 length),
+        # whose square, or that of its inverse, is past the largest float; the last q is
+        # past it too, and reads inf
+        pair = ([0.0, 0.0], [apart, 0.0], length**2 * np.eye(2), length**2 * np.eye(2))
+        q, alpha = apart / (2.0 * length), 0.0 if apart > length else 1.0
+        result = ESTIMATORS[name](*pair)
+        if name == "pairwise_overlaps":
+            (report,) = result
+            assert report.q_lda == pytest.approx(q, rel=1e-12)
+            assert (report.alpha_lda, report.alpha_c2c, report.alpha_exact) == (alpha,) * 3
+        else:
+            assert result == alpha
 
     @pytest.mark.parametrize("name", ESTIMATORS)
     def test_condition_half_e12_accepted(self, name):
