@@ -8,10 +8,15 @@ a lost `--jobs` worker's included, is recorded, every other dataset keeps
 its output, and the run exits with the largest code.  `nl --dry-run`
 prints the "params" and "identifier" prompts without any network traffic.
 
-Every command and every `--jobs` worker calls `postprocess._pin_blas`, so
-the bundled OpenBLAS runs on one thread and the cores go instead to the
+Every command and every `--jobs` worker calls `postprocess._set_up_process`,
+so the bundled OpenBLAS runs on one thread and the cores go instead to the
 `--jobs` workers, at most one per dataset, and within each process to
-`distort`'s row chunks.
+`distort`'s row chunks.  Under glibc the same call sets malloc's mmap
+threshold to 4 MiB and its trim threshold to 32 MiB: a freed block below
+4 MiB stays in its arena, each arena keeps up to 32 MiB free at its top, and
+the next dataset reuses that memory instead of page-faulting it in again.
+Other C libraries, and a library caller that never runs a command, keep
+malloc's defaults.
 """
 
 from __future__ import annotations
@@ -108,7 +113,7 @@ def _each(work, calls, workers: int) -> tuple[list[tuple[dict, int]], int]:
     failures, and the parent those of a lost worker and of calls a broken pool refused."""
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(
-            max_workers=workers, initializer=postprocess._pin_blas, initargs=(workers,)
+            max_workers=workers, initializer=postprocess._set_up_process, initargs=(workers,)
         ) as pool:
             started = [_recorded(pool.submit, _recorded, work, *call) for call in calls]
             outcomes = [s if isinstance(s, tuple) else _recorded(s.result) for s in started]
@@ -303,14 +308,26 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_VALIDATION, f"{self.prog}: error: {message}\n")
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-        if value >= 1:
-            return value
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+def _int_from(least: int, kind: str):
+    """An argparse type for an integer of at least `least`; any other text is
+    a usage error that names the option and reads "expected {kind}"."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+            if value >= least:
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {kind}, got {text!r}")
+
+    return parse
+
+
+_positive_int = _int_from(1, "a positive integer")
+# `validate-overlap` and `hyperparams` seed `default_rng` with --seed itself,
+# which takes no negative integer; `generate` and `bench` hash theirs
+_seed = _int_from(0, "a non-negative integer")
 
 
 @functools.cache
@@ -343,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--model", help="mixture model JSON file")
     src.add_argument("--archetype", help="archetype JSON file (sampled with --seed)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--exact", action="store_true", help="include the exact Gaussian oracle")
     p.add_argument("--out", help="write the CSV here instead of stdout")
     p.set_defaults(func=cmd_validate_overlap)
@@ -369,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--archetype", required=True, help="archetype JSON file")
     p.add_argument("--n-variants", type=_positive_int, default=5)
     p.add_argument("--bounds", help='JSON like {"n_clusters": [2, 20]}')
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(func=cmd_hyperparams)
     return parser
 
@@ -377,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    postprocess._pin_blas()
+    postprocess._set_up_process()
     try:
         return args.func(args)
     except _FAILURE_TYPES as exc:

@@ -32,15 +32,25 @@ Smaller chunks need not: chunks of 16 rows moved bits in 9 of 24 shapes and
 of 64 rows in 1 of 24, and a short last chunk (n's remainder after chunks of
 16-1024 rows) in 1-9 of 12.  Inputs of fewer than 2048 rows run whole.
 
-This module owns a process's core budget.  `_pin_blas(processes)` pins the
-bundled OpenBLAS to one thread and records how many processes share the
-usable cores; `_threads` is then `cores // (processes * BLAS threads)`:
-every core in a CLI process, `cores // N` in each worker of `generate
---jobs N`, and the cores over its BLAS threads for a library caller that
-never pins.  Both threaded steps, `forward`'s row chunks and the distance
-tiles of `metrics.silhouette`, run on that many threads through `_ordered`,
-which yields each item's result in item order from a pool that lives only
-for the call.
+This module owns a process's core budget and allocator policy.
+`_set_up_process(processes)` pins the bundled OpenBLAS to one thread and
+records how many processes share the usable cores; `_threads` is then
+`cores // (processes * BLAS threads)`: every core in a CLI process,
+`cores // N` in each worker of `generate --jobs N`, and the cores over its
+BLAS threads for a library caller that never runs the set-up.  Both
+threaded steps, `forward`'s row chunks and the distance tiles of
+`metrics.silhouette`, run on that many threads through `_ordered`, which
+yields each item's result in item order from a pool that lives only for
+the call.
+
+Under glibc the same call fixes malloc's mmap threshold at 4 MiB and its
+trim threshold at 32 MiB (`mallopt`).  A block below 4 MiB then comes from
+an arena (the main heap, or the arena of a pool thread), and each arena
+keeps up to 32 MiB of free memory at its top instead of handing it back to
+the OS, so the next dataset reuses the temporaries of the last one in
+place rather than page-faulting them in again.  Larger blocks are still
+mapped and unmapped on their own.  Elsewhere, and for a library caller
+that never runs the set-up, malloc keeps its defaults.
 """
 
 from __future__ import annotations
@@ -63,8 +73,22 @@ _AHEAD = 4
 # multiples of 64 rows; smaller chunks can move bits (see above).
 _CHUNK_ROWS = 1024
 
-# How many processes share the usable cores, as `_pin_blas` last recorded.
+# How many processes share the usable cores, as `_set_up_process` last recorded.
 _PROCESSES = 1
+
+# glibc's mallopt parameters (malloc.h) and the values `_set_up_process`
+# gives them.  Blocks below the mmap threshold come from an arena; an arena
+# hands free memory at its top back to the OS only past the trim threshold.
+# These are the smallest powers of two at which a warm call of every
+# perfbench workload takes about 0 minor page faults: at a 2 MiB mmap
+# threshold the n=4000 `bench` call still maps its 3 MiB n x d arrays anew
+# (~31,600 faults a call), at a 16 MiB trim threshold it still hands back
+# what it freed (~40,700), and at 8 MiB so does k=5/dim 200 placement
+# (~1,900).
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_MMAP_THRESHOLD = 4 << 20
+_TRIM_THRESHOLD = 32 << 20
 
 
 @functools.cache
@@ -86,32 +110,53 @@ def _openblas():
     return setter, getter
 
 
+@functools.cache
+def _mallopt():
+    """glibc's `mallopt`, or None where the C library is not glibc.
+
+    Looked up on first use, so importing this module costs nothing more.
+    """
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION"):
+            return None
+        mallopt = ctypes.CDLL(None).mallopt
+    except (ValueError, OSError, AttributeError):
+        return None
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    return mallopt
+
+
 def _usable_cores() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
-def _pin_blas(processes: int = 1) -> None:
+def _set_up_process(processes: int = 1) -> None:
     """Run the bundled OpenBLAS on one thread, in one of `processes` processes
-    that share the usable cores.
+    that share the usable cores, and under glibc keep freed blocks below
+    `_MMAP_THRESHOLD` in the process (see the module docstring).
 
-    Its threaded paths round differently from its one-thread paths (Cholesky
-    from dim ~128, matmul, QR and eigh from dim ~500), so one seed gives the
-    same bytes on every machine only at a fixed thread count.
+    OpenBLAS's threaded paths round differently from its one-thread paths
+    (Cholesky from dim ~128, matmul, QR and eigh from dim ~500), so one seed
+    gives the same bytes on every machine only at a fixed thread count.
     """
     global _PROCESSES
     _PROCESSES = processes
     blas = _openblas()
     if blas is not None:
         blas[0](1)
+    mallopt = _mallopt()
+    if mallopt is not None:
+        mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+        mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
 
 
 def _threads() -> int:
     """The threads of `forward` and `metrics.silhouette`: this process's
-    share of the usable cores (see `_pin_blas`) over the BLAS threads of each
-    item's matmuls, so that no two items, here or in another process, share
-    a core."""
+    share of the usable cores (see `_set_up_process`) over the BLAS threads
+    of each item's matmuls, so that no two items, here or in another
+    process, share a core."""
     blas = _openblas()
     return max(1, _usable_cores() // (_PROCESSES * (blas[1]() if blas else 1)))
 

@@ -9,15 +9,16 @@ import pytest
 
 from clustergen import postprocess
 from clustergen.archetype import load_archetypes_jsonl
-from clustergen.postprocess import _pin_blas
+from clustergen.postprocess import _set_up_process
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def pytest_sessionstart(session):
-    """One BLAS thread, as every CLI command runs, so the tests check the
-    bytes that users get whatever the machine's core count."""
-    _pin_blas()
+    """One BLAS thread and the allocator policy, as every CLI command runs,
+    so the tests check the bytes that users get whatever the machine's core
+    count."""
+    _set_up_process()
 
 
 @pytest.fixture()

@@ -374,11 +374,35 @@ class TestDistortChunks:
     def test_a_pool_worker_gets_its_share_of_the_cores_and_one_blas_thread(self):
         # two processes at most, as a `--jobs 2` run starts them
         with concurrent.futures.ProcessPoolExecutor(
-            2, initializer=postprocess._pin_blas, initargs=(2,)
+            2, initializer=postprocess._set_up_process, initargs=(2,)
         ) as pool:
             threads, blas = pool.submit(pool_worker_budget).result(timeout=60)
         assert threads == max(1, postprocess._usable_cores() // 2)
         assert blas == (None if postprocess._openblas() is None else 1)
+
+
+class TestAllocatorPolicy:
+    def test_set_up_fixes_both_thresholds(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(postprocess, "_mallopt", lambda: lambda *args: calls.append(args))
+        postprocess._set_up_process()
+        assert calls == [(-3, 4 << 20), (-1, 32 << 20)]
+
+    @pytest.mark.parametrize("confstr", [None, ValueError, AttributeError])
+    def test_without_glibc_malloc_keeps_its_defaults(self, monkeypatch, confstr):
+        # musl and macOS name no glibc version; Windows has no os.confstr
+        def fake(name):
+            if confstr is None:
+                return None
+            raise confstr(name)
+
+        monkeypatch.setattr(postprocess.os, "confstr", fake)
+        postprocess._mallopt.cache_clear()
+        try:
+            assert postprocess._mallopt() is None
+            postprocess._set_up_process()
+        finally:
+            postprocess._mallopt.cache_clear()
 
 
 class TestWrapAroundSphere:
