@@ -402,17 +402,6 @@ sys.exit(cli.main(["generate", "--inline", archetype, "--n-datasets", "2", "--jo
 
 
 class TestValidateOverlap:
-    def test_negative_seed_is_a_usage_error(self, tmp_path, capsys):
-        # the model is drawn from default_rng(--seed), which takes no negative seed
-        arch_path = tmp_path / "a.json"
-        arch_path.write_text(SMALL)
-        with pytest.raises(SystemExit) as excinfo:
-            cli.main(["validate-overlap", "--archetype", str(arch_path), "--seed", "-1"])
-        assert excinfo.value.code == cli.EXIT_VALIDATION
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert "error: argument --seed: expected a non-negative integer, got '-1'" in err
-
     def test_archetype_report_respects_bound(self, tmp_path, capsys):
         arch_path = tmp_path / "a.json"
         arch_path.write_text(SMALL)
@@ -782,17 +771,6 @@ class TestBench:
 
 
 class TestHyperparams:
-    def test_negative_seed_is_a_usage_error(self, tmp_path, capsys):
-        # the variants are drawn from default_rng(--seed), which takes no negative seed
-        arch_path = tmp_path / "a.json"
-        arch_path.write_text(SMALL)
-        with pytest.raises(SystemExit) as excinfo:
-            cli.main(["hyperparams", "--archetype", str(arch_path), "--seed", "-1"])
-        assert excinfo.value.code == cli.EXIT_VALIDATION
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert "error: argument --seed: expected a non-negative integer, got '-1'" in err
-
     def test_emits_variant_jsonl(self, tmp_path, capsys):
         arch_path = tmp_path / "a.json"
         arch_path.write_text(SMALL)
@@ -921,6 +899,23 @@ class TestUsageErrors:
         assert excinfo.value.code == 1
         assert "error: " in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["validate-overlap", "hyperparams"])
+    def test_negative_seed_is_refused_by_name(self, tmp_path, capsys, command):
+        # both draw from default_rng(--seed), which takes no negative seed
+        (tmp_path / "a.json").write_text(SMALL)
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main([command, "--archetype", str(tmp_path / "a.json"), "--seed", "-1"])
+        assert excinfo.value.code == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "error: argument --seed: expected a non-negative integer, got '-1'" in err
+
+    def test_generate_and_bench_take_a_negative_seed(self, tmp_path, capsys):
+        # they hash the master seed, so any integer is one
+        argv = ["--inline", SMALL, "--seed", "-1"]
+        assert cli.main(["generate", *argv, "--out-dir", str(tmp_path / "out")]) == 0
+        assert cli.main(["bench", *argv, "--n-datasets", "1"]) == 0
 
     @pytest.mark.parametrize("argv", [["--help"], ["--version"], ["generate", "--help"]])
     def test_help_and_version_exit_0(self, capsys, argv):
